@@ -532,6 +532,33 @@ func BenchmarkOPTLine5(b *testing.B) {
 	}
 }
 
+// BenchmarkOPTLine16K4 solves the config-space benchmark's OPT instance:
+// a line of 16 nodes at k=4 (2,517 occupied sets, 34,113 states) over 60
+// commuter-dynamic rounds.
+func BenchmarkOPTLine16K4(b *testing.B) {
+	g, err := gen.Line(16, gen.DefaultOptions(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := sim.NewEnv(g, cost.Linear{}, cost.AssignMinCost,
+		cost.DefaultParams(), core.Params{QueueCap: 3, Expiry: 20, MaxServers: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seq, err := workload.CommuterDynamic(env.Metric,
+		workload.CommuterConfig{T: workload.TForSize(16), Lambda: 10}, 60)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt := offline.NewOPT(seq)
+		if err := opt.Reset(env); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkONTHCommuter(b *testing.B) {
 	env := benchGraph(b, 200)
 	seq, err := workload.CommuterDynamic(env.Metric,

@@ -15,6 +15,22 @@ type Delta struct {
 	Creations  int
 }
 
+// NewDelta prices filling `created` new server slots given `vacated`
+// servers available for migration, split by cause (cost.Params.Migrations
+// decides the split; cost.Params.Transition is the same total).
+func NewDelta(p cost.Params, created, vacated int) Delta {
+	if created <= 0 {
+		return Delta{}
+	}
+	m := p.Migrations(created, vacated)
+	return Delta{
+		Migration:  float64(m) * p.Beta,
+		Creation:   float64(created-m) * p.Create,
+		Migrations: m,
+		Creations:  created - m,
+	}
+}
+
 // Total returns the summed reconfiguration cost.
 func (d Delta) Total() float64 { return d.Migration + d.Creation }
 
@@ -150,7 +166,7 @@ func (p *Pool) hasInactiveAt(v int) (int, bool) {
 func (p *Pool) PredictShape(entering, leaving, free int) (Delta, int) {
 	created := entering - free
 	cached := len(p.inactive) - free
-	d := p.delta(created, leaving+cached)
+	d := NewDelta(p.params.Costs, created, leaving+cached)
 	fromLeaving := d.Migrations
 	if fromLeaving > leaving {
 		fromLeaving = leaving
@@ -194,27 +210,6 @@ func (p *Pool) PredictInactiveAfter(target Placement) int {
 	return cached
 }
 
-// delta prices filling `created` slots given `vacated` migrable servers.
-func (p *Pool) delta(created, vacated int) Delta {
-	if created <= 0 {
-		return Delta{}
-	}
-	migrations := vacated
-	if migrations > created {
-		migrations = created
-	}
-	if p.params.Costs.Beta >= p.params.Costs.Create {
-		migrations = 0
-	}
-	creations := created - migrations
-	return Delta{
-		Migration:  float64(migrations) * p.params.Costs.Beta,
-		Creation:   float64(creations) * p.params.Costs.Create,
-		Migrations: migrations,
-		Creations:  creations,
-	}
-}
-
 // SwitchTo reconfigures the pool to the target placement and returns the
 // cost charged. It returns an error if the target exceeds the server bound
 // k or is empty (the service must stay reachable).
@@ -243,7 +238,7 @@ func (p *Pool) SwitchTo(target Placement) (Delta, error) {
 	// cache; with β ≥ c no migration happens and all vacated servers are
 	// cached.
 	migrable := len(leaving) + len(p.inactive)
-	d := p.delta(len(needFill), migrable)
+	d := NewDelta(p.params.Costs, len(needFill), migrable)
 	consumed := d.Migrations
 	// Prefer consuming vacated (previously active) servers before cached
 	// ones: a cached server may still activate free later at its own node,

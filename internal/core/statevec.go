@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/cost"
@@ -144,18 +145,7 @@ func TransitionCost(p cost.Params, from, to Vector) float64 {
 // TransitionCostMasks is TransitionCost on occupied bitmasks, used in the
 // dynamic program's hot loop.
 func TransitionCostMasks(p cost.Params, from, to uint64) float64 {
-	created := popcount(to &^ from)
-	vacated := popcount(from &^ to)
-	return p.Transition(created, vacated)
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	return p.Transition(bits.OnesCount64(to&^from), bits.OnesCount64(from&^to))
 }
 
 // EnumerateVectors lists every configuration of n nodes with at most

@@ -92,14 +92,18 @@ func (p Params) Transition(created, vacated int) float64 {
 	if created <= 0 {
 		return 0
 	}
-	migrable := vacated
-	if migrable > created {
-		migrable = created
+	m := p.Migrations(created, vacated)
+	return float64(m)*p.Beta + float64(created-m)*p.Create
+}
+
+// Migrations returns how many of `created` new slots the cheapest
+// reconfiguration fills by migrating one of `vacated` servers; the rest
+// are created. Migration is used only when it pays (β < c).
+func (p Params) Migrations(created, vacated int) int {
+	if created <= 0 || !p.MigrationBeneficial() {
+		return 0
 	}
-	if p.Beta >= p.Create {
-		migrable = 0 // migration never pays
-	}
-	return float64(migrable)*p.Beta + float64(created-migrable)*p.Create
+	return min(vacated, created)
 }
 
 func (p Params) String() string {

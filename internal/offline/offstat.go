@@ -149,21 +149,8 @@ func (o *OFFSTAT) Prepare(t int) core.Delta {
 		return core.Delta{}
 	}
 	o.installed = true
-	entering, leaving := o.env.Start.Diff(o.placement)
-	created := len(entering)
-	migr := 0
-	if o.env.Costs.MigrationBeneficial() {
-		migr = len(leaving)
-		if migr > created {
-			migr = created
-		}
-	}
-	return core.Delta{
-		Migration:  float64(migr) * o.env.Costs.Beta,
-		Creation:   float64(created-migr) * o.env.Costs.Create,
-		Migrations: migr,
-		Creations:  created - migr,
-	}
+	entering, leaving := o.env.Start.DiffSize(o.placement)
+	return core.NewDelta(o.env.Costs, entering, leaving)
 }
 
 // Placement implements sim.Algorithm.

@@ -8,10 +8,11 @@ package offline
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/online"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -25,10 +26,6 @@ const (
 	MaxOPTStates = 60000
 	// MaxOPTNodes bounds the node count so occupied sets fit a bitmask.
 	MaxOPTNodes = 63
-	// maxDenseTransition bounds the entries of the precomputed
-	// occupied-mask transition-cost matrix (64 MiB of float64s); larger
-	// instances fall back to computing transition costs on the fly.
-	maxDenseTransition = 1 << 23
 )
 
 // OPT is the optimal offline algorithm of Section IV-A. It fills the
@@ -41,7 +38,9 @@ const (
 //	          + Costrun(γ) + Costacc(σt, γ)
 //
 // and reconstructs the cost-minimal configuration path backwards from the
-// cheapest final configuration.
+// cheapest final configuration. Cost(γ'→γ) depends only on the occupied
+// sets, so the minimisation runs over occupied sets through WFA's
+// online.WorkKernel.
 type OPT struct {
 	seq *workload.Sequence
 
@@ -73,10 +72,7 @@ func (o *OPT) Reset(env *sim.Env) error {
 	if n > MaxOPTNodes {
 		return fmt.Errorf("opt: %d nodes exceed the tractable bound %d", n, MaxOPTNodes)
 	}
-	k := env.Pool.MaxServers
-	if k <= 0 {
-		k = n
-	}
+	k := optServerBound(env)
 	if count := core.CountVectors(n, k, MaxOPTStates); count > MaxOPTStates {
 		return fmt.Errorf("opt: configuration space exceeds the tractable bound %d (n=%d, k=%d)",
 			MaxOPTStates, n, k)
@@ -91,7 +87,10 @@ func (o *OPT) Reset(env *sim.Env) error {
 		return nil
 	}
 
-	s := newOptSolver(env, o.seq, core.EnumerateVectors(n, k, 0), runtime.GOMAXPROCS(0))
+	s, err := newOptSolver(env, o.seq, 0) // 0 workers: GOMAXPROCS
+	if err != nil {
+		return err
+	}
 	if err := s.solve(); err != nil {
 		return err
 	}
@@ -100,227 +99,171 @@ func (o *OPT) Reset(env *sim.Env) error {
 	return nil
 }
 
-// optSolver holds the dense, precomputed tables of one dynamic-program
-// solve. All round-invariant quantities — per-state occupied/active
-// indexes and running costs, the occupied-mask universe, the mask-to-mask
-// transition-cost matrix, and the per-active-set placements — are hoisted
-// out of the per-round recurrence, which then runs over flat slices (no
-// map lookups) and fans out over the workers.
+// optServerBound is the server bound k of the configuration space.
+func optServerBound(env *sim.Env) int {
+	n, k := env.Graph.N(), env.Pool.MaxServers
+	if k <= 0 || k > n {
+		k = n
+	}
+	return k
+}
+
+// optSolver holds the precomputed tables of one dynamic-program solve.
+// All round-invariant quantities — per-state occupied-set classes, active
+// indexes and running costs, the access sweep over the active sets, and
+// the work-function kernel over occupied sets — are hoisted out of the
+// per-round recurrence, which then runs over flat slices (no map lookups)
+// and fans out over the kernel's workers.
 type optSolver struct {
-	env     *sim.Env
-	seq     *workload.Sequence
-	states  []core.Vector
-	workers int
+	env    *sim.Env
+	seq    *workload.Sequence
+	states []core.Vector
+	kern   *online.WorkKernel
 
-	// Per state: dense occupied-mask index, dense active-set index, and
-	// the round-invariant running cost.
-	maskOf []int32
-	actIdx []int32
-	runOf  []float64
+	// Per state: kernel class of its occupied set, dense active-set index,
+	// and the round-invariant running cost.
+	classOf []int32
+	actIdx  []int32
+	runOf   []float64
 
-	masks      []uint64         // dense occupied-mask universe
-	placements []core.Placement // per active index
-	trans      []float64        // dense transition costs [to*len(masks)+from]; nil → on the fly
+	// sweep prices the non-empty active sets, active indexes 1.. in
+	// order; index 0 is ∅, which serves nothing.
+	sweep *cost.ConfSweep
+	// order lists the occupied sets by first appearance in states: the
+	// source order of the per-state scan, whose first minimiser the
+	// kernel's tie-break reproduces.
+	order []int32
 
 	// Per-round scratch, preallocated once.
-	prev, next            []float64
-	access                []float64 // per active index, for the current round
-	bestByMask, arrival   []float64
-	argByMask, argArrival []int32
-	parent                [][]int32
-	parentSlab            []int32
-	curDemand             cost.Demand // demand of the round being filled
-	curParent             []int32     // parent row of the round being stepped
+	prev, next             []float64
+	access                 []float64 // per active index, for the current round
+	latency                []float64 // per non-empty active set: the round's latency
+	bestByClass, arrival   []float64
+	argByClass, arrivalArg []int32 // per class: best state; arrival's parent state
+	parent                 [][]int32
+	parentSlab             []int32
+	curParent              []int32 // parent row of the round being stepped
+	finishFn               func(lo, hi int)
 
 	planned     float64
 	scheduleOut []core.Vector
 }
 
-func newOptSolver(env *sim.Env, seq *workload.Sequence, states []core.Vector, workers int) *optSolver {
-	s := &optSolver{env: env, seq: seq, states: states, workers: workers}
-	ns := len(states)
-	s.maskOf = make([]int32, ns)
+func newOptSolver(env *sim.Env, seq *workload.Sequence, workers int) (*optSolver, error) {
+	n, k := env.Graph.N(), optServerBound(env)
+	s := &optSolver{env: env, seq: seq, states: core.EnumerateVectors(n, k, 0)}
+	kern, err := online.NewWorkKernel(env.Costs, core.EnumeratePlacements(n, k), n, k, workers)
+	if err != nil {
+		return nil, fmt.Errorf("opt: %w", err)
+	}
+	s.kern = kern
+	ns := len(s.states)
+	s.classOf = make([]int32, ns)
 	s.actIdx = make([]int32, ns)
 	s.runOf = make([]float64, ns)
 
-	maskIndex := make(map[uint64]int32) // occupied mask → dense index
-	activeIndex := make(map[uint64]int32)
-	for i, st := range states {
+	classes := kern.IndexOf(nil) + 1 // ∅ is the last class
+	s.order = make([]int32, 0, classes)
+	classOfMask := make(map[uint64]int32)
+	activeIndex := map[uint64]int32{0: 0}
+	var active [][]int // non-empty active sets, active index 1..
+	for i, st := range s.states {
 		occ := st.OccupiedMask()
-		mi, ok := maskIndex[occ]
+		c, ok := classOfMask[occ]
 		if !ok {
-			mi = int32(len(s.masks))
-			maskIndex[occ] = mi
-			s.masks = append(s.masks, occ)
+			var set core.Placement
+			for m := occ; m != 0; m &= m - 1 {
+				set = append(set, bits.TrailingZeros64(m))
+			}
+			c = int32(kern.IndexOf(set))
+			s.order = append(s.order, c)
+			classOfMask[occ] = c
 		}
-		s.maskOf[i] = mi
+		s.classOf[i] = c
 
 		act := st.ActiveMask()
 		ai, ok := activeIndex[act]
 		if !ok {
-			ai = int32(len(s.placements))
+			ai = int32(len(activeIndex))
 			activeIndex[act] = ai
-			s.placements = append(s.placements, st.ActivePlacement())
+			active = append(active, st.ActivePlacement())
 		}
 		s.actIdx[i] = ai
 		s.runOf[i] = st.RunCost(env.Costs)
 	}
 
-	// The transition cost Cost(γ'→γ) depends only on the occupied sets, so
-	// it is a masks × masks matrix — precomputed densely when it fits.
-	nm := len(s.masks)
-	if nm*nm <= maxDenseTransition {
-		s.trans = make([]float64, nm*nm)
-		fill := func(lo, hi int) {
-			for to := lo; to < hi; to++ {
-				row := s.trans[to*nm : (to+1)*nm]
-				toMask := s.masks[to]
-				for from, frm := range s.masks {
-					row[from] = core.TransitionCostMasks(s.env.Costs, frm, toMask)
-				}
-			}
-		}
-		if w := s.fanWorkers(nm); w > 1 {
-			cost.ParallelChunksWorkers(nm, w, optParallelGrain, fill)
-		} else {
-			fill(0, nm)
-		}
-	}
-
 	rounds := seq.Len()
 	s.prev = make([]float64, ns)
 	s.next = make([]float64, ns)
-	s.access = make([]float64, len(s.placements))
-	s.bestByMask = make([]float64, nm)
-	s.arrival = make([]float64, nm)
-	s.argByMask = make([]int32, nm)
-	s.argArrival = make([]int32, nm)
+	s.sweep = cost.NewConfSweep(env.Eval, active)
+	s.access = make([]float64, len(activeIndex))
+	s.latency = make([]float64, len(active))
+	s.bestByClass = make([]float64, classes)
+	s.arrival = make([]float64, classes)
+	s.argByClass = make([]int32, classes)
+	s.arrivalArg = make([]int32, classes)
 	s.parentSlab = make([]int32, rounds*ns)
 	s.parent = make([][]int32, rounds)
 	for t := range s.parent {
 		s.parent[t] = s.parentSlab[t*ns : (t+1)*ns]
 	}
-	return s
+	s.finishFn = s.finishRange
+	return s, nil
 }
-
-// fanWorkers returns how many goroutines are worth spawning for n items,
-// requiring at least optParallelGrain items per chunk. The fan-out itself
-// runs through cost.ParallelChunksWorkers; the serial paths call the range
-// kernels directly so the per-round loop stays allocation-free.
-func (s *optSolver) fanWorkers(n int) int {
-	workers := s.workers
-	if workers > n/optParallelGrain {
-		workers = n / optParallelGrain
-	}
-	return workers
-}
-
-// optParallelGrain is the minimum chunk size worth a goroutine.
-const optParallelGrain = 256
 
 // fillAccess computes the access cost of round t for every distinct active
-// set: Costacc is shared by all states with the same active placement.
+// set (Costacc is shared by all states with the same active placement) in
+// one sweep. Infeasible sets, and ∅ under any demand, cost +Inf.
 func (s *optSolver) fillAccess(t int) {
-	s.curDemand = s.seq.Demand(t)
-	n := len(s.placements)
-	if w := s.fanWorkers(n); w > 1 {
-		cost.ParallelChunksWorkers(n, w, optParallelGrain, func(lo, hi int) { s.accessRange(lo, hi) })
-		return
+	d := s.seq.Demand(t)
+	s.access[0] = 0
+	if !d.Empty() {
+		s.access[0] = math.Inf(1)
 	}
-	s.accessRange(0, n)
-}
-
-func (s *optSolver) accessRange(lo, hi int) {
-	for ai := lo; ai < hi; ai++ {
-		ac := s.env.Eval.Access(s.placements[ai], s.curDemand)
-		v := math.Inf(1)
-		if !ac.Infinite() {
-			v = ac.Total()
+	s.sweep.SweepAccess(d, s.access[1:], s.latency)
+	for i, lat := range s.latency {
+		if (cost.AccessCost{Latency: lat}).Infinite() {
+			s.access[i+1] = math.Inf(1)
 		}
-		s.access[ai] = v
 	}
-}
-
-// transCost returns Cost(γ'→γ) between two dense mask indexes.
-func (s *optSolver) transCost(from, to int) float64 {
-	if s.trans != nil {
-		return s.trans[to*len(s.masks)+from]
-	}
-	return core.TransitionCostMasks(s.env.Costs, s.masks[from], s.masks[to])
 }
 
 // step advances the recurrence from round t-1 (in prev) to round t (into
-// next): the minimisation over predecessor states collapses to occupied
-// masks, runs once per destination mask (not once per state), and fans out
-// over the workers.
+// next): the minimisation over predecessor states collapses to their
+// occupied sets, and the kernel resolves every destination set at once.
+// Given the sets in first-appearance order, it reports the first
+// minimising source set in that order, exactly like the per-state scan it
+// replaces.
 func (s *optSolver) step(t int) {
-	nm := len(s.masks)
-	for mi := 0; mi < nm; mi++ {
-		s.bestByMask[mi] = math.Inf(1)
-		s.argByMask[mi] = -1
+	for c := range s.bestByClass {
+		s.bestByClass[c] = math.Inf(1)
+		s.argByClass[c] = -1
 	}
-	for i := range s.states {
-		mi := s.maskOf[i]
-		if s.prev[i] < s.bestByMask[mi] {
-			s.bestByMask[mi] = s.prev[i]
-			s.argByMask[mi] = int32(i)
+	for i, c := range s.classOf {
+		if s.prev[i] < s.bestByClass[c] {
+			s.bestByClass[c] = s.prev[i]
+			s.argByClass[c] = int32(i)
 		}
 	}
 	s.fillAccess(t)
-	// Cheapest arrival per destination mask: min over source masks of
-	// bestByMask + transition cost, in ascending source order (ties keep
-	// the earlier source, exactly like the per-state scan it replaces).
-	if w := s.fanWorkers(nm); w > 1 {
-		cost.ParallelChunksWorkers(nm, w, optParallelGrain, func(lo, hi int) { s.arrivalRange(lo, hi) })
-	} else {
-		s.arrivalRange(0, nm)
+	s.kern.Relax(s.bestByClass, s.order, s.arrival, s.arrivalArg)
+	for c, from := range s.arrivalArg { // source class → its best state
+		if from >= 0 {
+			s.arrivalArg[c] = s.argByClass[from]
+		}
 	}
 	s.curParent = s.parent[t]
-	ns := len(s.states)
-	if w := s.fanWorkers(ns); w > 1 {
-		cost.ParallelChunksWorkers(ns, w, optParallelGrain, func(lo, hi int) { s.finishRange(lo, hi) })
-	} else {
-		s.finishRange(0, ns)
-	}
+	s.kern.Fan(len(s.states), s.finishFn)
 	s.prev, s.next = s.next, s.prev
-}
-
-func (s *optSolver) arrivalRange(lo, hi int) {
-	nm := len(s.masks)
-	for to := lo; to < hi; to++ {
-		best, arg := math.Inf(1), int32(-1)
-		if s.trans != nil {
-			row := s.trans[to*nm : (to+1)*nm]
-			for from := 0; from < nm; from++ {
-				if math.IsInf(s.bestByMask[from], 1) {
-					continue
-				}
-				if c := s.bestByMask[from] + row[from]; c < best {
-					best, arg = c, s.argByMask[from]
-				}
-			}
-		} else {
-			for from := 0; from < nm; from++ {
-				if math.IsInf(s.bestByMask[from], 1) {
-					continue
-				}
-				if c := s.bestByMask[from] + s.transCost(from, to); c < best {
-					best, arg = c, s.argByMask[from]
-				}
-			}
-		}
-		s.arrival[to] = best
-		s.argArrival[to] = arg
-	}
 }
 
 // finishRange combines arrival, running and access cost into next and
 // records the parent pointers of the current round.
 func (s *optSolver) finishRange(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		mi := s.maskOf[i]
-		s.next[i] = s.arrival[mi] + s.runOf[i] + s.access[s.actIdx[i]]
-		s.curParent[i] = s.argArrival[mi]
+		c := s.classOf[i]
+		s.next[i] = s.arrival[c] + s.runOf[i] + s.access[s.actIdx[i]]
+		s.curParent[i] = s.arrivalArg[c]
 	}
 }
 
@@ -337,18 +280,10 @@ func (s *optSolver) solve() error {
 
 	// Round 0: opt[0][γ] = Cost(γ0→γ) + Costrun(γ) + Costacc(σ0, γ).
 	s.fillAccess(0)
-	parent0 := s.parent[0]
-	round0 := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.prev[i] = core.TransitionCostMasks(s.env.Costs, startOcc, s.masks[s.maskOf[i]]) +
-				s.runOf[i] + s.access[s.actIdx[i]]
-			parent0[i] = -1
-		}
-	}
-	if w := s.fanWorkers(len(s.states)); w > 1 {
-		cost.ParallelChunksWorkers(len(s.states), w, optParallelGrain, round0)
-	} else {
-		round0(0, len(s.states))
+	for i, st := range s.states {
+		s.prev[i] = core.TransitionCostMasks(s.env.Costs, startOcc, st.OccupiedMask()) +
+			s.runOf[i] + s.access[s.actIdx[i]]
+		s.parent[0][i] = -1
 	}
 
 	for t := 1; t < rounds; t++ {
@@ -396,35 +331,12 @@ func (o *OPT) vectorAt(t int) core.Vector {
 func (o *OPT) Prepare(t int) core.Delta {
 	from, to := o.vectorAt(t-1), o.vectorAt(t)
 	o.cursor = t
-	total := core.TransitionCost(o.env.Costs, from, to)
-	if total == 0 {
+	fromOcc, toOcc := from.OccupiedMask(), to.OccupiedMask()
+	d := core.NewDelta(o.env.Costs, bits.OnesCount64(toOcc&^fromOcc), bits.OnesCount64(fromOcc&^toOcc))
+	if d.Total() == 0 {
 		return core.Delta{}
 	}
-	// Split the closed-form total back into β- and c-parts for the ledger.
-	created := popcountMask(to.OccupiedMask() &^ from.OccupiedMask())
-	vacated := popcountMask(from.OccupiedMask() &^ to.OccupiedMask())
-	migr := vacated
-	if migr > created {
-		migr = created
-	}
-	if o.env.Costs.Beta >= o.env.Costs.Create {
-		migr = 0
-	}
-	return core.Delta{
-		Migration:  float64(migr) * o.env.Costs.Beta,
-		Creation:   float64(created-migr) * o.env.Costs.Create,
-		Migrations: migr,
-		Creations:  created - migr,
-	}
-}
-
-func popcountMask(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	return d
 }
 
 // Placement implements sim.Algorithm.

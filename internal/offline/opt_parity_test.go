@@ -1,6 +1,7 @@
 package offline
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -13,7 +14,7 @@ import (
 	"repro/internal/workload"
 )
 
-// naiveOPT is the reference dynamic program the dense parallel solver
+// naiveOPT is the reference dynamic program the kernel-based solver
 // replaced: per-round map-based access memoisation and an O(states×masks)
 // minimisation per round. It returns the DP objective and the chosen
 // schedule.
@@ -160,32 +161,140 @@ func randomOPTInstance(t *testing.T, rng *rand.Rand) (*sim.Env, *workload.Sequen
 	return env, workload.NewSequence("random", demands), k
 }
 
-// TestOPTMatchesNaiveDP pins the dense parallel solver to the reference
+// optParityInstance is one OPT input for the parity pins.
+type optParityInstance struct {
+	name string
+	env  *sim.Env
+	seq  *workload.Sequence
+	k    int
+}
+
+// optParityInstances returns the random-weight instances, unit-weight line
+// instances (equal-shape moves between many occupied sets tie exactly, and
+// every third round is empty, where the all-empty state is optimal), one
+// instance each with quadratic load and nearest-server routing, one on a
+// disconnected substrate, and one line of 12 nodes at k=4 whose 794
+// occupied sets cross the kernel's parallel threshold.
+func optParityInstances(t *testing.T, seed int64, random int) []optParityInstance {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var out []optParityInstance
+	for trial := 0; trial < random; trial++ {
+		env, seq, k := randomOPTInstance(t, rng)
+		out = append(out, optParityInstance{fmt.Sprintf("random-%d", trial), env, seq, k})
+	}
+	unitParams := []cost.Params{
+		cost.DefaultParams(),
+		cost.InvertedParams(),
+		{Beta: 1, Create: 2, RunActive: 1, RunInactive: 0.5},
+	}
+	for trial := 0; trial < 6; trial++ {
+		n := 4 + trial%3
+		k := 1 + rng.Intn(n)
+		env := lineEnv(t, n, k, unitParams[trial%len(unitParams)])
+		out = append(out, optParityInstance{fmt.Sprintf("unit-%d", trial), env, unitDemand(rng, n, 12), k})
+	}
+	for i, model := range []struct {
+		load   cost.LoadFunc
+		policy cost.Policy
+	}{{cost.Quadratic{}, cost.AssignMinCost}, {cost.Linear{}, cost.AssignNearest}} {
+		g := graph.New(5)
+		for v := 0; v+1 < 5; v++ {
+			g.MustAddEdge(v, v+1, 0.5+2*rng.Float64(), 1)
+		}
+		env, err := sim.NewEnv(g, model.load, model.policy, cost.DefaultParams(),
+			core.Params{QueueCap: 3, Expiry: 20, MaxServers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, optParityInstance{fmt.Sprintf("load-policy-%d", i), env, unitDemand(rng, 5, 12), 3})
+	}
+	// Two components: a request the active servers cannot reach has the
+	// finite graph.Infinity latency, which must still count as infeasible.
+	g := graph.New(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}} {
+		g.MustAddEdge(e[0], e[1], 1, 1)
+	}
+	m := g.AllPairs()
+	costs := cost.Params{Beta: 5, Create: 20, RunActive: 1, RunInactive: 0.2}
+	split := &sim.Env{
+		Graph: g, Metric: m, Costs: costs,
+		Eval:  cost.NewEvaluator(g, m, cost.Linear{}, cost.AssignMinCost),
+		Pool:  core.Params{Costs: costs, QueueCap: 3, Expiry: 15, MaxServers: 2},
+		Start: core.NewPlacement(2),
+	}
+	out = append(out, optParityInstance{"disconnected", split, unitDemand(rng, 6, 12), 2})
+	env := lineEnv(t, 12, 4, cost.DefaultParams())
+	out = append(out, optParityInstance{"line12-k4", env, unitDemand(rng, 12, 4), 4})
+	return out
+}
+
+// unitDemand draws single requests at random nodes, leaving every third
+// round empty.
+func unitDemand(rng *rand.Rand, n, rounds int) *workload.Sequence {
+	demands := make([]cost.Demand, rounds)
+	for r := range demands {
+		var list []int
+		if r%3 != 2 {
+			list = make([]int, 1+rng.Intn(3))
+			for i := range list {
+				list[i] = rng.Intn(n)
+			}
+		}
+		demands[r] = cost.DemandFromList(list)
+	}
+	return workload.NewSequence("unit", demands)
+}
+
+// TestOPTMatchesNaiveDP pins the kernel-based solver to the reference
 // dynamic program: the objective must be bit-identical and the chosen
 // schedule the same configuration path.
 func TestOPTMatchesNaiveDP(t *testing.T) {
-	rng := rand.New(rand.NewSource(443))
-	for trial := 0; trial < 25; trial++ {
-		env, seq, k := randomOPTInstance(t, rng)
-		opt := NewOPT(seq)
-		if err := opt.Reset(env); err != nil {
+	for _, in := range optParityInstances(t, 443, 25) {
+		opt := NewOPT(in.seq)
+		if err := opt.Reset(in.env); err != nil {
 			t.Fatal(err)
 		}
-		want, wantSched, ok := naiveOPT(env, seq, k)
+		want, wantSched, ok := naiveOPT(in.env, in.seq, in.k)
 		if !ok {
-			t.Fatal("naive DP found no schedule")
+			t.Fatalf("%s: naive DP found no schedule", in.name)
 		}
 		if opt.PlannedCost() != want {
-			t.Fatalf("trial %d: planned = %v, naive = %v", trial, opt.PlannedCost(), want)
+			t.Fatalf("%s: planned = %v, naive = %v", in.name, opt.PlannedCost(), want)
 		}
 		got := opt.Schedule()
 		if len(got) != len(wantSched) {
-			t.Fatalf("trial %d: schedule length %d, naive %d", trial, len(got), len(wantSched))
+			t.Fatalf("%s: schedule length %d, naive %d", in.name, len(got), len(wantSched))
 		}
 		for t2 := range got {
 			if got[t2].String() != wantSched[t2].String() {
-				t.Fatalf("trial %d round %d: schedule %v, naive %v",
-					trial, t2, got[t2], wantSched[t2])
+				t.Fatalf("%s round %d: schedule %v, naive %v", in.name, t2, got[t2], wantSched[t2])
+			}
+		}
+	}
+}
+
+// TestOPTAccessMatchesEvaluator pins the solver's per-round access sweep
+// to Evaluator.Access for every state, bit for bit: the all-empty active
+// set, unreachable requests (+Inf), quadratic load and nearest routing
+// included.
+func TestOPTAccessMatchesEvaluator(t *testing.T) {
+	for _, in := range optParityInstances(t, 5, 3) {
+		s, err := newOptSolver(in.env, in.seq, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < in.seq.Len(); r++ {
+			s.fillAccess(r)
+			for i, st := range s.states {
+				ac := in.env.Eval.Access(st.ActivePlacement(), in.seq.Demand(r))
+				want := math.Inf(1)
+				if !ac.Infinite() {
+					want = ac.Total()
+				}
+				if got := s.access[s.actIdx[i]]; got != want {
+					t.Fatalf("%s round %d state %v: access %v, evaluator %v", in.name, r, st, got, want)
+				}
 			}
 		}
 	}
@@ -204,8 +313,10 @@ func TestOPTStepAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := core.EnumerateVectors(env.Graph.N(), 3, 0)
-	s := newOptSolver(env, seq, states, 1)
+	s, err := newOptSolver(env, seq, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.solve(); err != nil { // warm the access-session pool
 		t.Fatal(err)
 	}
@@ -217,24 +328,27 @@ func TestOPTStepAllocationFree(t *testing.T) {
 // TestOPTDeterministicAcrossWorkerCounts checks the solver returns the
 // same objective and schedule regardless of parallel fan-out.
 func TestOPTDeterministicAcrossWorkerCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(887))
-	for trial := 0; trial < 10; trial++ {
-		env, seq, k := randomOPTInstance(t, rng)
-		states := core.EnumerateVectors(env.Graph.N(), k, 0)
-		s1 := newOptSolver(env, seq, states, 1)
-		if err := s1.solve(); err != nil {
-			t.Fatal(err)
-		}
-		sN := newOptSolver(env, seq, states, runtime.GOMAXPROCS(0))
-		if err := sN.solve(); err != nil {
-			t.Fatal(err)
-		}
-		if s1.planned != sN.planned {
-			t.Fatalf("trial %d: serial planned %v, parallel %v", trial, s1.planned, sN.planned)
-		}
-		for t2 := range s1.scheduleOut {
-			if s1.scheduleOut[t2].String() != sN.scheduleOut[t2].String() {
-				t.Fatalf("trial %d round %d: schedules differ", trial, t2)
+	for _, in := range optParityInstances(t, 887, 10) {
+		var ref *optSolver
+		for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+			s, err := newOptSolver(in.env, in.seq, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.solve(); err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = s
+				continue
+			}
+			if s.planned != ref.planned {
+				t.Fatalf("%s: %d workers planned %v, 1 worker %v", in.name, w, s.planned, ref.planned)
+			}
+			for t2 := range s.scheduleOut {
+				if s.scheduleOut[t2].String() != ref.scheduleOut[t2].String() {
+					t.Fatalf("%s round %d: %d-worker schedule differs", in.name, t2, w)
+				}
 			}
 		}
 	}

@@ -3,18 +3,23 @@ package online
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 )
 
 // This file holds the machinery that breaks the configuration-space
-// asymptotics for WFA and ONCONF:
+// asymptotics for WFA, ONCONF and the offline OPT dynamic program:
 //
 //   - shapeTable buckets transition costs by set-difference shape, so the
 //     dense C×C distance matrix (8·C² bytes, 32 GB at the nominal
 //     MaxONCONFConfigs) collapses into a (k+1)×(k+1) table plus an
 //     overlap-aware lookup per pair actually scored.
+//   - WorkKernel is the one work-function minimisation over the subset
+//     lattice: WFA's per-round update and OPT's per-round recurrence
+//     (internal/offline) both call it.
 //   - configCluster partitions the DFS-ordered configuration list into
 //     coarse cells by server-set prefix (the same parent-prefix order
 //     cost.ConfSweep exploits), giving O(k)-time lower bounds on the
@@ -84,6 +89,287 @@ func newShapeTable(p cost.Params, k int) *shapeTable {
 	}
 	return t
 }
+
+// WorkKernel is the work-function minimisation WFA and the offline OPT
+// dynamic program share:
+//
+//	dst(γ) = min over γ' of src(γ') + Transition(|γ∖γ'| entering, |γ'∖γ| leaving)
+//
+// over every set of at most k of n nodes. Sets are "classes": the
+// placements of core.EnumeratePlacements(n, k) in its DFS order, then ∅ at
+// index C. The cost depends only on the shape, so the minimum decomposes
+// over the common subsets S ⊆ γ ∩ γ'. Every source relaxes, for each of its
+// subsets S and each destination size b ≥ |S|, one slot holding
+//
+//	min over γ' ⊇ S of src(γ') + cost(b−|S| entering, |γ'|−|S| leaving),
+//
+// and every destination folds the slots of its own 2^|γ| subsets. A
+// subset smaller than the true overlap overcharges (the shape cost along a
+// diagonal never increases with overlap, and rounded addition is
+// monotone); the exact overlap charges exactly. So the fold returns the
+// full O(C²) scan's float minimum bit for bit, in O(Σ 2^|γ|·k) per call.
+//
+// A slot adds the shape cost before it takes its minimum, so every key in
+// it is a true candidate sum. That lets the kernel also name the source
+// exactly as a scan in a given order would, by a lexicographic (value,
+// position in the order) minimum: a slot keeps the first source reaching
+// its minimum, the sources reaching the fold's value through any slot are
+// exactly the true minimisers, so the earliest of them is the scan's first
+// minimiser. Taking the minimum of raw source values first would keep the
+// value exact but could drop an earlier source whose larger value rounds
+// to the same sum.
+type WorkKernel struct {
+	shape   *shapeTable
+	ix      *placementIndexer
+	workers int
+	size    []uint8 // per class (∅ last)
+	// Class S owns the slots base(S)+e for e = 0..k−|S|, one per
+	// destination size |S|+e. sub[off[c]:off[c+1]] lists, for every subset
+	// S of class c in ascending size (∅ first), the slot c folds:
+	// base(S)+|c|−|S|. relax[part][t] lists the updates a source of size t
+	// makes; each part owns whole (|S|, e) slot columns, so parts run
+	// concurrently without sharing a slot.
+	off   []int32
+	sub   []int32
+	relax [][][]relaxOp
+	val   []float64 // slot minima
+	arg   []int32   // per slot: order position of the first source reaching val (ordered calls)
+
+	// Operands of the current Relax, read by the range kernels.
+	src, dst          []float64
+	order, from       []int32
+	scatterFn, foldFn func(lo, hi int)
+}
+
+// relaxOp is one slot update of a source: the slot is sub[pos]+shift of
+// the source's list, and add the shape cost added to its value.
+type relaxOp struct {
+	pos, shift int32
+	add        float64
+}
+
+// NewWorkKernel builds the kernel for the reconfiguration costs p over the
+// classes configs = core.EnumeratePlacements(n, k) (then ∅). Fan-outs use
+// up to workers goroutines; zero or less selects GOMAXPROCS.
+func NewWorkKernel(p cost.Params, configs []core.Placement, n, k, workers int) (*WorkKernel, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	C := len(configs)
+	kn := &WorkKernel{shape: newShapeTable(p, k), ix: newPlacementIndexer(n, k), workers: workers}
+	kn.size = make([]uint8, C+1)
+	kn.off = make([]int32, C+2)
+	base := make([]int32, C+1) // ∅'s k+1 slots come first
+	slots, lattice := int64(k+1), int64(1)
+	for c, pl := range configs {
+		kn.size[c] = uint8(len(pl))
+		base[c] = int32(slots)
+		slots += int64(k - len(pl) + 1)
+		lattice += int64(1) << uint(len(pl))
+		if lattice > math.MaxInt32 || slots > math.MaxInt32 {
+			return nil, fmt.Errorf("subset lattice of over %d entries exceeds 32-bit addressing", lattice)
+		}
+		kn.off[c+1] = int32(lattice - 1)
+	}
+	kn.off[C+1] = int32(lattice)
+	kn.sub = make([]int32, lattice)
+	// bySize[m] lists the subset masks of an m-set in ascending size: the
+	// order of every subset list.
+	bySize := make([][]uint, k+1)
+	for m := range bySize {
+		for o := 0; o <= m; o++ {
+			for mask := uint(0); mask < 1<<uint(m); mask++ {
+				if bits.OnesCount(mask) == o {
+					bySize[m] = append(bySize[m], mask)
+				}
+			}
+		}
+	}
+	kn.sub[kn.off[C]] = base[C] // ∅'s only subset is itself
+	cost.ParallelChunks(C, C >= parallelGrain, func(lo, hi int) {
+		buf := make(core.Placement, 0, k)
+		for c := lo; c < hi; c++ {
+			pl := configs[c]
+			out := kn.sub[kn.off[c]:kn.off[c+1]]
+			for pos, mask := range bySize[len(pl)] {
+				buf = buf[:0]
+				for b, v := range pl {
+					if mask&(1<<uint(b)) != 0 {
+						buf = append(buf, v)
+					}
+				}
+				out[pos] = base[kn.IndexOf(buf)] + int32(len(pl)-len(buf))
+			}
+		}
+	})
+	parts := 1
+	if C+1 >= 2*parallelGrain {
+		parts = min(workers, (k+1)*(k+2)/2) // at most one part per slot column
+	}
+	kn.relax = make([][][]relaxOp, parts)
+	for w := range kn.relax {
+		kn.relax[w] = make([][]relaxOp, k+1)
+	}
+	for t, masks := range bySize {
+		for pos, mask := range masks {
+			o := bits.OnesCount(mask)
+			column := o*(k+1) - o*(o-1)/2 // slot columns of smaller subsets
+			for e := 0; e <= k-o; e++ {
+				w := (column + e) % parts
+				kn.relax[w][t] = append(kn.relax[w][t],
+					relaxOp{pos: int32(pos), shift: int32(e - t + o), add: kn.shape.cost[e*(k+1)+t-o]})
+			}
+		}
+	}
+	kn.val = make([]float64, slots)
+	kn.scatterFn, kn.foldFn = kn.scatter, kn.fold
+	return kn, nil
+}
+
+// IndexOf returns the class of a sorted set of at most k nodes.
+func (kn *WorkKernel) IndexOf(p core.Placement) int {
+	if len(p) == 0 {
+		return len(kn.size) - 1
+	}
+	return kn.ix.indexOf(p)
+}
+
+// Fan runs fn over [0, n) with the kernel's fan-out: up to its worker
+// count, at least parallelGrain indexes per goroutine. fn should be a
+// pre-bound function value, so the serial path stays allocation-free.
+func (kn *WorkKernel) Fan(n int, fn func(lo, hi int)) {
+	cost.ParallelChunksWorkers(n, kn.workers, parallelGrain, fn)
+}
+
+// Relax sets dst[γ] = min over γ' of src[γ'] + Transition(γ'→γ) for every
+// class γ < len(src). src and dst hold C entries (∅ takes no part) or C+1.
+// Sources at +Inf are skipped, so a destination no finite source reaches
+// gets +Inf. A non-nil order ranks the sources (it lists every class below
+// len(src) once); from[γ] then receives the first minimising source in that
+// order, or -1 when there is none. Each slot and each destination is
+// resolved independently, so the result does not depend on the worker
+// count.
+func (kn *WorkKernel) Relax(src []float64, order []int32, dst []float64, from []int32) {
+	kn.src, kn.order, kn.dst, kn.from = src, order, dst, from
+	for i := range kn.val {
+		kn.val[i] = math.Inf(1)
+	}
+	if order != nil && kn.arg == nil {
+		kn.arg = make([]int32, len(kn.val)) // read only where val is finite
+	}
+	cost.ParallelChunksWorkers(len(kn.relax), len(kn.relax), 1, kn.scatterFn)
+	kn.Fan(len(dst), kn.foldFn)
+}
+
+// scatter runs the relax parts [lo, hi) over every finite source. Ordered
+// calls visit the sources in their order, so with strict improvement a
+// slot keeps the first source reaching its minimum.
+func (kn *WorkKernel) scatter(lo, hi int) {
+	val, order := kn.val, kn.order
+	var arg []int32
+	if order != nil {
+		arg = kn.arg
+	}
+	for _, prog := range kn.relax[lo:hi] {
+		for i := range kn.src {
+			c := int32(i)
+			if order != nil {
+				c = order[i]
+			}
+			v := kn.src[c]
+			if math.IsInf(v, 1) {
+				continue
+			}
+			subs := kn.sub[kn.off[c]:kn.off[c+1]]
+			for _, op := range prog[kn.size[c]] {
+				if key, slot := v+op.add, subs[op.pos]+op.shift; key < val[slot] {
+					val[slot] = key
+					if arg != nil {
+						arg[slot] = int32(i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fold resolves destinations [lo, hi) from the slots of their subsets.
+// Ordered calls break value ties between slots by order position.
+func (kn *WorkKernel) fold(lo, hi int) {
+	val, arg, order := kn.val, kn.arg, kn.order
+	for j := lo; j < hi; j++ {
+		best, pos := math.Inf(1), int32(math.MaxInt32)
+		for _, slot := range kn.sub[kn.off[j]:kn.off[j+1]] {
+			if v := val[slot]; v < best || v == best && order != nil && arg[slot] < pos {
+				best = v
+				if order != nil {
+					pos = arg[slot]
+				}
+			}
+		}
+		kn.dst[j] = best
+		if order != nil {
+			kn.from[j] = -1
+			if !math.IsInf(best, 1) {
+				kn.from[j] = order[pos]
+			}
+		}
+	}
+}
+
+// placementIndexer locates a placement's index in the DFS preorder of
+// core.EnumeratePlacements in O(k), by skipping the subtrees of the
+// siblings preceding each node of the placement.
+type placementIndexer struct {
+	k int
+	// skip[q][u] = number of placements emitted by the subtrees of roots
+	// 0..u-1 when q server slots remain.
+	skip [][]int64
+}
+
+func newPlacementIndexer(n, k int) *placementIndexer {
+	ix := &placementIndexer{k: k, skip: make([][]int64, k+1)}
+	for q := 1; q <= k; q++ {
+		row := make([]int64, n+1)
+		for u := 0; u < n; u++ {
+			row[u+1] = row[u] + placementSubtreeSize(n-u-1, q-1)
+		}
+		ix.skip[q] = row
+	}
+	return ix
+}
+
+// placementSubtreeSize is the number of placements in a subtree whose root
+// is already placed, with r candidate nodes and q slots remaining:
+// 1 + Σ_{t=1..q} C(r, t).
+func placementSubtreeSize(r, q int) int64 {
+	s, b := int64(1), int64(1)
+	for t := 1; t <= q && t <= r; t++ {
+		b = b * int64(r-t+1) / int64(t)
+		s += b
+	}
+	return s
+}
+
+func (ix *placementIndexer) indexOf(p core.Placement) int {
+	idx := int64(0)
+	slots, next := ix.k, 0
+	for pos, v := range p {
+		idx += ix.skip[slots][v] - ix.skip[slots][next]
+		if pos == len(p)-1 {
+			return int(idx)
+		}
+		idx++ // the placement ending at v precedes its extensions
+		slots--
+		next = v + 1
+	}
+	return -1 // unreachable: placements are non-empty
+}
+
+// parallelGrain is the state count below which the fan-out loops stay
+// serial (goroutine dispatch would dominate the per-round work), and the
+// smallest chunk the kernel hands a goroutine.
+const parallelGrain = 256
 
 // configCluster is one cell of the hierarchical decomposition of the
 // configuration space. core.EnumeratePlacements emits placements in DFS
@@ -200,10 +486,10 @@ func checkConfigSpace(alg, hint string, n, k, bound int) error {
 	if full > probe {
 		count = "over 2^40"
 	}
-	// ≈(130 + 40k + 4·2^k) bytes per configuration: the placement itself,
-	// the per-config float slices (work/scratch/counters, WFA's per-size
-	// superset minima), and WFA's subset lattice (up to 2^k int32 entries
-	// per configuration).
+	// ≈(130 + 40k + 4·2^k) bytes per configuration, an upper estimate: the
+	// placement itself, the per-config float slices (work/scratch/counters,
+	// the work-function kernel's slot minima), and the kernel's subset
+	// lattice (up to 2^k int32 entries per configuration).
 	linear := float64(full) * (130 + 40*float64(k) + 4*math.Pow(2, float64(k)))
 	dense := 8 * float64(full) * float64(full)
 	return fmt.Errorf("%s: configuration space of %s placements (n=%d, k=%d) exceeds the bound %d: tracking it takes ≈%s of O(C) state (a dense C² transition matrix would need %s)%s — raise MaxConfigs (figures/flexserve -maxconfigs) if the O(C) footprint fits",

@@ -262,3 +262,105 @@ func TestWFADisconnectedLargeSpaceParity(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkKernelMatchesBruteForce pins the kernel to a scan over every
+// source set: the value must be bit-identical and, with an order, the
+// source the first minimiser in that order. Inputs mix in ∅ (size-0
+// sources and destinations), +Inf sources, sources drawn from a few values
+// (exact ties broken by the order), and both cost regimes, with one worker
+// and with four; the last two inputs are large enough for four to fan out.
+func TestWorkKernelMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	for trial := 0; trial < 62; trial++ {
+		n := 1 + rng.Intn(7)
+		k := 1 + rng.Intn(n)
+		if trial >= 60 {
+			n, k = 13, 4 // 1093 classes: the parallel scatter and fold run
+		}
+		p := cost.Params{Beta: float64(1 + rng.Intn(20)), Create: float64(1 + rng.Intn(20))}
+		if trial%3 == 0 {
+			p = cost.Params{Beta: 0.1 + rng.Float64(), Create: 0.1 + rng.Float64()}
+		}
+		configs := core.EnumeratePlacements(n, k)
+		sets := append(append([]core.Placement(nil), configs...), core.Placement{})
+		if trial%2 == 1 {
+			sets = sets[:len(configs)] // ∅ neither source nor destination
+		}
+		values := []float64{0, 1, 2.5, 7, 1e3 * rng.Float64(), math.Inf(1)}
+		src := make([]float64, len(sets))
+		for i := range src {
+			src[i] = values[rng.Intn(len(values))]
+		}
+		order := make([]int32, len(sets))
+		for i, c := range rng.Perm(len(sets)) {
+			order[i] = int32(c)
+		}
+		for _, workers := range []int{1, 4} {
+			kn, err := NewWorkKernel(p, configs, n, k, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWorkKernel(t, kn, p, sets, src, order)
+			checkWorkKernel(t, kn, p, sets, src, nil)
+		}
+	}
+}
+
+// TestWorkKernelFirstSourceSurvivesRounding pins the case that forces the
+// kernel to add the shape cost before taking a slot's minimum: two sources
+// whose values differ by one ulp reach a destination at the same rounded
+// sum, and the one with the larger value comes first in the order. Taking
+// the minimum of the raw values first would keep only the smaller value
+// and report the later source.
+func TestWorkKernelFirstSourceSurvivesRounding(t *testing.T) {
+	p := cost.DefaultParams() // β=40 < c=400
+	configs := core.EnumeratePlacements(3, 1)
+	kn, err := NewWorkKernel(p, configs, 3, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := append(append([]core.Placement(nil), configs...), core.Placement{})
+	src := []float64{math.Nextafter(1000, 2000), 1000, math.Inf(1), math.Inf(1)}
+	if src[0]+p.Beta != src[1]+p.Beta {
+		t.Fatal("the two sources must round to the same sum")
+	}
+	order := []int32{0, 1, 2, 3}
+	checkWorkKernel(t, kn, p, sets, src, order)
+	from := make([]int32, len(src))
+	kn.Relax(src, order, make([]float64, len(src)), from)
+	if from[2] != 0 {
+		t.Fatalf("destination {2} resolved to source %d, want the first source 0", from[2])
+	}
+}
+
+// checkWorkKernel compares one Relax against the brute-force scan over
+// the sources in order (class order when order is nil), which keeps the
+// first minimiser.
+func checkWorkKernel(t *testing.T, kn *WorkKernel, p cost.Params, sets []core.Placement, src []float64, order []int32) {
+	t.Helper()
+	dst := make([]float64, len(src))
+	from := make([]int32, len(src))
+	kn.Relax(src, order, dst, from)
+	for j, to := range sets {
+		best, arg := math.Inf(1), int32(-1)
+		for r := range sets {
+			i := int32(r)
+			if order != nil {
+				i = order[r]
+			}
+			if math.IsInf(src[i], 1) {
+				continue
+			}
+			entering, leaving := sets[i].DiffSize(to)
+			if v := src[i] + p.Transition(entering, leaving); v < best {
+				best, arg = v, i
+			}
+		}
+		if dst[j] != best {
+			t.Fatalf("dst[%v] = %v, brute force %v", to, dst[j], best)
+		}
+		if order != nil && from[j] != arg {
+			t.Fatalf("from[%v] = %d, brute force %d (value %v)", to, from[j], arg, best)
+		}
+	}
+}

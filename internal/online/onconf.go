@@ -126,7 +126,7 @@ func (a *ONCONF) Observe(t int, d cost.Demand, access cost.AccessCost) core.Delt
 	// allocation-free (TestONCONFObserveAllocationFree).
 	a.sweep.Sweep(d, a.roundCost)
 	M := len(a.clusters)
-	if len(a.configs) >= wfaParallelThreshold {
+	if len(a.configs) >= parallelGrain {
 		cost.ParallelChunks(M, true, a.chargeRange)
 	} else {
 		a.chargeRange(0, M)

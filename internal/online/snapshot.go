@@ -15,9 +15,10 @@ import (
 // pool, epoch demand accumulators, and a few scalars — so their state
 // serialises exactly: floats travel as bits (never decimal), demand
 // accumulators as their sorted (node, count) pairs. ONSAMP does not
-// implement the interface: its request sampling consumes an RNG whose
-// position cannot be reconstructed from a snapshot, so the serving layer
-// keeps its full WAL instead of truncating.
+// implement the interface yet: its state is plain data too (a pool, the
+// accumulated cost, the epoch start and an epoch accumulator; it uses no
+// RNG), but its snapshot is still to be written (ROADMAP.md), so the
+// serving layer keeps its full WAL instead of truncating.
 
 // Interface checks: the snapshot-capable strategies.
 var (

@@ -29,24 +29,15 @@ import (
 // (O(C²) memory — 32 GB at the nominal MaxONCONFConfigs bound). Both
 // collapse because the transition cost depends only on the set-difference
 // shape (how many servers enter and how many leave, at most (k+1)²
-// distinct values, see shapeTable):
-//
-//	w_t(γ) = min over S ⊆ γ, t ≥ |S| of
-//	         [ cheapest scratch of any state ⊇ S with t servers
-//	           + shape cost(|γ|-|S| entering, t-|S| leaving) ]
-//
-// because the shape cost along a diagonal (fixed server-count change) is
-// non-increasing in the overlap, so a candidate charged through a subset
-// of its true overlap is never undercharged, while its exact class charges
-// it exactly. One superset-min pass over the subset lattice (O(C·2^k))
-// replaces the O(C²) scan, and the per-destination fold touches 2^k
-// classes instead of C predecessors. The move rule prunes hierarchically
-// instead: configurations are grouped into contiguous prefix clusters
-// (core.EnumeratePlacements' DFS order, hier.go), and per-cluster scratch
-// minima with shape lower bounds rule whole clusters out before members
-// are scored. Every candidate either enters a min unchanged or is skipped
-// only with proof it cannot strictly improve it, so fast paths compute
-// exactly the full scan's float sums (TestWFAMatchesNaiveReference,
+// distinct values, see shapeTable): the update runs through WorkKernel
+// (hier.go), the subset-lattice minimisation the offline OPT dynamic
+// program shares, in O(C·2^k·k) per round. The move rule prunes
+// hierarchically instead: configurations are grouped into contiguous prefix
+// clusters (core.EnumeratePlacements' DFS order, hier.go), and per-cluster
+// scratch minima with shape lower bounds rule whole clusters out before
+// members are scored. Every candidate either enters a min unchanged or is
+// skipped only with proof it cannot strictly improve it, so fast paths
+// compute exactly the full scan's float sums (TestWFAMatchesNaiveReference,
 // TestWFAPrunedScanPerRoundParity).
 type WFA struct {
 	base
@@ -62,22 +53,12 @@ type WFA struct {
 	scratch []float64
 	cur     int
 
-	shape    *shapeTable
-	sizes    []uint8         // |γ| per config, for the class decomposition
+	kern     *WorkKernel     // work-function update; its shape table and sizes serve the move rule
 	clusters []configCluster // prefix decomposition (move-rule pruning, stats)
 	cMin     []float64       // per cluster: min scratch this round
 	mrVal    []float64       // per cluster: best move-rule value below the stay-put seed
 	mrIdx    []int32         // per cluster: index attaining mrVal (-1 = none)
-	impBuf   []int32         // per cluster: destinations whose work beat stay-put
 	improved int
-
-	// Subset lattice for the shape-bucketed update: subIdx[subOff[i]:
-	// subOff[i+1]] holds the enumeration index of every non-empty subset
-	// of configuration i (O(C·2^k) once, replacing the O(C²) matrix).
-	subOff []int64
-	subIdx []int32
-	g      [][]float64 // g[t][S] = min scratch over configs ⊇ S with t servers
-	gEmpty []float64   // gEmpty[t] = min scratch over all configs with t servers
 
 	sweep   *cost.ConfSweep
 	taskBuf []float64 // scratch: per-config access totals of the round
@@ -129,78 +110,28 @@ func (a *WFA) Reset(env *sim.Env) error {
 	if a.cur < 0 {
 		return fmt.Errorf("wfa: initial placement %v not in configuration space", env.Start)
 	}
-	a.shape = newShapeTable(env.Costs, k)
-	a.sizes = make([]uint8, C)
+	kern, err := NewWorkKernel(env.Costs, a.configs, n, k, 0)
+	if err != nil {
+		return fmt.Errorf("wfa: %w; lower MaxConfigs or the server bound k", err)
+	}
+	a.kern = kern
 	a.clusters = buildClusters(a.configs, n)
 	M := len(a.clusters)
 	a.cMin = make([]float64, M)
 	a.mrVal = make([]float64, M)
 	a.mrIdx = make([]int32, M)
-	a.impBuf = make([]int32, M)
 	views := make([][]int, C)
 	a.runCost = make([]float64, C)
 	for i, c := range a.configs {
 		views[i] = c
-		a.sizes[i] = uint8(c.Len())
 		a.runCost[i] = env.Costs.Run(c.Len(), 0)
 		// Initial work function: cost of moving from the start state.
 		entering, leaving := env.Start.DiffSize(c)
 		a.work[i] = env.Costs.Transition(entering, leaving)
 	}
-	if err := a.buildSubsets(n, k); err != nil {
-		return err
-	}
-	a.g = make([][]float64, k+1)
-	for t := 1; t <= k; t++ {
-		a.g[t] = make([]float64, C)
-	}
-	a.gEmpty = make([]float64, k+1)
 	a.sweep = cost.NewConfSweep(env.Eval, views)
 	a.taskBuf = make([]float64, C)
 	a.latBuf = make([]float64, C)
-	return nil
-}
-
-// buildSubsets fills the subset CSR: for every configuration, the
-// enumeration indices of all its non-empty subsets, located in O(k) each
-// through the combinatorial structure of the DFS preorder.
-func (a *WFA) buildSubsets(n, k int) error {
-	C := len(a.configs)
-	total := int64(0)
-	for _, c := range a.configs {
-		total += int64(1)<<uint(c.Len()) - 1
-	}
-	if total > math.MaxInt32 {
-		return fmt.Errorf("wfa: subset lattice of %d entries exceeds 32-bit addressing; lower MaxConfigs or the server bound k", total)
-	}
-	a.subOff = make([]int64, C+1)
-	off := int64(0)
-	for i, c := range a.configs {
-		a.subOff[i] = off
-		off += int64(1)<<uint(c.Len()) - 1
-	}
-	a.subOff[C] = off
-	a.subIdx = make([]int32, off)
-	ix := newPlacementIndexer(n, k)
-	cost.ParallelChunks(C, C >= wfaParallelThreshold, func(lo, hi int) {
-		buf := make(core.Placement, 0, k)
-		for i := lo; i < hi; i++ {
-			c := a.configs[i]
-			m := c.Len()
-			out := a.subIdx[a.subOff[i]:a.subOff[i+1]]
-			pos := 0
-			for mask := 1; mask < 1<<uint(m); mask++ {
-				buf = buf[:0]
-				for b := 0; b < m; b++ {
-					if mask&(1<<uint(b)) != 0 {
-						buf = append(buf, c[b])
-					}
-				}
-				out[pos] = int32(ix.indexOf(buf))
-				pos++
-			}
-		}
-	})
 	return nil
 }
 
@@ -220,20 +151,12 @@ func (a *WFA) Observe(t int, d cost.Demand, access cost.AccessCost) core.Delta {
 	// so testing the total for +Inf would miss it on disconnected
 	// substrates).
 	a.sweep.SweepAccess(d, a.taskBuf, a.latBuf)
-	k := len(a.gEmpty) - 1
-	for t := 1; t <= k; t++ {
-		a.gEmpty[t] = math.Inf(1)
-	}
 	for i := range a.configs {
 		task := math.Inf(1)
 		if !(cost.AccessCost{Latency: a.latBuf[i]}).Infinite() {
 			task = a.taskBuf[i] + a.runCost[i]
 		}
-		s := a.work[i] + task
-		a.scratch[i] = s
-		if sz := a.sizes[i]; s < a.gEmpty[sz] {
-			a.gEmpty[sz] = s
-		}
+		a.scratch[i] = a.work[i] + task
 	}
 	a.clusterStats()
 	next := a.moveRule()
@@ -249,7 +172,7 @@ func (a *WFA) Observe(t int, d cost.Demand, access cost.AccessCost) core.Delta {
 // move rule prunes whole clusters with.
 func (a *WFA) clusterStats() {
 	M := len(a.clusters)
-	if len(a.configs) >= wfaParallelThreshold {
+	if len(a.configs) >= parallelGrain {
 		cost.ParallelChunks(M, true, a.clusterStatsRange)
 	} else {
 		a.clusterStatsRange(0, M)
@@ -281,7 +204,7 @@ func (a *WFA) moveRule() int {
 	cur := a.configs[a.cur]
 	seed := a.scratch[a.cur] // d(γ_cur, γ_cur) = 0: the stay-put value
 	M := len(a.clusters)
-	if len(a.configs) >= wfaParallelThreshold {
+	if len(a.configs) >= parallelGrain {
 		cost.ParallelChunks(M, true, func(lo, hi int) { a.moveRuleRange(cur, seed, lo, hi) })
 	} else {
 		a.moveRuleRange(cur, seed, 0, M)
@@ -296,7 +219,8 @@ func (a *WFA) moveRule() int {
 }
 
 func (a *WFA) moveRuleRange(cur core.Placement, seed float64, lo, hi int) {
-	k1 := a.shape.k1
+	shape, sizes := a.kern.shape, a.kern.size
+	k1 := shape.k1
 	aCur := len(cur)
 	for s := lo; s < hi; s++ {
 		a.mrVal[s], a.mrIdx[s] = math.Inf(1), -1
@@ -307,7 +231,7 @@ func (a *WFA) moveRuleRange(cur core.Placement, seed float64, lo, hi int) {
 		}
 		// γ_cur → member: at least mis nodes enter, at least unc leave.
 		unc, mis := cl.prefixBounds(cur)
-		if a.cMin[s]+a.shape.sufMin[mis*k1+unc] >= best {
+		if a.cMin[s]+shape.sufMin[mis*k1+unc] >= best {
 			continue
 		}
 		for j := cl.lo; j < cl.hi; j++ {
@@ -315,11 +239,11 @@ func (a *WFA) moveRuleRange(cur core.Placement, seed float64, lo, hi int) {
 			if sj >= best {
 				continue
 			}
-			if sj+a.shape.classMin[aCur*k1+int(a.sizes[j])] >= best {
+			if sj+shape.classMin[aCur*k1+int(sizes[j])] >= best {
 				continue
 			}
 			e, l := cur.DiffSize(a.configs[j])
-			if v := sj + a.shape.cost[e*k1+l]; v < best {
+			if v := sj + shape.cost[e*k1+l]; v < best {
 				best, idx = v, int32(j)
 			}
 		}
@@ -330,159 +254,14 @@ func (a *WFA) moveRuleRange(cur core.Placement, seed float64, lo, hi int) {
 }
 
 // updateWork computes w_t(γ) = min_γ' [scratch(γ') + d(γ', γ)] for every
-// destination through the shape decomposition: one superset-min pass per
-// server count t fills g[t][S] = min scratch over states ⊇ S with t
-// servers (O(C·2^k) total), then each destination folds its 2^|γ| subset
-// classes — g[t][S] plus the shape cost of |γ|-|S| servers entering and
-// t-|S| leaving — instead of scanning C predecessors. Classes overcharge
-// candidates whose true overlap exceeds |S| (the shape cost along a
-// diagonal never increases with overlap), and every candidate's exact
-// class charges it exactly, so the fold reproduces the full scan's
-// minimum bit for bit.
+// destination through the shared WorkKernel and counts the destinations a
+// non-trivial predecessor improved.
 func (a *WFA) updateWork() {
-	k := len(a.g) - 1
-	par := len(a.configs) >= wfaParallelThreshold
-	if par && k > 1 {
-		cost.ParallelChunks(k, true, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				a.scatterClass(t + 1)
-			}
-		})
-	} else {
-		for t := 1; t <= k; t++ {
-			a.scatterClass(t)
-		}
-	}
-	M := len(a.clusters)
-	if par {
-		cost.ParallelChunks(M, true, a.updateDestRange)
-	} else {
-		a.updateDestRange(0, M)
-	}
+	a.kern.Relax(a.scratch, nil, a.work, nil)
 	a.improved = 0
-	for _, imp := range a.impBuf {
-		a.improved += int(imp)
-	}
-}
-
-// scatterClass fills g[t]: every configuration with t servers relaxes all
-// its subsets. Classes write disjoint arrays, so the class fan-out is
-// race-free and worker-count invariant.
-func (a *WFA) scatterClass(t int) {
-	gt := a.g[t]
-	for s := range gt {
-		gt[s] = math.Inf(1)
-	}
-	sz := uint8(t)
-	for i, s := range a.scratch {
-		if a.sizes[i] != sz {
-			continue
-		}
-		for _, S := range a.subIdx[a.subOff[i]:a.subOff[i+1]] {
-			if s < gt[S] {
-				gt[S] = s
-			}
+	for j, w := range a.work {
+		if w < a.scratch[j] {
+			a.improved++
 		}
 	}
-}
-
-func (a *WFA) updateDestRange(lo, hi int) {
-	k1 := a.shape.k1
-	k := k1 - 1
-	for dd := lo; dd < hi; dd++ {
-		cl := &a.clusters[dd]
-		imp := int32(0)
-		for j := cl.lo; j < cl.hi; j++ {
-			bj := int(a.sizes[j])
-			best := math.Inf(1)
-			// Predecessors sharing no server: all |γ_j| servers enter, all
-			// t leave.
-			for t := 1; t <= k; t++ {
-				if v := a.gEmpty[t] + a.shape.cost[bj*k1+t]; v < best {
-					best = v
-				}
-			}
-			for _, S32 := range a.subIdx[a.subOff[j]:a.subOff[j+1]] {
-				S := int(S32)
-				o := int(a.sizes[S])
-				row := a.shape.cost[(bj-o)*k1:]
-				gS := a.g[o:]
-				for t := o; t <= k; t++ {
-					if v := gS[0][S] + row[t-o]; v < best {
-						best = v
-					}
-					gS = gS[1:]
-				}
-			}
-			if best < a.scratch[j] {
-				imp++
-			}
-			a.work[j] = best
-		}
-		a.impBuf[dd] = imp
-	}
-}
-
-// placementIndexer locates a placement's index in the DFS preorder of
-// core.EnumeratePlacements in O(k), by skipping the subtrees of the
-// siblings preceding each node of the placement.
-type placementIndexer struct {
-	k int
-	// skip[q][u] = number of placements emitted by the subtrees of roots
-	// 0..u-1 when q server slots remain.
-	skip [][]int64
-}
-
-func newPlacementIndexer(n, k int) *placementIndexer {
-	ix := &placementIndexer{k: k, skip: make([][]int64, k+1)}
-	for q := 1; q <= k; q++ {
-		row := make([]int64, n+1)
-		for u := 0; u < n; u++ {
-			row[u+1] = row[u] + placementSubtreeSize(n-u-1, q-1)
-		}
-		ix.skip[q] = row
-	}
-	return ix
-}
-
-// placementSubtreeSize is the number of placements in a subtree whose root
-// is already placed, with r candidate nodes and q slots remaining:
-// 1 + Σ_{t=1..q} C(r, t).
-func placementSubtreeSize(r, q int) int64 {
-	s, b := int64(1), int64(1)
-	for t := 1; t <= q && t <= r; t++ {
-		b = b * int64(r-t+1) / int64(t)
-		s += b
-	}
-	return s
-}
-
-func (ix *placementIndexer) indexOf(p core.Placement) int {
-	idx := int64(0)
-	slots, next := ix.k, 0
-	for pos, v := range p {
-		idx += ix.skip[slots][v] - ix.skip[slots][next]
-		if pos == len(p)-1 {
-			return int(idx)
-		}
-		idx++ // the placement ending at v precedes its extensions
-		slots--
-		next = v + 1
-	}
-	return -1 // unreachable: placements are non-empty
-}
-
-// wfaParallelThreshold is the state count below which the fan-out loops
-// stay serial (goroutine dispatch would dominate the per-round work).
-const wfaParallelThreshold = 256
-
-// parallelRows runs fn(j) for j in [0, C), fanned out over GOMAXPROCS in
-// contiguous chunks through cost.ParallelChunks. Each row is independent,
-// so the result does not depend on the worker count.
-func parallelRows(C int, fn func(j int)) {
-	cost.ParallelChunks(C, C >= wfaParallelThreshold, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			fn(j)
-		}
-	})
 }
