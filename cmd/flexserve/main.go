@@ -322,6 +322,10 @@ func runServe(c cmdConfig, opts serveOptions) {
 		Handler:           serve.Handler(srv),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
+	// Catch SIGTERM before /readyz can answer: a drain requested the
+	// moment the server reports ready must not kill it outright.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 
@@ -341,8 +345,6 @@ func runServe(c cmdConfig, opts serveOptions) {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	log.Printf("serving on %s (statedir=%q window=%d queue=%d fault=%s)",
 		opts.addr, opts.dir, opts.window, opts.queueCap, opts.fault.Kind)
 	select {

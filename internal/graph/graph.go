@@ -47,6 +47,11 @@ type Graph struct {
 	// invalidates it; strength changes do not affect distances.
 	metric atomic.Pointer[Matrix]
 
+	// csr caches the flat adjacency the Dijkstra kernel relaxes edges
+	// from (see flat). AddEdge drops it; it is tagged with the version it
+	// was built from.
+	csr atomic.Pointer[adjacency]
+
 	// version counts distance-affecting mutations (AddEdge). Metric
 	// backends that hold derived state (Sparse row caches, Landmark
 	// tables) compare it against the version they were built from and
@@ -119,6 +124,7 @@ func (g *Graph) AddEdge(u, v int, lat, bw float64) error {
 	g.adj[v] = append(g.adj[v], Edge{To: u, Latency: lat, Bandwidth: bw})
 	g.edges++
 	g.metric.Store(nil)
+	g.csr.Store(nil)
 	g.version.Add(1)
 	return nil
 }

@@ -124,8 +124,10 @@ func NewMetric(g *Graph, spec string) (Metric, error) {
 // Sparse is an exact metric backend that computes distance rows on demand
 // — one Dijkstra per queried source — and keeps at most capRows of them in
 // an LRU cache. Memory is bounded by capRows×n×8 bytes instead of the
-// dense matrix's n²; row values are produced by the same Dijkstra kernel
-// the dense matrix uses, so every query is bit-identical to Dense.
+// dense matrix's n², plus the graph's flat adjacency copy that every
+// Dijkstra reads (about 12 bytes per directed edge). Row values are
+// produced by the same Dijkstra kernel the dense matrix uses, so every
+// query is bit-identical to Dense.
 type Sparse struct {
 	g       *Graph
 	capRows int
@@ -140,7 +142,9 @@ type Sparse struct {
 
 // sparseRow is one cache entry. The entry is published in the map before
 // its row is computed; latecomers block on ready instead of duplicating
-// the Dijkstra. Eviction only drops the map/LRU references — the dist
+// the Dijkstra. If the computation panics, the entry leaves the map and
+// the LRU before ready closes with dist still nil, and every latecomer
+// panics too. Eviction only drops the map/LRU references — the dist
 // slice itself is immutable once published, so borrowers are unaffected.
 type sparseRow struct {
 	ready chan struct{}
@@ -181,8 +185,12 @@ func (s *Sparse) Dist(u, v int) float64 { return s.Row(u)[v] }
 
 // Row returns the distances from u to every node, computing the row with
 // one Dijkstra on a cache miss. See the Metric contract for aliasing: the
-// returned slice is read-only and remains valid after eviction.
+// returned slice is read-only and remains valid after eviction. Row panics
+// if u is not a node.
 func (s *Sparse) Row(u int) []float64 {
+	if n := s.g.N(); u < 0 || u >= n {
+		panic(fmt.Sprintf("graph: Sparse.Row source %d out of range [0,%d)", u, n))
+	}
 	s.mu.Lock()
 	if v := s.g.Version(); v != s.version {
 		// The graph mutated since the cache was filled: drop everything.
@@ -196,6 +204,9 @@ func (s *Sparse) Row(u int) []float64 {
 		s.touch(u)
 		s.mu.Unlock()
 		<-r.ready
+		if r.dist == nil {
+			panic(fmt.Sprintf("graph: Sparse.Row(%d): the computing call panicked", u))
+		}
 		return r.dist
 	}
 	r := &sparseRow{ready: make(chan struct{})}
@@ -209,13 +220,34 @@ func (s *Sparse) Row(u int) []float64 {
 		delete(s.rows, victim)
 	}
 	s.mu.Unlock()
+	defer func() {
+		if r.dist == nil {
+			s.drop(u, r) // the Dijkstra panicked: unpublish the entry
+		}
+		close(r.ready)
+	}()
 
 	// Compute outside the lock so distinct rows proceed in parallel.
 	dist := make([]float64, s.g.N())
 	s.g.shortestFromInto(u, dist)
 	r.dist = dist
-	close(r.ready)
 	return dist
+}
+
+// drop removes u's cache entry if it is still r.
+func (s *Sparse) drop(u int, r *sparseRow) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.rows[u] != r {
+		return
+	}
+	delete(s.rows, u)
+	for i, v := range s.lru {
+		if v == u {
+			s.lru = append(s.lru[:i], s.lru[i+1:]...)
+			break
+		}
+	}
 }
 
 // touch moves u to the front of the LRU order.

@@ -1,11 +1,14 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // chordedRing builds a deterministic ring with extra random chords and
@@ -126,6 +129,60 @@ func TestSparseLRUEviction(t *testing.T) {
 	}
 }
 
+// TestSparseRowOutOfRangePanics: an out-of-range source panics with a
+// message naming it and n on every call — a repeated call must not block
+// on a cache entry the first one left unready — and leaves the cache as
+// it was.
+func TestSparseRowOutOfRangePanics(t *testing.T) {
+	s := NewSparse(line(1, 1), 4)
+	s.Row(0)
+	before := s.CachedRows()
+	for _, u := range []int{5, 5, -1} {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			s.Row(u)
+		}()
+		select {
+		case r := <-done:
+			msg := fmt.Sprint(r)
+			if r == nil || !strings.Contains(msg, fmt.Sprintf("source %d", u)) || !strings.Contains(msg, "[0,3)") {
+				t.Fatalf("Row(%d) recovered %q, want a panic naming the source and n", u, msg)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Row(%d) blocked", u)
+		}
+	}
+	if got := s.CachedRows(); got != before {
+		t.Fatalf("CachedRows = %d after out-of-range calls, want %d", got, before)
+	}
+}
+
+// TestSparseRowPanicUnpublishes: when the Dijkstra itself panics (forced
+// here by a corrupt cached adjacency), the row's cache entry leaves the
+// map and the LRU, so the next call recomputes instead of waiting on it.
+func TestSparseRowPanicUnpublishes(t *testing.T) {
+	g := line(1, 1)
+	s := NewSparse(g, 4)
+	s.Row(0)
+	g.csr.Store(&adjacency{version: g.Version()})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Row(1) over a corrupt adjacency did not panic")
+			}
+		}()
+		s.Row(1)
+	}()
+	if got := s.CachedRows(); got != 1 || len(s.lru) != 1 || s.lru[0] != 0 {
+		t.Fatalf("after the panic: %d cached rows, LRU %v; want only row 0", got, s.lru)
+	}
+	g.csr.Store(nil)
+	if d := s.Dist(1, 2); d != 1 {
+		t.Fatalf("Dist(1,2) after recovery = %v, want 1", d)
+	}
+}
+
 // TestSparseLRUKeepsHotRows: re-touching a source refreshes its LRU
 // position, so the hot row survives a pass over capRows-1 other sources.
 func TestSparseLRUKeepsHotRows(t *testing.T) {
@@ -148,8 +205,10 @@ func TestSparseLRUKeepsHotRows(t *testing.T) {
 // race all interleave; run under -race this is the satellite's eviction
 // check, and every returned value must still be dense-exact.
 func TestSparseConcurrentAccess(t *testing.T) {
+	// The reference matrix comes from a twin graph, so the sparse
+	// backend's first rows race to build g's flat adjacency.
 	g := chordedRing(32, 16, 6)
-	dense := g.AllPairs()
+	dense := chordedRing(32, 16, 6).AllPairs()
 	s := NewSparse(g, 4)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
