@@ -1,7 +1,10 @@
-// Package rowborrow enforces the graph.Metric.Row borrow discipline.
-// Row returns a slice owned by the metric backend; consumers must treat
-// it as a short-lived borrow — read it, then let it go. The analyzer
-// flags the three ways a borrow escapes its scope:
+// Package rowborrow enforces the two ownership modes of graph.Metric
+// rows. Row returns a slice owned by the metric backend that consumers
+// must treat as a short-lived borrow — read it, then let it go. Pin
+// returns held rows the caller may keep (in a struct field, across later
+// metric calls) but, like a borrow, never write.
+//
+// For Row, the analyzer flags the three ways a borrow escapes its scope:
 //
 //  1. stored into longer-lived storage: a struct field, or appended to
 //     a slice that outlives the borrow;
@@ -9,10 +12,17 @@
 //     itself escapes (assigned, stored, returned) — a closure passed
 //     directly as a call argument is assumed synchronous (sort.Slice
 //     and friends) and is not flagged;
-//  3. used again after a later Row/Dist/AddEdge call on a metric, i.e.
-//     retained across the call that is allowed to repopulate or
-//     invalidate backend caches — and any write through the borrowed
-//     slice, which is backend-owned memory.
+//  3. used again after a later Row/Dist/Pin/AddEdge call on a metric,
+//     i.e. retained across the call that is allowed to repopulate,
+//     evict or invalidate backend caches — and any write through the
+//     borrowed slice, which is backend-owned memory.
+//
+// For Pin, storing the result anywhere is fine; the analyzer flags
+// writes through a pinned row (a variable read out of a Pin result) or
+// through an element of a Pin result (pins[i][j] = x, copy(pins[i], src)).
+// Pin results are followed through variables and struct fields across
+// the package, and through functions of the package that return a Pin
+// result directly.
 //
 // The flow analysis is per-function and source-ordered: a row bound and
 // fully consumed before the next metric call is never flagged, and a
@@ -36,11 +46,13 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "rowborrow",
 	Doc: "flags graph.Metric.Row borrows that escape their scope (field stores, goroutine/closure " +
-		"capture, retention across another metric call, writes through the row)",
+		"capture, retention across another metric call, writes through the row) and writes through " +
+		"rows held from graph.Metric.Pin",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
+	checkPinWrites(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -56,15 +68,15 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// metricMethod reports whether call invokes Row/Dist/AddEdge on a type
-// from the graph package (the Metric interface or any backend).
+// metricMethod reports whether call invokes Row/Dist/Pin/AddEdge on a
+// type from the graph package (the Metric interface or any backend).
 func metricMethod(pass *analysis.Pass, call *ast.CallExpr) (name string, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
 		return "", false
 	}
 	switch sel.Sel.Name {
-	case "Row", "Dist", "AddEdge":
+	case "Row", "Dist", "Pin", "AddEdge":
 	default:
 		return "", false
 	}
@@ -204,8 +216,8 @@ func reportRetentions(pass *analysis.Pass, events []event) {
 			i := sort.Search(len(invs), func(i int) bool { return invs[i] >= b.end })
 			if i < len(invs) && invs[i] < e.pos {
 				pass.Reportf(e.pos,
-					"row borrowed at %s is used after a later Row/Dist/AddEdge call; the borrow ends at "+
-						"the next metric call — re-fetch the row, copy it, or annotate "+
+					"row borrowed at %s is used after a later Row/Dist/Pin/AddEdge call; the borrow ends at "+
+						"the next metric call — pin the row, re-fetch it, copy it, or annotate "+
 						"//repcheck:allow-rowborrow <reason>",
 					pass.Fset.Position(b.pos))
 				reported[e.obj] = true

@@ -1,5 +1,5 @@
 // Package graph is a fixture stub of the repo's metric backends. The
-// rowborrow analyzer identifies Row/Dist/AddEdge methods on named types
+// rowborrow analyzer identifies Row/Dist/Pin/AddEdge methods on named types
 // from a package named graph, so this stub only needs the shapes.
 package graph
 
@@ -21,6 +21,13 @@ func (m *Matrix) N() int { return m.n }
 func (m *Matrix) Dist(u, v int) float64 { return m.rows[u][v] }
 
 func (m *Matrix) Row(u int) []float64 { return m.rows[u] }
+
+func (m *Matrix) Pin(dst [][]float64, nodes []int) [][]float64 {
+	for _, u := range nodes {
+		dst = append(dst, m.rows[u])
+	}
+	return dst
+}
 
 func (m *Matrix) AddEdge(u, v int, w float64) {
 	m.rows[u][v] = w

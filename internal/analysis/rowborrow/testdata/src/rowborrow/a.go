@@ -1,7 +1,8 @@
 // Fixture for the rowborrow analyzer: borrows of graph.Metric.Row that
 // escape their scope are findings; borrows fully consumed before the
 // next metric call, copies, loop rebinding, and synchronous callbacks
-// are not.
+// are not. Rows held from graph.Metric.Pin may be kept anywhere but
+// never written.
 package rowborrow
 
 import (
@@ -11,14 +12,15 @@ import (
 )
 
 type holder struct {
-	row []float64
+	row  []float64
+	pins [][]float64
 }
 
 // Retention across a later metric call: the borrow ends at m.Dist.
 func retained(m *graph.Matrix) float64 {
 	row := m.Row(0)
 	d := m.Dist(1, 2)
-	return d + row[3] // want "used after a later Row/Dist/AddEdge call"
+	return d + row[3] // want "used after a later Row/Dist/Pin/AddEdge call"
 }
 
 // The false-positive shape: the row is fully consumed before the next
@@ -105,4 +107,68 @@ func pinned(m *graph.Matrix) float64 {
 	_ = m.Row(1)
 	//repcheck:allow-rowborrow fixture: pins the storage-stability guarantee of today's backends
 	return row[2]
+}
+
+// A Pin may evict cached rows, so it ends an outstanding Row borrow.
+func retainedAcrossPin(m *graph.Matrix, nodes []int) float64 {
+	row := m.Row(0)
+	pins := m.Pin(nil, nodes)
+	return pins[0][1] + row[3] // want "used after a later Row/Dist/Pin/AddEdge call"
+}
+
+// Pinned rows are held, not borrowed: storing the result in a field and
+// reading it across later metric calls are both fine, and so is
+// replacing a slot of the caller-owned result slice.
+func pinHeld(m *graph.Matrix, h *holder, nodes []int) float64 {
+	h.pins = m.Pin(h.pins[:0], nodes)
+	pins := m.Pin(nil, nodes)
+	_ = m.Row(1)
+	_ = m.Dist(1, 2)
+	row := pins[0]
+	total := row[2] + h.pins[0][1]
+	for _, r := range h.pins {
+		total += r[0]
+	}
+	pins[0] = nil
+	return total
+}
+
+func writesPinnedRow(m *graph.Matrix, nodes []int) {
+	pins := m.Pin(nil, nodes)
+	row := pins[0]
+	row[1] = 2 // want "write through pinned row row"
+}
+
+func writesPinElement(m *graph.Matrix, nodes []int, src []float64) {
+	pins := m.Pin(nil, nodes)
+	pins[0][1] += 2    // want "write through pinned row pins\\[0\\]"
+	copy(pins[1], src) // want "copy into pinned row pins\\[1\\]"
+	for _, row := range pins {
+		row[0]++ // want "write through pinned row row"
+	}
+}
+
+// A Pin result stored in a field by one function is still pinned where
+// another function reads it, and so is one returned by a helper.
+func pinInto(m *graph.Matrix, h *holder, nodes []int) {
+	h.pins = m.Pin(h.pins[:0], nodes)
+}
+
+func writesFieldPin(h *holder) {
+	h.pins[0][0] = 1 // want "write through pinned row h.pins\\[0\\]"
+}
+
+func pinHelper(m *graph.Matrix, dst [][]float64, nodes []int) ([][]float64, int) {
+	return m.Pin(dst, nodes), len(nodes)
+}
+
+func writesHelperPin(m *graph.Matrix, nodes []int) {
+	pins, _ := pinHelper(m, nil, nodes)
+	pins[0][0] = 1 // want "write through pinned row pins\\[0\\]"
+}
+
+func suppressedPinWrite(m *graph.Matrix, nodes []int) {
+	pins := m.Pin(nil, nodes)
+	//repcheck:allow-rowborrow fixture: a test that deliberately corrupts a pinned row
+	pins[0][0] = 1
 }

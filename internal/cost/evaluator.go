@@ -88,6 +88,24 @@ type Session struct {
 	marg []float64 // per-server cached marginal load (greedy router)
 	key  []float64 // per-server latency + marginal (greedy router)
 	heap []int32   // heap of server indexes ordered by key (greedy router)
+	// rows holds the pinned distance rows of one block of access points,
+	// nodes their ids (see pinBlock).
+	rows  [][]float64
+	nodes []int
+}
+
+// pinBlock is how many access points' rows an Access evaluation pins at
+// a time: one Metric.Pin per block instead of one Row per pair, while the
+// rows held beyond a sparse backend's cache stay bounded for demands with
+// many distinct access points.
+const pinBlock = 16
+
+// pinNext pins the rows of the next block of pairs, starting at pairs[lo],
+// into s.rows and returns the block.
+func (s *Session) pinNext(pairs []NodeCount, lo int) []NodeCount {
+	block := pairs[lo:min(lo+pinBlock, len(pairs))]
+	s.rows, s.nodes = pinPairs(s.e.m, s.rows, s.nodes, block)
+	return block
 }
 
 // NewSession returns a workspace bound to the evaluator. Reusing one
@@ -150,7 +168,7 @@ func (e *Evaluator) effMarginal(server int) float64 {
 
 // accessSeparable exploits that the request-to-server choice decomposes:
 // every request independently minimises latency + routing offset. Each
-// demand node's distances come from one contiguous matrix row.
+// demand node's distances come from one pinned row.
 func (s *Session) accessSeparable(servers []int, d Demand) AccessCost {
 	e := s.e
 	s.off = growF(s.off, len(servers))
@@ -161,17 +179,21 @@ func (s *Session) accessSeparable(servers []int, d Demand) AccessCost {
 	}
 	zeroF(eta)
 	var ac AccessCost
-	for _, p := range d.Pairs() {
-		row := e.m.Row(p.Node)
-		best, bestCost := 0, math.MaxFloat64
-		for i, sv := range servers {
-			if c := row[sv] + off[i]; c < bestCost {
-				best, bestCost = i, c
+	pairs := d.Pairs()
+	for lo := 0; lo < len(pairs); lo += pinBlock {
+		for j, p := range s.pinNext(pairs, lo) {
+			row := s.rows[j]
+			best, bestCost := 0, math.MaxFloat64
+			for i, sv := range servers {
+				if c := row[sv] + off[i]; c < bestCost {
+					best, bestCost = i, c
+				}
 			}
+			ac.Latency += float64(p.Count) * row[servers[best]]
+			eta[best] += float64(p.Count)
 		}
-		ac.Latency += float64(p.Count) * row[servers[best]]
-		eta[best] += float64(p.Count)
 	}
+	clear(s.rows)
 	for i, sv := range servers {
 		ac.Load += e.load.Value(e.g.Strength(sv), eta[i])
 	}

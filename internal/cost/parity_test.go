@@ -1,8 +1,10 @@
 package cost
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -186,21 +188,47 @@ func randomParityInstance(rng *rand.Rand) (*graph.Graph, *graph.Matrix, []int, D
 	return g, g.AllPairs(), servers, DemandFromList(list)
 }
 
+// parityBackend is one metric backend the kernels are pinned on.
+type parityBackend struct {
+	name string
+	m    graph.Metric
+}
+
+// parityBackends returns the exact backends every kernel must agree on
+// bit for bit: the dense matrix, a sparse cache of two rows (fewer than
+// the distinct access points of almost every instance, so pins evict and
+// recompute), and the exact-mode landmark backend.
+func parityBackends(g *graph.Graph, m *graph.Matrix) []parityBackend {
+	return []parityBackend{
+		{"dense", m},
+		{"sparse:2", graph.NewSparse(g, 2)},
+		{"landmark-exact", graph.NewLandmark(g, g.N())},
+	}
+}
+
 func TestAccessMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	loads := []LoadFunc{Linear{}, Quadratic{}, Power{P: 1}, Power{P: 2.5}}
 	policies := []Policy{AssignMinCost, AssignNearest}
+	multiBlock := 0
 	for trial := 0; trial < 60; trial++ {
 		g, m, servers, d := randomParityInstance(rng)
 		load := loads[trial%len(loads)]
 		policy := policies[trial%len(policies)]
-		e := NewEvaluator(g, m, load, policy)
-		got := e.Access(servers, d)
-		want := naiveAccess(e, servers, d)
-		if got != want {
-			t.Fatalf("trial %d (%s/%s): Access = %+v, naive = %+v",
-				trial, load.Name(), policy, got, want)
+		want := naiveAccess(NewEvaluator(g, m, load, policy), servers, d)
+		if d.Distinct() > pinBlock {
+			multiBlock++
 		}
+		for _, b := range parityBackends(g, m) {
+			e := NewEvaluator(g, b.m, load, policy)
+			if got := e.Access(servers, d); got != want {
+				t.Fatalf("trial %d (%s/%s, %s): Access = %+v, naive = %+v",
+					trial, load.Name(), policy, b.name, got, want)
+			}
+		}
+	}
+	if multiBlock == 0 {
+		t.Fatalf("no trial has more than %d distinct access points; the block loop is untested", pinBlock)
 	}
 }
 
@@ -208,49 +236,130 @@ func TestScorerMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for trial := 0; trial < 40; trial++ {
 		g, m, servers, d := randomParityInstance(rng)
-		e := NewEvaluator(g, m, Linear{}, AssignMinCost)
-		sc, ok := NewScorer(e, servers, d)
-		if !ok {
-			t.Fatal("exact scorer unavailable for linear load")
-		}
-		ref := newNaiveScorer(e, servers, d, func(v int) float64 {
-			return e.load.Marginal(e.g.Strength(v), 0)
-		})
-		comparePairScorers(t, trial, sc, ref, g.N())
-		sc.Release()
-
-		// The linearised variant must agree with its reference too.
-		eq := NewEvaluator(g, m, Quadratic{}, AssignMinCost)
 		hint := 1 + 5*rng.Float64()
-		sa := NewScorerApprox(eq, servers, d, hint)
-		refA := newNaiveScorer(eq, servers, d, func(v int) float64 {
-			return eq.load.Marginal(eq.g.Strength(v), hint)
+		dense := NewEvaluator(g, m, Linear{}, AssignMinCost)
+		ref := newNaiveScorer(dense, servers, d, func(v int) float64 {
+			return dense.load.Marginal(dense.g.Strength(v), 0)
 		})
-		comparePairScorers(t, trial, sa, refA, g.N())
-		sa.Release()
+		denseQ := NewEvaluator(g, m, Quadratic{}, AssignMinCost)
+		refA := newNaiveScorer(denseQ, servers, d, func(v int) float64 {
+			return denseQ.load.Marginal(denseQ.g.Strength(v), hint)
+		})
+		for _, b := range parityBackends(g, m) {
+			e := NewEvaluator(g, b.m, Linear{}, AssignMinCost)
+			sc, ok := NewScorer(e, servers, d)
+			if !ok {
+				t.Fatal("exact scorer unavailable for linear load")
+			}
+			comparePairScorers(t, fmt.Sprintf("trial %d (%s)", trial, b.name), sc, ref, g.N(), 3)
+			sc.Release()
+
+			// The linearised variant must agree with its reference too.
+			eq := NewEvaluator(g, b.m, Quadratic{}, AssignMinCost)
+			sa := NewScorerApprox(eq, servers, d, hint)
+			comparePairScorers(t, fmt.Sprintf("trial %d (%s, approx)", trial, b.name), sa, refA, g.N(), 3)
+			sa.Release()
+		}
 	}
 }
 
-func comparePairScorers(t *testing.T, trial int, sc *Scorer, ref *naiveScorer, n int) {
+// comparePairScorers compares every answer of sc with ref by exact float
+// bits: Base, Add at every node, Remove of every server, and Move of
+// every server to every moveStride-th node.
+func comparePairScorers(t *testing.T, label string, sc *Scorer, ref *naiveScorer, n, moveStride int) {
 	t.Helper()
-	if sc.Base() != ref.baseTotal {
-		t.Fatalf("trial %d: Base = %v, naive = %v", trial, sc.Base(), ref.baseTotal)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(sc.Base(), ref.baseTotal) {
+		t.Fatalf("%s: Base = %v, naive = %v", label, sc.Base(), ref.baseTotal)
 	}
 	for v := 0; v < n; v++ {
-		if got, want := sc.Add(v), ref.add(v); got != want {
-			t.Fatalf("trial %d: Add(%d) = %v, naive = %v", trial, v, got, want)
+		if got, want := sc.Add(v), ref.add(v); !same(got, want) {
+			t.Fatalf("%s: Add(%d) = %v, naive = %v", label, v, got, want)
 		}
 	}
 	for i := range ref.servers {
-		if got, want := sc.Remove(i), ref.remove(i); got != want {
-			t.Fatalf("trial %d: Remove(%d) = %v, naive = %v", trial, i, got, want)
+		if got, want := sc.Remove(i), ref.remove(i); !same(got, want) {
+			t.Fatalf("%s: Remove(%d) = %v, naive = %v", label, i, got, want)
 		}
-		for v := 0; v < n; v += 3 {
-			if got, want := sc.Move(i, v), ref.move(i, v); got != want {
-				t.Fatalf("trial %d: Move(%d,%d) = %v, naive = %v", trial, i, v, got, want)
+		for v := 0; v < n; v += moveStride {
+			if got, want := sc.Move(i, v), ref.move(i, v); !same(got, want) {
+				t.Fatalf("%s: Move(%d,%d) = %v, naive = %v", label, i, v, got, want)
 			}
 		}
 	}
+}
+
+// FuzzScorer pins the scorer, which reads rows pinned once per build, to
+// naiveScorer (per-element Dist calls) by exact float bits. The seed
+// draws a random instance; backend picks the metric (dense, a two-row
+// sparse cache, exact or approximate landmark) and, in bit 2, the load
+// (linear through NewScorer, or quadratic linearised through
+// NewScorerApprox); each byte of ops commits one ApplyAdd, ApplyRemove
+// or ApplyMove, after which every answer is compared with a naive scorer
+// built from scratch on the committed servers.
+func FuzzScorer(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, backend uint8, ops []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		g, m, servers, d := randomParityInstance(rng)
+		n := g.N()
+		metric := graph.Metric(m)
+		switch backend % 4 {
+		case 1:
+			metric = graph.NewSparse(g, 2)
+		case 2:
+			metric = graph.NewLandmark(g, n)
+		case 3:
+			metric = graph.NewLandmark(g, 2)
+		}
+		var sc *Scorer
+		var e *Evaluator
+		hint := 0.0
+		if backend&4 == 0 {
+			e = NewEvaluator(g, metric, Linear{}, AssignMinCost)
+			sc, _ = NewScorer(e, servers, d)
+		} else {
+			e = NewEvaluator(g, metric, Quadratic{}, AssignMinCost)
+			hint = 1 + 5*rng.Float64()
+			sc = NewScorerApprox(e, servers, d, hint)
+		}
+		defer sc.Release()
+		offsetAt := func(v int) float64 { return e.load.Marginal(e.g.Strength(v), hint) }
+		// free returns the k-th node (cyclically) hosting no server.
+		free := func(k int) int {
+			var nodes []int
+			for v := 0; v < n; v++ {
+				if !slices.Contains(sc.Servers(), v) {
+					nodes = append(nodes, v)
+				}
+			}
+			return nodes[k%len(nodes)]
+		}
+		comparePairScorers(t, "build", sc, newNaiveScorer(e, sc.Servers(), d, offsetAt), n, 1)
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		for step, op := range ops {
+			k, arg := len(sc.Servers()), int(op>>2)
+			switch op & 3 {
+			case 0:
+				if k == n {
+					continue
+				}
+				sc.ApplyAdd(free(arg))
+			case 1:
+				if k == 1 {
+					continue
+				}
+				sc.ApplyRemove(arg % k)
+			default:
+				if k == n {
+					continue
+				}
+				sc.ApplyMove(arg%k, free(arg/k))
+			}
+			comparePairScorers(t, fmt.Sprintf("after op %d (%#x)", step, op), sc, newNaiveScorer(e, sc.Servers(), d, offsetAt), n, 1)
+		}
+	})
 }
 
 // TestScorerIncrementalCommits drives a random sequence of ApplyAdd /
@@ -261,69 +370,80 @@ func TestScorerIncrementalCommits(t *testing.T) {
 	rng := rand.New(rand.NewSource(331))
 	for trial := 0; trial < 25; trial++ {
 		g, m, servers, d := randomParityInstance(rng)
-		e := NewEvaluator(g, m, Linear{}, AssignMinCost)
-		n := g.N()
-		sc, ok := NewScorer(e, servers, d)
-		if !ok {
-			t.Fatal("exact scorer unavailable")
+		opSeed := rng.Int63()
+		for _, b := range parityBackends(g, m) {
+			e := NewEvaluator(g, b.m, Linear{}, AssignMinCost)
+			checkIncrementalCommits(t, fmt.Sprintf("trial %d (%s)", trial, b.name), rand.New(rand.NewSource(opSeed)), e, servers, d)
 		}
-		occupied := func(v int) bool {
-			for _, s := range sc.Servers() {
-				if s == v {
-					return true
-				}
-			}
-			return false
-		}
-		for step := 0; step < 30; step++ {
-			switch op := rng.Intn(3); {
-			case op == 0 && len(sc.Servers()) < n:
-				v := rng.Intn(n)
-				for occupied(v) {
-					v = rng.Intn(n)
-				}
-				sc.ApplyAdd(v)
-			case op == 1 && len(sc.Servers()) > 1:
-				sc.ApplyRemove(rng.Intn(len(sc.Servers())))
-			default:
-				if len(sc.Servers()) == n {
-					continue
-				}
-				v := rng.Intn(n)
-				for occupied(v) {
-					v = rng.Intn(n)
-				}
-				sc.ApplyMove(rng.Intn(len(sc.Servers())), v)
-			}
-			fresh, ok := NewScorer(e, sc.Servers(), d)
-			if !ok {
-				t.Fatal("fresh scorer unavailable")
-			}
-			if sc.Base() != fresh.Base() {
-				t.Fatalf("trial %d step %d: Base = %v, fresh = %v",
-					trial, step, sc.Base(), fresh.Base())
-			}
-			for v := 0; v < n; v += 2 {
-				if sc.Add(v) != fresh.Add(v) {
-					t.Fatalf("trial %d step %d: Add(%d) = %v, fresh = %v",
-						trial, step, v, sc.Add(v), fresh.Add(v))
-				}
-			}
-			for i := range sc.Servers() {
-				if sc.Remove(i) != fresh.Remove(i) {
-					t.Fatalf("trial %d step %d: Remove(%d) = %v, fresh = %v",
-						trial, step, i, sc.Remove(i), fresh.Remove(i))
-				}
-				v := rng.Intn(n)
-				if sc.Move(i, v) != fresh.Move(i, v) {
-					t.Fatalf("trial %d step %d: Move(%d,%d) = %v, fresh = %v",
-						trial, step, i, v, sc.Move(i, v), fresh.Move(i, v))
-				}
-			}
-			fresh.Release()
-		}
-		sc.Release()
 	}
+}
+
+// checkIncrementalCommits drives one random commit sequence on e's
+// backend, comparing the incrementally maintained scorer after every
+// commit with a fresh build on the same servers.
+func checkIncrementalCommits(t *testing.T, label string, rng *rand.Rand, e *Evaluator, servers []int, d Demand) {
+	t.Helper()
+	n := e.Graph().N()
+	sc, ok := NewScorer(e, servers, d)
+	if !ok {
+		t.Fatal("exact scorer unavailable")
+	}
+	occupied := func(v int) bool {
+		for _, s := range sc.Servers() {
+			if s == v {
+				return true
+			}
+		}
+		return false
+	}
+	for step := 0; step < 30; step++ {
+		switch op := rng.Intn(3); {
+		case op == 0 && len(sc.Servers()) < n:
+			v := rng.Intn(n)
+			for occupied(v) {
+				v = rng.Intn(n)
+			}
+			sc.ApplyAdd(v)
+		case op == 1 && len(sc.Servers()) > 1:
+			sc.ApplyRemove(rng.Intn(len(sc.Servers())))
+		default:
+			if len(sc.Servers()) == n {
+				continue
+			}
+			v := rng.Intn(n)
+			for occupied(v) {
+				v = rng.Intn(n)
+			}
+			sc.ApplyMove(rng.Intn(len(sc.Servers())), v)
+		}
+		fresh, ok := NewScorer(e, sc.Servers(), d)
+		if !ok {
+			t.Fatal("fresh scorer unavailable")
+		}
+		if sc.Base() != fresh.Base() {
+			t.Fatalf("%s step %d: Base = %v, fresh = %v",
+				label, step, sc.Base(), fresh.Base())
+		}
+		for v := 0; v < n; v += 2 {
+			if sc.Add(v) != fresh.Add(v) {
+				t.Fatalf("%s step %d: Add(%d) = %v, fresh = %v",
+					label, step, v, sc.Add(v), fresh.Add(v))
+			}
+		}
+		for i := range sc.Servers() {
+			if sc.Remove(i) != fresh.Remove(i) {
+				t.Fatalf("%s step %d: Remove(%d) = %v, fresh = %v",
+					label, step, i, sc.Remove(i), fresh.Remove(i))
+			}
+			v := rng.Intn(n)
+			if sc.Move(i, v) != fresh.Move(i, v) {
+				t.Fatalf("%s step %d: Move(%d,%d) = %v, fresh = %v",
+					label, step, i, v, sc.Move(i, v), fresh.Move(i, v))
+			}
+		}
+		fresh.Release()
+	}
+	sc.Release()
 }
 
 // Allocation regressions: the hot kernels must be allocation-free in
@@ -375,6 +495,25 @@ func TestHotPathAllocationFree(t *testing.T) {
 		t.Errorf("Scorer.ApplyMove: %v allocs/op, want 0", avg)
 	}
 	sc.Release()
+
+	// A warm sparse backend (its cache holds every access point) serves
+	// pins without allocating, so Access and the pinned scorer stay
+	// allocation-free on it too.
+	sp := graph.NewSparse(g, g.N())
+	for _, ev := range []*Evaluator{NewEvaluator(g, sp, Linear{}, AssignMinCost), NewEvaluator(g, sp, Quadratic{}, AssignMinCost)} {
+		ev.Access(servers, d)
+		if avg := testing.AllocsPerRun(200, func() { ev.Access(servers, d) }); avg != 0 {
+			t.Errorf("Access (%s, warm sparse): %v allocs/op, want 0", ev.Load().Name(), avg)
+		}
+	}
+	ss, _ := NewScorer(NewEvaluator(g, sp, Linear{}, AssignMinCost), servers, d)
+	if avg := testing.AllocsPerRun(200, func() { ss.Add(2) }); avg != 0 {
+		t.Errorf("Scorer.Add (warm sparse): %v allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() { ss.Move(0, 1) }); avg != 0 {
+		t.Errorf("Scorer.Move (warm sparse): %v allocs/op, want 0", avg)
+	}
+	ss.Release()
 
 	// Steady-state construction through the pool.
 	for i := 0; i < 3; i++ {

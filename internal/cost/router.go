@@ -34,28 +34,32 @@ func (s *Session) routeGreedy(servers []int, d Demand) float64 {
 	e := s.e
 	str, eta, marg, key := s.off, s.eta, s.marg, s.key
 	var latency float64
-	for _, p := range d.Pairs() {
-		row := e.m.Row(p.Node)
-		for i, sv := range servers {
-			key[i] = row[sv] + marg[i]
-		}
-		if p.Count >= heapRouterMinUnits && len(servers) >= heapRouterMinServers {
-			latency = s.routeHeap(servers, row, p.Count, latency)
-			continue
-		}
-		for u := 0; u < p.Count; u++ {
-			best, bestCost := 0, math.MaxFloat64
-			for i := range servers {
-				if c := key[i]; c < bestCost {
-					best, bestCost = i, c
-				}
+	pairs := d.Pairs()
+	for lo := 0; lo < len(pairs); lo += pinBlock {
+		for j, p := range s.pinNext(pairs, lo) {
+			row := s.rows[j]
+			for i, sv := range servers {
+				key[i] = row[sv] + marg[i]
 			}
-			latency += row[servers[best]]
-			eta[best]++
-			marg[best] = e.load.Marginal(str[best], eta[best])
-			key[best] = row[servers[best]] + marg[best]
+			if p.Count >= heapRouterMinUnits && len(servers) >= heapRouterMinServers {
+				latency = s.routeHeap(servers, row, p.Count, latency)
+				continue
+			}
+			for u := 0; u < p.Count; u++ {
+				best, bestCost := 0, math.MaxFloat64
+				for i := range servers {
+					if c := key[i]; c < bestCost {
+						best, bestCost = i, c
+					}
+				}
+				latency += row[servers[best]]
+				eta[best]++
+				marg[best] = e.load.Marginal(str[best], eta[best])
+				key[best] = row[servers[best]] + marg[best]
+			}
 		}
 	}
+	clear(s.rows)
 	return latency
 }
 

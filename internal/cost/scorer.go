@@ -29,6 +29,11 @@ type Scorer struct {
 	e       *Evaluator
 	servers []int
 	pairs   []NodeCount
+	// rows[pi] is the distance row of pairs[pi].Node, pinned once per
+	// build so the candidate loops never go back to the metric; nodes is
+	// the scratch the pin reads its node ids from.
+	rows  [][]float64
+	nodes []int
 	// offNode[v] is the routing offset a server at node v would have,
 	// precomputed for every substrate node (replaces the per-candidate
 	// offset closure of earlier versions).
@@ -73,6 +78,7 @@ func newScorer(e *Evaluator, servers []int, d Demand, etaHint float64) *Scorer {
 	s.e = e
 	s.servers = append(growI(s.servers, 0), servers...)
 	s.pairs = d.Pairs()
+	s.rows, s.nodes = pinPairs(e.m, s.rows, s.nodes, s.pairs)
 	n := e.g.N()
 	s.offNode = growF(s.offNode, n)
 	for v := 0; v < n; v++ {
@@ -91,17 +97,20 @@ func newScorer(e *Evaluator, servers []int, d Demand, etaHint float64) *Scorer {
 }
 
 // Release returns the scorer to the pool. The scorer must not be used
-// afterwards.
+// afterwards. The pinned rows are dropped, so the pool does not keep them
+// alive.
 func (s *Scorer) Release() {
 	s.e = nil
 	s.pairs = nil
+	clear(s.rows)
+	s.rows = s.rows[:0]
 	scorerPool.Put(s)
 }
 
 // rescanPair recomputes the two smallest effective distances of one demand
 // node by a full scan over the current servers.
 func (s *Scorer) rescanPair(pi int) {
-	row := s.e.m.Row(s.pairs[pi].Node)
+	row := s.rows[pi]
 	b1, b2 := math.MaxFloat64, math.MaxFloat64
 	a1, a2 := -1, -1
 	for i, sv := range s.servers {
@@ -137,10 +146,9 @@ func (s *Scorer) Servers() []int { return s.servers }
 // Add returns the access score with one extra server at node v.
 func (s *Scorer) Add(v int) float64 {
 	offV := s.offNode[v]
-	m := s.e.m
 	total := 0.0
 	for pi, p := range s.pairs {
-		c := m.Row(p.Node)[v] + offV
+		c := s.rows[pi][v] + offV
 		if b := s.best1[pi]; b < c {
 			c = b
 		}
@@ -173,14 +181,13 @@ func (s *Scorer) Remove(i int) float64 {
 // Move returns the access score with servers[i] relocated to node v.
 func (s *Scorer) Move(i, v int) float64 {
 	offV := s.offNode[v]
-	m := s.e.m
 	total := 0.0
 	for pi, p := range s.pairs {
 		c := s.best1[pi]
 		if s.arg1[pi] == i {
 			c = s.best2[pi]
 		}
-		if cv := m.Row(p.Node)[v] + offV; cv < c {
+		if cv := s.rows[pi][v] + offV; cv < c {
 			c = cv
 		}
 		total += float64(p.Count) * c
@@ -195,9 +202,8 @@ func (s *Scorer) ApplyAdd(v int) {
 	i := len(s.servers)
 	s.servers = append(s.servers, v)
 	offV := s.offNode[v]
-	m := s.e.m
-	for pi, p := range s.pairs {
-		c := m.Row(p.Node)[v] + offV
+	for pi := range s.pairs {
+		c := s.rows[pi][v] + offV
 		switch {
 		case c < s.best1[pi]:
 			s.best2[pi], s.arg2[pi] = s.best1[pi], s.arg1[pi]
@@ -238,13 +244,12 @@ func (s *Scorer) ApplyRemove(i int) {
 func (s *Scorer) ApplyMove(i, v int) {
 	s.servers[i] = v
 	offV := s.offNode[v]
-	m := s.e.m
-	for pi, p := range s.pairs {
+	for pi := range s.pairs {
 		if s.arg1[pi] == i || s.arg2[pi] == i {
 			s.rescanPair(pi)
 			continue
 		}
-		c := m.Row(p.Node)[v] + offV
+		c := s.rows[pi][v] + offV
 		switch {
 		case c < s.best1[pi]:
 			s.best2[pi], s.arg2[pi] = s.best1[pi], s.arg1[pi]

@@ -3,6 +3,7 @@ package cost
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -193,5 +194,86 @@ func TestNewScorerApproxOrdersQuadraticCandidates(t *testing.T) {
 	}
 	if best != 4 {
 		t.Fatalf("approx scorer ranked %d best, want 4", best)
+	}
+}
+
+// countingMetric counts the calls the cost kernels make into a metric.
+type countingMetric struct {
+	graph.Metric
+	rows, dists, pins, pinned int
+}
+
+func (c *countingMetric) Row(u int) []float64 {
+	c.rows++
+	return c.Metric.Row(u)
+}
+
+func (c *countingMetric) Dist(u, v int) float64 {
+	c.dists++
+	return c.Metric.Dist(u, v)
+}
+
+func (c *countingMetric) Pin(dst [][]float64, nodes []int) [][]float64 {
+	c.pins++
+	c.pinned += len(nodes)
+	return c.Metric.Pin(dst, nodes)
+}
+
+// TestScorerPinsOnce: a scorer reads the metric once per build — one Pin
+// of every distinct access point — and never again, whatever it answers
+// or commits; Access pins one block of access points at a time. A Row or
+// Dist call per pair per candidate is what made the best-response
+// algorithms unusable on the landmark backend.
+func TestScorerPinsOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	g, m, servers, d := randomParityInstance(rng)
+	for d.Distinct() <= pinBlock {
+		g, m, servers, d = randomParityInstance(rng)
+	}
+	cm := &countingMetric{Metric: m}
+	e := NewEvaluator(g, cm, Linear{}, AssignMinCost)
+	n := g.N()
+
+	sc, ok := NewScorer(e, servers, d)
+	if !ok {
+		t.Fatal("exact scorer unavailable for linear load")
+	}
+	for v := 0; v < n; v++ {
+		sc.Add(v)
+		for i := range sc.Servers() {
+			sc.Move(i, v)
+		}
+	}
+	for i := range sc.Servers() {
+		sc.Remove(i)
+	}
+	free := func() int {
+		for v := 0; v < n; v++ {
+			if !slices.Contains(sc.Servers(), v) {
+				return v
+			}
+		}
+		return -1
+	}
+	if v := free(); v >= 0 {
+		sc.ApplyAdd(v)
+	}
+	if v := free(); v >= 0 {
+		sc.ApplyMove(0, v)
+	}
+	sc.Release()
+	if cm.rows != 0 || cm.dists != 0 || cm.pins != 1 || cm.pinned != d.Distinct() {
+		t.Fatalf("scorer made %d Row, %d Dist and %d Pin calls of %d nodes; want 0, 0 and 1 of %d",
+			cm.rows, cm.dists, cm.pins, cm.pinned, d.Distinct())
+	}
+
+	for _, ev := range []*Evaluator{e, NewEvaluator(g, cm, Quadratic{}, AssignMinCost)} {
+		*cm = countingMetric{Metric: m}
+		ev.Access(servers, d)
+		blocks := (d.Distinct() + pinBlock - 1) / pinBlock
+		if cm.rows != 0 || cm.dists != 0 || cm.pins != blocks || cm.pinned != d.Distinct() {
+			t.Fatalf("Access (%s) made %d Row, %d Dist and %d Pin calls of %d nodes; want 0, 0 and %d of %d",
+				ev.Load().Name(), cm.rows, cm.dists, cm.pins, cm.pinned, blocks, d.Distinct())
+		}
 	}
 }

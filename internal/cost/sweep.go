@@ -71,6 +71,11 @@ type ConfSweep struct {
 	// latOut, when non-nil for the duration of one SweepAccess call,
 	// receives each configuration's summed request latency.
 	latOut []float64
+	// rows[pi] is the distance row of the round's pair pi, pinned once
+	// per separable sweep and shared by every worker; pinNodes is the
+	// pin's scratch.
+	rows     [][]float64
+	pinNodes []int
 }
 
 // confSweepParallelThreshold is the pairs×configs work below which the
@@ -181,6 +186,9 @@ func (s *ConfSweep) SweepAccess(d Demand, out, latency []float64) {
 		work = d.Total() * C
 	}
 	s.latOut = latency
+	if s.sep {
+		s.rows, s.pinNodes = pinPairs(s.e.m, s.rows, s.pinNodes, d.Pairs())
+	}
 	// The serial path avoids the closure so steady-state sweeps stay
 	// allocation-free (TestConfSweepAllocationFree); the parallel path
 	// allocates for its goroutines anyway.
@@ -193,6 +201,7 @@ func (s *ConfSweep) SweepAccess(d Demand, out, latency []float64) {
 		})
 	}
 	s.latOut = nil
+	clear(s.rows)
 }
 
 // ParallelChunks runs fn over contiguous index ranges covering [0, n),
@@ -254,19 +263,18 @@ func (s *ConfSweep) sweepRange(d Demand, lo, hi int, out []float64) {
 }
 
 // separableRange evaluates configurations [lo, hi) with the closed-form
-// routing of accessSeparable, sharing each pair's distance row across all
-// configurations of the range and deriving each configuration's minimum
-// from its parent's.
+// routing of accessSeparable, sharing each pair's pinned distance row
+// across all configurations of the range and deriving each
+// configuration's minimum from its parent's.
 func (s *ConfSweep) separableRange(d Demand, lo, hi int, out []float64) {
-	m := s.e.m
 	off, parent := s.off, s.parent
 	nodes, lastNode, lastSlot := s.nodes, s.lastNode, s.lastSlot
 	bestCost, bestLat, bestSlot := s.bestCost, s.bestLat, s.bestSlot
 	latAcc, eta, offNode := s.latAcc, s.eta, s.offNode
 	clear(latAcc[lo:hi])
 	clear(eta[off[lo]:off[hi]])
-	for _, p := range d.Pairs() {
-		row := m.Row(p.Node)
+	for pi, p := range d.Pairs() {
+		row := s.rows[pi]
 		cnt := float64(p.Count)
 		for i := lo; i < hi; i++ {
 			var bc, bl float64

@@ -104,7 +104,8 @@ func TestConfSweepWorkerCountIndependent(t *testing.T) {
 	got := make([]float64, len(configs))
 	// Force the parallel path regardless of problem size by sweeping a
 	// demand large enough, or simply exercising the kernel directly in
-	// chunks of varying size.
+	// chunks of varying size, over the rows Sweep would pin.
+	sw.rows, sw.pinNodes = pinPairs(m, nil, nil, d.Pairs())
 	for chunks := 2; chunks <= 5; chunks++ {
 		for i := range got {
 			got[i] = 0

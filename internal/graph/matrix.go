@@ -68,6 +68,16 @@ func (m *Matrix) Dist(u, v int) float64 { return m.dist[u*m.n+v] }
 // owned by the matrix and must not be modified.
 func (m *Matrix) Row(u int) []float64 { return m.dist[u*m.n : (u+1)*m.n] }
 
+// Pin appends the rows of nodes to dst as sub-slices of the matrix: no
+// copy, and no allocation when dst has capacity. The matrix is immutable,
+// so the rows stay valid for as long as the caller keeps them.
+func (m *Matrix) Pin(dst [][]float64, nodes []int) [][]float64 {
+	for _, u := range nodes {
+		dst = append(dst, m.dist[u*m.n:(u+1)*m.n])
+	}
+	return dst
+}
+
 // Center returns a node with minimum eccentricity according to the matrix,
 // or -1 for an empty matrix. Ties break toward the smaller node id.
 func (m *Matrix) Center() int {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,32 +15,42 @@ import (
 // the substrate size become a backend choice (dense matrix, on-demand
 // sparse, landmark approximation) rather than an architectural limit.
 //
-// Contract:
+// Contract — a row is held in one of two ownership modes:
 //
 //   - N reports the node count; Dist(u, v) is the shortest-path latency
-//     from u to v (Infinity when unreachable), and Row(u) is the full
-//     distance row from u.
-//   - Row returns a slice that is OWNED BY THE BACKEND and must not be
-//     modified by the caller. The slice is a BORROW: consume it (or copy
-//     it with append([]float64(nil), row...)) before the next Row, Dist,
-//     or AddEdge call, and never store it in a struct field or capture it
-//     in a goroutine. The rowborrow analyzer (cmd/repcheck) enforces this
-//     consumer-side discipline; see ANALYSIS.md.
-//   - Today's backends never recycle row storage, so a stale borrow keeps
-//     its old contents rather than racing (the contract-pinning tests in
-//     metric_cache_test.go rely on this, under //repcheck:allow-rowborrow
-//     annotations). New call sites must not: a future backend is free to
-//     pool and overwrite evicted rows.
+//     from u to v (Infinity when unreachable), Row(u) is the full
+//     distance row from u, and Pin(dst, nodes) appends the rows of nodes
+//     to dst, in order, and returns the extended slice.
+//   - Row returns a BORROW of backend-owned storage: read it, or copy it
+//     with append([]float64(nil), row...), before the next Row, Dist,
+//     Pin or AddEdge call, and never store it in a struct field or
+//     capture it in a goroutine. Use Row for a one-off lookup.
+//   - Pin returns HELD rows: read-only snapshots of the graph version at
+//     pin time that no backend ever recycles, so the caller may keep them
+//     — across later metric calls, in a struct field, shared by
+//     goroutines — until it drops them. Kernels that read a fixed set of
+//     rows in a loop pin them once instead of calling Row per element;
+//     the caller bounds the memory it keeps alive this way. A Pin may
+//     evict cached rows, so it ends every outstanding Row borrow.
+//   - Neither mode may be written through. The rowborrow analyzer
+//     (cmd/repcheck) enforces both disciplines; see ANALYSIS.md.
+//   - Today's backends never recycle row storage, so even a stale Row
+//     borrow keeps its old contents rather than racing (the
+//     contract-pinning tests in metric_cache_test.go rely on this, under
+//     //repcheck:allow-rowborrow annotations). New Row call sites must
+//     not lean on that; code that needs a row to outlive the next metric
+//     call pins it.
 //   - All methods are safe for concurrent use as long as the underlying
 //     Graph is not mutated concurrently.
 //   - Mutating the Graph (AddEdge) after a backend was constructed
 //     invalidates the backend's cached state: the next query observes the
-//     moved Graph.Version and recomputes. Rows borrowed before the
-//     mutation keep their old (pre-mutation) contents.
+//     moved Graph.Version and recomputes. Rows borrowed or pinned before
+//     the mutation keep their old (pre-mutation) contents.
 type Metric interface {
 	N() int
 	Dist(u, v int) float64
 	Row(u int) []float64
+	Pin(dst [][]float64, nodes []int) [][]float64
 }
 
 // The dense matrix is the reference backend.
@@ -125,7 +136,10 @@ func NewMetric(g *Graph, spec string) (Metric, error) {
 // — one Dijkstra per queried source — and keeps at most capRows of them in
 // an LRU cache. Memory is bounded by capRows×n×8 bytes instead of the
 // dense matrix's n², plus the graph's flat adjacency copy that every
-// Dijkstra reads (about 12 bytes per directed edge). Row values are
+// Dijkstra reads (about 12 bytes per directed edge). Rows held through
+// Pin after the LRU evicted them add rows held × n × 8 bytes on top (the
+// cost scorer holds one row per distinct access point of its demand
+// until it is released, an Access evaluation at most 16). Row values are
 // produced by the same Dijkstra kernel the dense matrix uses, so every
 // query is bit-identical to Dense.
 type Sparse struct {
@@ -144,11 +158,22 @@ type Sparse struct {
 // its row is computed; latecomers block on ready instead of duplicating
 // the Dijkstra. If the computation panics, the entry leaves the map and
 // the LRU before ready closes with dist still nil, and every latecomer
-// panics too. Eviction only drops the map/LRU references — the dist
-// slice itself is immutable once published, so borrowers are unaffected.
+// panics too — so an entry found in the map with ready closed always has
+// its row. Eviction only drops the map/LRU references — the dist slice
+// itself is immutable once published, so borrowers and pinners are
+// unaffected.
 type sparseRow struct {
 	ready chan struct{}
 	dist  []float64
+}
+
+// pendingRow is a batch slot whose row was not ready at lookup: either
+// this call published the entry and computes it, or it waits on the call
+// that does.
+type pendingRow struct {
+	slot int // index into the batch
+	u    int
+	r    *sparseRow
 }
 
 // NewSparse returns a sparse backend for g caching up to capRows distance
@@ -183,13 +208,35 @@ func (s *Sparse) N() int { return s.g.N() }
 // dense backend produces.
 func (s *Sparse) Dist(u, v int) float64 { return s.Row(u)[v] }
 
-// Row returns the distances from u to every node, computing the row with
-// one Dijkstra on a cache miss. See the Metric contract for aliasing: the
-// returned slice is read-only and remains valid after eviction. Row panics
-// if u is not a node.
+// Row returns the distances from u to every node: the single-node case of
+// Pin, computing the row with one Dijkstra on a cache miss. See the Metric
+// contract for aliasing: the returned slice is read-only and remains
+// valid after eviction. Row panics if u is not a node.
 func (s *Sparse) Row(u int) []float64 {
-	if n := s.g.N(); u < 0 || u >= n {
-		panic(fmt.Sprintf("graph: Sparse.Row source %d out of range [0,%d)", u, n))
+	var one [1][]float64
+	return s.Pin(one[:0], []int{u})[0]
+}
+
+// Pin appends the rows of nodes to dst. Every entry is looked up or
+// published under one lock acquisition; the rows this call published are
+// then computed concurrently (at most GOMAXPROCS goroutines, inline when
+// there is at most one), and a node repeated in nodes is computed once.
+// A batch of warm rows does not allocate beyond dst's growth. Pin panics,
+// before touching the cache, if any node is out of range.
+func (s *Sparse) Pin(dst [][]float64, nodes []int) [][]float64 {
+	n := s.g.N()
+	for _, u := range nodes {
+		if u < 0 || u >= n {
+			panic(fmt.Sprintf("graph: Sparse row source %d out of range [0,%d)", u, n))
+		}
+	}
+	base := len(dst)
+	var misses, waits []pendingRow
+	// A batch wider than the cache evicts its own earlier entries; batch
+	// remembers them so a repeated node still maps to one entry.
+	var batch map[int]*sparseRow
+	if len(nodes) > s.capRows {
+		batch = make(map[int]*sparseRow, len(nodes))
 	}
 	s.mu.Lock()
 	if v := s.g.Version(); v != s.version {
@@ -200,15 +247,60 @@ func (s *Sparse) Row(u int) []float64 {
 		s.rows = make(map[int]*sparseRow)
 		s.lru = s.lru[:0]
 	}
-	if r, ok := s.rows[u]; ok {
-		s.touch(u)
-		s.mu.Unlock()
-		<-r.ready
-		if r.dist == nil {
-			panic(fmt.Sprintf("graph: Sparse.Row(%d): the computing call panicked", u))
+	for i, u := range nodes {
+		r, ok := batch[u]
+		published := false
+		if !ok {
+			if r, ok = s.rows[u]; ok {
+				s.touch(u)
+			} else {
+				r, published = s.publish(u), true
+			}
+			if batch != nil {
+				batch[u] = r
+			}
 		}
-		return r.dist
+		switch p := (pendingRow{slot: i, u: u, r: r}); {
+		case published:
+			misses = append(misses, p)
+		case r.done():
+			dst = append(dst, r.dist)
+			continue
+		default:
+			waits = append(waits, p)
+		}
+		dst = append(dst, nil)
 	}
+	s.mu.Unlock()
+
+	s.compute(misses)
+	for _, p := range misses {
+		dst[base+p.slot] = p.r.dist
+	}
+	for _, p := range waits {
+		<-p.r.ready
+		if p.r.dist == nil {
+			panic(fmt.Sprintf("graph: Sparse row %d: the computing call panicked", p.u))
+		}
+		dst[base+p.slot] = p.r.dist
+	}
+	return dst
+}
+
+// done reports whether r's computation has finished.
+func (r *sparseRow) done() bool {
+	select {
+	case <-r.ready:
+		return true
+	default:
+		return false
+	}
+}
+
+// publish inserts a fresh, not-yet-ready entry for u at the front of the
+// LRU, evicting the least recently used row beyond capacity. The caller
+// holds s.mu and must compute the entry.
+func (s *Sparse) publish(u int) *sparseRow {
 	r := &sparseRow{ready: make(chan struct{})}
 	s.rows[u] = r
 	s.lru = append(s.lru, 0)
@@ -219,19 +311,60 @@ func (s *Sparse) Row(u int) []float64 {
 		s.lru = s.lru[:len(s.lru)-1]
 		delete(s.rows, victim)
 	}
-	s.mu.Unlock()
+	return r
+}
+
+// compute runs the Dijkstras of the entries a Pin published, outside the
+// lock so distinct rows proceed in parallel: inline for one, otherwise on
+// at most GOMAXPROCS goroutines pulling from a shared counter. Every entry
+// is closed even if another one's computation panics; the first panic is
+// re-raised in the caller once all of them are done.
+func (s *Sparse) compute(misses []pendingRow) {
+	if len(misses) <= 1 {
+		for _, p := range misses {
+			s.fill(p.u, p.r)
+		}
+		return
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(misses))
+	var next atomic.Int64
+	var failed atomic.Pointer[any]
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := next.Add(1) - 1; k < int64(len(misses)); k = next.Add(1) - 1 {
+				func() {
+					defer func() {
+						if v := recover(); v != nil {
+							failed.CompareAndSwap(nil, &v)
+						}
+					}()
+					s.fill(misses[k].u, misses[k].r)
+				}()
+			}
+		}()
+	}
+	wg.Wait()
+	if v := failed.Load(); v != nil {
+		panic(*v)
+	}
+}
+
+// fill computes u's row into the published entry r and closes ready. If
+// the Dijkstra panics, the entry is unpublished first, so latecomers
+// panic instead of blocking and the next query recomputes.
+func (s *Sparse) fill(u int, r *sparseRow) {
 	defer func() {
 		if r.dist == nil {
-			s.drop(u, r) // the Dijkstra panicked: unpublish the entry
+			s.drop(u, r)
 		}
 		close(r.ready)
 	}()
-
-	// Compute outside the lock so distinct rows proceed in parallel.
 	dist := make([]float64, s.g.N())
 	s.g.shortestFromInto(u, dist)
 	r.dist = dist
-	return dist
 }
 
 // drop removes u's cache entry if it is still r.
@@ -343,13 +476,36 @@ func (l *Landmark) Dist(u, v int) float64 {
 
 // Row materializes the bound row from u. Unlike the cached backends the
 // slice is freshly allocated per call (O(k·n) work), which trivially
-// satisfies the Metric borrow contract; hot loops should prefer Dist or
-// hold the row.
+// satisfies the Metric borrow contract; a kernel that reads a row more
+// than once pins it (Pin) instead of calling Row again.
 func (l *Landmark) Row(u int) []float64 {
 	if l.exact != nil {
 		return l.exact.Row(u)
 	}
+	return l.row(l.load(), u)
+}
+
+// Pin appends the bound rows of nodes to dst, materializing each distinct
+// node's row once (the exact mode pins through its Sparse cache).
+func (l *Landmark) Pin(dst [][]float64, nodes []int) [][]float64 {
+	if l.exact != nil {
+		return l.exact.Pin(dst, nodes)
+	}
 	t := l.load()
+	seen := make(map[int][]float64, len(nodes))
+	for _, u := range nodes {
+		r, ok := seen[u]
+		if !ok {
+			r = l.row(t, u)
+			seen[u] = r
+		}
+		dst = append(dst, r)
+	}
+	return dst
+}
+
+// row materializes the bound row from u over table t.
+func (l *Landmark) row(t *landmarkTable, u int) []float64 {
 	n := l.g.N()
 	out := make([]float64, n)
 	for v := 0; v < n; v++ {

@@ -137,20 +137,29 @@ func TestSparseRowOutOfRangePanics(t *testing.T) {
 	s := NewSparse(line(1, 1), 4)
 	s.Row(0)
 	before := s.CachedRows()
-	for _, u := range []int{5, 5, -1} {
+	// A Pin batch is range-checked before any entry is published, so its
+	// valid nodes (1 and 2 are not cached) leave no unready entry either.
+	for _, tc := range []struct {
+		bad   int
+		batch []int // nil: call Row(bad)
+	}{{5, nil}, {5, nil}, {-1, nil}, {5, []int{1, 5}}, {-1, []int{2, 1, -1}}, {3, []int{0, 3, 0}}} {
 		done := make(chan any, 1)
 		go func() {
 			defer func() { done <- recover() }()
-			s.Row(u)
+			if tc.batch == nil {
+				s.Row(tc.bad)
+			} else {
+				s.Pin(nil, tc.batch)
+			}
 		}()
 		select {
 		case r := <-done:
 			msg := fmt.Sprint(r)
-			if r == nil || !strings.Contains(msg, fmt.Sprintf("source %d", u)) || !strings.Contains(msg, "[0,3)") {
-				t.Fatalf("Row(%d) recovered %q, want a panic naming the source and n", u, msg)
+			if r == nil || !strings.Contains(msg, fmt.Sprintf("source %d", tc.bad)) || !strings.Contains(msg, "[0,3)") {
+				t.Fatalf("Row/Pin %d %v recovered %q, want a panic naming the source and n", tc.bad, tc.batch, msg)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("Row(%d) blocked", u)
+			t.Fatalf("Row/Pin %d %v blocked", tc.bad, tc.batch)
 		}
 	}
 	if got := s.CachedRows(); got != before {
@@ -162,24 +171,33 @@ func TestSparseRowOutOfRangePanics(t *testing.T) {
 // here by a corrupt cached adjacency), the row's cache entry leaves the
 // map and the LRU, so the next call recomputes instead of waiting on it.
 func TestSparseRowPanicUnpublishes(t *testing.T) {
-	g := line(1, 1)
-	s := NewSparse(g, 4)
-	s.Row(0)
-	g.csr.Store(&adjacency{version: g.Version()})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Row(1) over a corrupt adjacency did not panic")
+	// Row, a one-miss Pin (computed inline) and a three-miss Pin (computed
+	// by concurrent workers) must all unpublish every failed entry and
+	// re-raise the panic in the caller.
+	for _, batch := range [][]int{nil, {1}, {0, 1, 2, 3, 1}} {
+		g := line(1, 1, 1)
+		s := NewSparse(g, 4)
+		s.Row(0)
+		g.csr.Store(&adjacency{version: g.Version()})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("batch %v over a corrupt adjacency did not panic", batch)
+				}
+			}()
+			if batch == nil {
+				s.Row(1)
+			} else {
+				s.Pin(nil, batch)
 			}
 		}()
-		s.Row(1)
-	}()
-	if got := s.CachedRows(); got != 1 || len(s.lru) != 1 || s.lru[0] != 0 {
-		t.Fatalf("after the panic: %d cached rows, LRU %v; want only row 0", got, s.lru)
-	}
-	g.csr.Store(nil)
-	if d := s.Dist(1, 2); d != 1 {
-		t.Fatalf("Dist(1,2) after recovery = %v, want 1", d)
+		if got := s.CachedRows(); got != 1 || len(s.lru) != 1 || s.lru[0] != 0 {
+			t.Fatalf("batch %v, after the panic: %d cached rows, LRU %v; want only row 0", batch, got, s.lru)
+		}
+		g.csr.Store(nil)
+		if d := s.Dist(1, 3); d != 2 {
+			t.Fatalf("batch %v: Dist(1,3) after recovery = %v, want 2", batch, d)
+		}
 	}
 }
 
@@ -217,6 +235,7 @@ func TestSparseConcurrentAccess(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			var pins [][]float64
 			for i := 0; i < 200; i++ {
 				u, v := rng.Intn(32), rng.Intn(32)
 				if math.Float64bits(s.Dist(u, v)) != math.Float64bits(dense.Dist(u, v)) {
@@ -234,6 +253,19 @@ func TestSparseConcurrentAccess(t *testing.T) {
 					}
 					return
 				}
+				// Overlapping pins, some wider than the cache and with
+				// repeated nodes, race the Row and Dist calls above.
+				nodes := []int{u, rng.Intn(32), v, rng.Intn(32), u, rng.Intn(32)}[:2+rng.Intn(5)]
+				pins = s.Pin(pins[:0], nodes)
+				for k, src := range nodes {
+					if math.Float64bits(pins[k][v]) != math.Float64bits(dense.Dist(src, v)) {
+						select {
+						case errs <- "concurrent Pin diverged from dense":
+						default:
+						}
+						return
+					}
+				}
 			}
 		}(int64(w + 1))
 	}
@@ -244,6 +276,72 @@ func TestSparseConcurrentAccess(t *testing.T) {
 	}
 	if got := s.CachedRows(); got > 4 {
 		t.Fatalf("CachedRows = %d after concurrent load, capacity is 4", got)
+	}
+}
+
+// TestPinMatchesRow: every backend's Pin appends, in order, rows
+// bit-identical to its Row, for batches with repeated nodes and batches
+// wider than a sparse cache, and a sparse batch computes each repeated
+// node once.
+func TestPinMatchesRow(t *testing.T) {
+	g := chordedRing(30, 12, 11)
+	backends := []struct {
+		name string
+		m    Metric
+	}{
+		{"dense", g.AllPairs()},
+		{"sparse", NewSparse(g, 4)},
+		{"landmark", NewLandmark(g, 5)},
+		{"landmark-exact", NewLandmark(g, 30)},
+	}
+	batches := [][]int{
+		{},
+		{7},
+		{3, 3, 3},
+		{0, 5, 9, 5, 0, 29},
+		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1, 2, 11, 12, 13, 1},
+	}
+	for _, b := range backends {
+		for _, nodes := range batches {
+			prefix := [][]float64{nil}
+			pins := b.m.Pin(prefix, nodes)
+			if len(pins) != 1+len(nodes) || pins[0] != nil {
+				t.Fatalf("%s: Pin(%v) returned %d rows, want the dst prefix and %d more", b.name, nodes, len(pins), len(nodes))
+			}
+			for k, u := range nodes {
+				row := b.m.Row(u)
+				for v := range row {
+					if math.Float64bits(pins[1+k][v]) != math.Float64bits(row[v]) {
+						t.Fatalf("%s: Pin(%v)[%d][%d] = %v, Row(%d) has %v", b.name, nodes, k, v, pins[1+k][v], u, row[v])
+					}
+				}
+			}
+		}
+	}
+
+	// A wider-than-cache sparse batch with repeats: each repeat shares
+	// the first occurrence's row, and the cache stays within capacity.
+	s := NewSparse(g, 3)
+	nodes := []int{4, 8, 15, 16, 23, 4, 42 % 30, 8}
+	pins := s.Pin(nil, nodes)
+	if &pins[0][0] != &pins[5][0] || &pins[1][0] != &pins[7][0] {
+		t.Fatal("a node repeated in a sparse batch was computed twice")
+	}
+	if got := s.CachedRows(); got > 3 {
+		t.Fatalf("CachedRows = %d after a wide pin, capacity is 3", got)
+	}
+}
+
+// TestPinAllocationFree: pinning rows a backend already holds does not
+// allocate once dst has capacity.
+func TestPinAllocationFree(t *testing.T) {
+	g := chordedRing(40, 20, 12)
+	nodes := []int{3, 9, 3, 27}
+	for _, m := range []Metric{g.AllPairs(), NewSparse(g, 8)} {
+		dst := m.Pin(nil, nodes)
+		if avg := testing.AllocsPerRun(200, func() { dst = m.Pin(dst[:0], nodes) }); avg != 0 {
+			t.Errorf("%T.Pin of warm rows: %v allocs/op, want 0", m, avg)
+		}
 	}
 }
 
