@@ -425,6 +425,62 @@ func BenchmarkONCONFLargeSpace(b *testing.B) {
 	}
 }
 
+// timeZonesSpace is the config-space benchmark workload's sweep instance:
+// a 112-node preferential-attachment graph at k=3 (234,248
+// configurations in DFS order) and time-zones demand at TForSize(112),
+// about 30 access points per round.
+func timeZonesSpace(b *testing.B) (*sim.Env, [][]int, *workload.Sequence) {
+	b.Helper()
+	const n = 112
+	g, err := gen.PreferentialAttachment(n, 2, gen.DefaultOptions(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := sim.NewEnv(g, cost.Linear{}, cost.AssignMinCost,
+		cost.DefaultParams(), core.Params{QueueCap: 3, Expiry: 20, MaxServers: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seq, err := experiments.BuildNamedScenario("time-zones", env.Metric,
+		workload.TForSize(n), 10, 16, 0, rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	placements := core.EnumeratePlacements(n, 3)
+	configs := make([][]int, len(placements))
+	for i, p := range placements {
+		configs[i] = p
+	}
+	return env, configs, seq
+}
+
+// BenchmarkConfSweepTimeZones measures one round's ConfSweep over the
+// config-space workload's 234,248 configurations; the sweep is built
+// outside the timer.
+func BenchmarkConfSweepTimeZones(b *testing.B) {
+	env, configs, seq := timeZonesSpace(b)
+	sw := cost.NewConfSweep(env.Eval, configs)
+	out := make([]float64, len(configs))
+	pairs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := seq.Demand(i % seq.Len())
+		pairs += len(d.Pairs())
+		sw.Sweep(d, out)
+	}
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+}
+
+// BenchmarkNewConfSweep measures building the sweep over the same space:
+// flattening, parent links and per-node offsets.
+func BenchmarkNewConfSweep(b *testing.B) {
+	env, configs, _ := timeZonesSpace(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cost.NewConfSweep(env.Eval, configs)
+	}
+}
+
 // BenchmarkLookaheadOFFBR runs the offline best-response strategy whose
 // epoch boundaries trigger lookahead window scans over the upcoming
 // rounds (the path the per-epoch round-cost memo accelerates).

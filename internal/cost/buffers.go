@@ -50,10 +50,3 @@ func growB(buf []bool, n int) []bool {
 	}
 	return buf
 }
-
-// zeroF clears a float64 slice.
-func zeroF(buf []float64) {
-	for i := range buf {
-		buf[i] = 0
-	}
-}

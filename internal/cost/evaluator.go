@@ -77,9 +77,9 @@ func NewEvaluator(g *graph.Graph, m graph.Metric, load LoadFunc, policy Policy) 
 }
 
 // Session is a reusable scratch workspace for access-cost evaluation. A
-// session is not safe for concurrent use; callers that evaluate from many
-// goroutines hold one session per goroutine (Evaluator.Access does this
-// transparently through an internal pool).
+// session is not safe for concurrent use; Evaluator.Access and the sweep
+// hand each call or worker its own from the evaluator's pool, so steady
+// state evaluation is allocation-free.
 type Session struct {
 	e    *Evaluator
 	off  []float64 // per-server routing offset (strengths on the greedy path)
@@ -106,12 +106,6 @@ func (s *Session) pinNext(pairs []NodeCount, lo int) []NodeCount {
 	block := pairs[lo:min(lo+pinBlock, len(pairs))]
 	s.rows, s.nodes = pinPairs(s.e.m, s.rows, s.nodes, block)
 	return block
-}
-
-// NewSession returns a workspace bound to the evaluator. Reusing one
-// session across evaluations makes Access allocation-free.
-func (e *Evaluator) NewSession() *Session {
-	return &Session{e: e}
 }
 
 // Access is Evaluator.Access evaluated in this session's scratch space.
@@ -177,7 +171,7 @@ func (s *Session) accessSeparable(servers []int, d Demand) AccessCost {
 	for i, sv := range servers {
 		off[i] = e.effMarginal(sv)
 	}
-	zeroF(eta)
+	clear(eta)
 	var ac AccessCost
 	pairs := d.Pairs()
 	for lo := 0; lo < len(pairs); lo += pinBlock {
@@ -214,7 +208,7 @@ func (s *Session) accessGreedy(servers []int, d Demand) AccessCost {
 	s.marg = growF(s.marg, ns)
 	s.key = growF(s.key, ns)
 	eta, str := s.eta, s.off // reuse the offset buffer for strengths
-	zeroF(eta)
+	clear(eta)
 	for i, sv := range servers {
 		str[i] = e.g.Strength(sv)
 		s.marg[i] = e.load.Marginal(str[i], 0)

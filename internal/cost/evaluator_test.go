@@ -139,7 +139,7 @@ func TestSeparableMatchesGreedyForLinear(t *testing.T) {
 		}
 		d := DemandFromList(list)
 		got := fast.Access(servers, d)
-		want := fast.NewSession().accessGreedy(servers, d)
+		want := (&Session{e: fast}).accessGreedy(servers, d)
 		if math.Abs(got.Total()-want.Total()) > 1e-9 {
 			t.Fatalf("trial %d: closed form %v != greedy %v", trial, got, want)
 		}

@@ -4,78 +4,74 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 )
 
 // ConfSweep charges every configuration of an enumerated placement space
-// with one round's access cost in a single batched pass. The generic
-// algorithms (ONCONF and the work-function baseline WFA) need
-// Access(γ, σt) for *every* configuration γ every round; calling
-// Evaluator.Access once per configuration repays the per-call session and
-// offset-staging overhead |configs| times and re-reads each demand node's
-// distance row once per configuration.
+// with one round's access cost in one batched pass: ONCONF and WFA need
+// Access(γ, σt) for *every* configuration γ every round, and a per-config
+// Access loop re-reads each demand row once per configuration.
 //
-// The sweep restructures that loop:
-//
-//   - All round-invariant data is hoisted into NewConfSweep: the
-//     configurations are flattened into one contiguous node list with
-//     per-config offsets, every node's routing offset and strength are
-//     staged once, and each configuration is linked to its *parent* — the
-//     configuration equal to it minus its largest node. Placement spaces
-//     produced by core.EnumeratePlacements list every parent before its
-//     extensions, so almost every configuration has one.
-//   - Sweep then iterates demand pairs in the outer loop and
-//     configurations in the inner loop, so each pair's distance row is
-//     read once and shared across all configurations, and the minimum
-//     effective distance of a configuration is derived from its parent's
-//     in O(1) (compare the one appended server) instead of rescanning all
-//     its servers. Configurations without a cached parent (the singletons,
-//     and arbitrary non-DFS spaces) fall back to the full scan.
-//   - Large sweeps fan out across GOMAXPROCS goroutines over contiguous
-//     configuration ranges; a parent outside the worker's range falls
-//     back to the full scan, so the results are independent of the worker
-//     count.
-//
-// The arithmetic is exactly Evaluator.Access's: the per-pair minimisation
-// visits servers in the same order with the same tie-break, latency and
-// per-server volume accumulate in the same order, and the load pass sums
-// server loads in placement order. Sweep output is therefore bit-identical
-// to the per-config Access loop it replaces (TestConfSweepMatchesNaive).
+// A configuration's parent (itself minus its last node) is, in the DFS
+// order of core.EnumeratePlacements, the latest configuration one node
+// shorter. A separable sweep walks each worker's range in order with a
+// stack holding, per length, the per-pair minimum of the latest
+// configuration of that length. Siblings whose parent is on the stack
+// step as one run, pairs-outer and members-inner, each member keeping its
+// parent's minimum or taking its appended server without a data-dependent
+// branch; only the last member, the one later configurations can extend,
+// is pushed. Any other configuration takes the full scan. The same server
+// wins each pair as in Evaluator.Access, latency accumulates in pair
+// order, volumes are integer sums and loads are summed in placement
+// order, so Sweep is bit-identical to per-config Access for any worker
+// count (TestConfSweepMatchesNaive, FuzzConfSweep).
 //
 // A ConfSweep is not safe for concurrent use; each algorithm instance owns
-// one. All scratch is preallocated, so steady-state Sweep calls are
-// allocation-free.
+// one. Steady-state serial Sweep calls are allocation-free.
 type ConfSweep struct {
-	e   *Evaluator
-	sep bool
+	e     *Evaluator
+	sep   bool
+	batch func(d Demand, lo, hi int, out []float64) // separableRange or genericRange
 
-	nodes    []int   // concatenated per-config server node lists
-	off      []int   // config i's nodes are nodes[off[i]:off[i+1]]; len = C+1
-	parent   []int32 // index of the config equal to config i minus its last node; -1 if absent
-	lastNode []int   // config i's largest (last) server node
-	lastSlot []int32 // its slot index within the config
+	nodes  []int   // concatenated per-config server node lists
+	off    []int   // config i's nodes are nodes[off[i]:off[i+1]]; len = C+1
+	parent []int32 // latest earlier config equal to config i minus its last node; -1 if none
+	maxLen int     // nodes in the longest configuration
 
-	offNode  []float64 // per-node routing offset (separable fast path)
+	offNode  []float64 // per-node routing offset (separable path)
 	strength []float64 // per-node strength
-	strSlot  []float64 // per-slot strength (strength[nodes[q]], flattened)
 	idleZero []bool    // load.Value(strength(v), 0) is exactly +0.0
 
-	// Per-pair minimisation state, indexed by config.
-	bestCost []float64
-	bestLat  []float64
-	bestSlot []int32
-	// Per-round accumulators: latency per config, request volume per
-	// server slot (flat, indexed off[i]+slot).
-	latAcc []float64
-	eta    []float64
-	// latOut, when non-nil for the duration of one SweepAccess call,
-	// receives each configuration's summed request latency.
-	latOut []float64
-	// rows[pi] is the distance row of the round's pair pi, pinned once
-	// per separable sweep and shared by every worker; pinNodes is the
-	// pin's scratch.
+	// latOut receives the latencies during a SweepAccess call; rows[pi] is
+	// the row of the round's pair pi, pinned once and shared by workers.
+	latOut   []float64
 	rows     [][]float64
 	pinNodes []int
+	scratch  sync.Pool // of *sweepScratch, one per separable worker
+}
+
+// sweepScratch is a separable worker's state: the stack, whose level l
+// holds the minima of configuration top[l], and the buffers of one run.
+type sweepScratch struct {
+	top   []int32
+	stack []minimum // pair pi's level l at [l·pairs + pi]
+	mem   []member
+	eta   []float64 // member m's slot q at eta[q·members+m]
+	vol   []float64 // per parent slot: its volume over the run (eta, vol zero between runs)
+}
+
+// minimum is a configuration's choice for one pair: the least effective
+// distance (latency plus routing offset), its latency and its slot.
+type minimum struct {
+	cost, lat float64
+	slot      int
+}
+
+// member is a run configuration: appended server, its offset, latency sum.
+type member struct {
+	v        int
+	off, acc float64
 }
 
 // confSweepParallelThreshold is the pairs×configs work below which the
@@ -84,77 +80,50 @@ const confSweepParallelThreshold = 1 << 14
 
 // NewConfSweep precomputes the sweep structure for a fixed configuration
 // space. Every configuration must be a non-empty sorted list of distinct
-// node ids (the form core.EnumeratePlacements produces).
+// node ids (the form core.EnumeratePlacements produces). Under a separable
+// evaluator it panics, naming the node, on a routing offset that is
+// negative, −0 or NaN: the kernel compares costs by their bit patterns.
 func NewConfSweep(e *Evaluator, configs [][]int) *ConfSweep {
 	s := &ConfSweep{e: e, sep: e.Separable()}
+	s.batch, s.scratch.New = s.genericRange, func() any { return new(sweepScratch) }
 	total := 0
 	for _, c := range configs {
 		if len(c) == 0 {
 			panic("cost: ConfSweep requires non-empty configurations")
 		}
 		total += len(c)
+		s.maxLen = max(s.maxLen, len(c))
 	}
 	C := len(configs)
-	s.nodes = make([]int, 0, total)
-	s.off = make([]int, C+1)
-	s.parent = make([]int32, C)
-	index := make(map[string]int32, C)
-	var keyBuf []byte
-	key := func(c []int) string {
-		keyBuf = keyBuf[:0]
-		for _, v := range c {
-			keyBuf = append(keyBuf,
-				byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		return string(keyBuf)
-	}
+	s.nodes, s.off, s.parent = make([]int, 0, total), make([]int, C+1), make([]int32, C)
+	// latest[l] is the latest configuration of l nodes. Orders other than
+	// DFS may find fewer parents; the prefix check keeps each one genuine.
+	latest := slices.Repeat([]int{-1}, s.maxLen+1)
 	for i, c := range configs {
 		s.off[i] = len(s.nodes)
 		s.nodes = append(s.nodes, c...)
 		s.parent[i] = -1
-		if len(c) > 1 {
-			if pa, ok := index[key(c[:len(c)-1])]; ok {
-				s.parent[i] = pa
-			}
+		if pa := latest[len(c)-1]; pa >= 0 && slices.Equal(configs[pa], c[:len(c)-1]) {
+			s.parent[i] = int32(pa)
 		}
-		index[key(c)] = int32(i)
+		latest[len(c)] = i
 	}
 	s.off[C] = len(s.nodes)
-
+	if !s.sep {
+		return s
+	}
 	n := e.g.N()
-	s.offNode = make([]float64, n)
-	s.strength = make([]float64, n)
-	s.idleZero = make([]bool, n)
+	s.batch, s.offNode, s.strength, s.idleZero = s.separableRange, make([]float64, n), make([]float64, n), make([]bool, n)
 	for v := 0; v < n; v++ {
-		s.offNode[v] = e.effMarginal(v)
-		s.strength[v] = e.g.Strength(v)
+		o := e.effMarginal(v)
+		if math.Signbit(o) || math.IsNaN(o) {
+			panic(fmt.Sprintf("cost: ConfSweep needs +0 or positive routing offsets, node %d has %v", v, o))
+		}
+		s.offNode[v], s.strength[v] = o, e.g.Strength(v)
 		s.idleZero[v] = math.Float64bits(e.load.Value(s.strength[v], 0)) == 0
 	}
-	s.lastNode = make([]int, C)
-	s.lastSlot = make([]int32, C)
-	s.strSlot = make([]float64, total)
-	for i := 0; i < C; i++ {
-		s.lastNode[i] = s.nodes[s.off[i+1]-1]
-		s.lastSlot[i] = int32(s.off[i+1] - 1 - s.off[i])
-	}
-	for q, v := range s.nodes {
-		s.strSlot[q] = s.strength[v]
-	}
-
-	s.bestCost = make([]float64, C)
-	s.bestLat = make([]float64, C)
-	s.bestSlot = make([]int32, C)
-	s.latAcc = make([]float64, C)
-	s.eta = make([]float64, total)
 	return s
 }
-
-// Len returns the number of configurations in the sweep.
-func (s *ConfSweep) Len() int { return len(s.off) - 1 }
-
-// Config returns configuration i's server nodes. The slice is owned by the
-// sweep and must not be modified.
-func (s *ConfSweep) Config(i int) []int { return s.nodes[s.off[i]:s.off[i+1]] }
 
 // Sweep writes Access(configs[i], d).Total() into out[i] for every
 // configuration, bit-identical to calling Evaluator.Access per config.
@@ -168,17 +137,13 @@ func (s *ConfSweep) Sweep(d Demand, out []float64) {
 // graph.Infinity), which WFA's task costs need. latency must be nil or of
 // the same length as out.
 func (s *ConfSweep) SweepAccess(d Demand, out, latency []float64) {
-	C := s.Len()
+	C := len(s.off) - 1
 	if len(out) != C || (latency != nil && len(latency) != C) {
 		panic(fmt.Sprintf("cost: Sweep output lengths %d/%d for %d configurations", len(out), len(latency), C))
 	}
 	if d.Empty() {
-		for i := range out {
-			out[i] = 0
-		}
-		if latency != nil {
-			clear(latency)
-		}
+		clear(out)
+		clear(latency)
 		return
 	}
 	work := len(d.Pairs()) * C
@@ -194,10 +159,10 @@ func (s *ConfSweep) SweepAccess(d Demand, out, latency []float64) {
 	// allocates for its goroutines anyway.
 	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 || work < confSweepParallelThreshold {
-		s.sweepRange(d, 0, C, out)
+		s.batch(d, 0, C, out)
 	} else {
 		ParallelChunks(C, true, func(lo, hi int) {
-			s.sweepRange(d, lo, hi, out)
+			s.batch(d, lo, hi, out)
 		})
 	}
 	s.latOut = nil
@@ -252,106 +217,153 @@ func ParallelChunksWorkers(n, workers, grain int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// sweepRange evaluates configurations [lo, hi) with the kernel matching
-// the evaluator's routing regime.
-func (s *ConfSweep) sweepRange(d Demand, lo, hi int, out []float64) {
-	if s.sep {
-		s.separableRange(d, lo, hi, out)
-	} else {
-		s.genericRange(d, lo, hi, out)
-	}
-}
-
 // separableRange evaluates configurations [lo, hi) with the closed-form
-// routing of accessSeparable, sharing each pair's pinned distance row
-// across all configurations of the range and deriving each
-// configuration's minimum from its parent's.
+// routing of accessSeparable, one sibling run or full scan at a time.
 func (s *ConfSweep) separableRange(d Demand, lo, hi int, out []float64) {
-	off, parent := s.off, s.parent
-	nodes, lastNode, lastSlot := s.nodes, s.lastNode, s.lastSlot
-	bestCost, bestLat, bestSlot := s.bestCost, s.bestLat, s.bestSlot
-	latAcc, eta, offNode := s.latAcc, s.eta, s.offNode
-	clear(latAcc[lo:hi])
-	clear(eta[off[lo]:off[hi]])
-	for pi, p := range d.Pairs() {
-		row := s.rows[pi]
-		cnt := float64(p.Count)
-		for i := lo; i < hi; i++ {
-			var bc, bl float64
-			var bs int32
-			if pa := int(parent[i]); pa >= lo {
-				bc, bl, bs = bestCost[pa], bestLat[pa], bestSlot[pa]
-				last := lastNode[i]
-				if c := row[last] + offNode[last]; c < bc {
-					bc, bl, bs = c, row[last], lastSlot[i]
-				}
-			} else {
-				// Full scan, identical to accessSeparable's loop: strict
-				// improvements over MaxFloat64, first index wins ties, and
-				// the all-infinite case keeps slot 0.
-				o := off[i]
-				bc, bl, bs = math.MaxFloat64, row[nodes[o]], 0
-				for q := o; q < off[i+1]; q++ {
-					v := nodes[q]
-					if c := row[v] + offNode[v]; c < bc {
-						bc, bl, bs = c, row[v], int32(q-o)
-					}
-				}
-			}
-			bestCost[i], bestLat[i], bestSlot[i] = bc, bl, bs
-			latAcc[i] += cnt * bl
-			eta[off[i]+int(bs)] += cnt
-		}
+	pairs, w := d.Pairs(), s.scratch.Get().(*sweepScratch)
+	w.top = growI32(w.top, s.maxLen)
+	for l := range w.top {
+		w.top[l] = -1
 	}
-	s.loadPass(lo, hi, out)
-	if s.latOut != nil {
-		copy(s.latOut[lo:hi], s.latAcc[lo:hi])
+	if n := s.maxLen * len(pairs); cap(w.stack) < n {
+		w.stack = make([]minimum, n)
+	}
+	for i := lo; i < hi; {
+		j, pa := i+1, s.parent[i]
+		if pa >= 0 && w.top[s.off[i+1]-s.off[i]-2] == pa {
+			for j < hi && s.parent[j] == pa {
+				j++
+			}
+			s.run(w, pairs, i, j, j < hi && s.parent[j] == int32(j-1))
+		} else {
+			s.scan(w, pairs, i)
+		}
+		s.fold(w, i, j, out)
+		i = j
+	}
+	s.scratch.Put(w)
+}
+
+// scan evaluates configuration i with accessSeparable's loop (strict
+// improvements over MaxFloat64, first slot on ties) and pushes its minima.
+func (s *ConfSweep) scan(w *sweepScratch, pairs []NodeCount, i int) {
+	cfg, np := s.nodes[s.off[i]:s.off[i+1]], len(pairs)
+	l, mem := len(cfg)-1, append(w.mem[:0], member{})
+	w.mem, w.eta = mem, growF(w.eta, len(cfg))
+	for pi, p := range pairs {
+		row := s.rows[pi]
+		best := minimum{math.MaxFloat64, row[cfg[0]], 0}
+		for q, v := range cfg {
+			if c := row[v] + s.offNode[v]; c < best.cost {
+				best = minimum{c, row[v], q}
+			}
+		}
+		w.stack[l*np+pi] = best
+		mem[0].acc += float64(p.Count) * best.lat
+		w.eta[best.slot] += float64(p.Count)
+	}
+	w.top[l] = int32(i)
+}
+
+// run evaluates the sibling run [i, j) of l+1 nodes each, whose parent is
+// at stack level l-1; with push, the last member's minima go to level l.
+func (s *ConfSweep) run(w *sweepScratch, pairs []NodeCount, i, j int, push bool) {
+	r, l, np := j-i, s.off[i+1]-s.off[i]-1, len(pairs)
+	if cap(w.mem) < r {
+		w.mem = make([]member, r)
+	}
+	mem := w.mem[:r]
+	w.mem, w.eta, w.vol = mem, growF(w.eta, r*(l+1)), growF(w.vol, l)
+	for m := range mem {
+		v := s.nodes[s.off[i+m+1]-1]
+		mem[m] = member{v: v, off: s.offNode[v]}
+	}
+	body, tail, eta, vol := mem, &mem[r-1], w.eta, w.vol[:l]
+	if push {
+		body = mem[:r-1]
+		w.top[l] = int32(j - 1)
+	}
+	for pi, p := range pairs {
+		row, cnt, pm := s.rows[pi], float64(p.Count), w.stack[(l-1)*np+pi]
+		took := eta[pm.slot*r:][:r]
+		if len(body) > 0 {
+			steps(body, took, row, cnt, pm)
+		}
+		if push {
+			dist := row[tail.v]
+			c := dist + tail.off
+			lt := lessMask(c, int64(math.Float64bits(pm.cost)))
+			lat := pickBits(math.Float64bits(pm.lat), dist, lt)
+			w.stack[l*np+pi] = minimum{pickBits(math.Float64bits(pm.cost), c, lt), lat, pm.slot + (l-pm.slot)&int(lt)}
+			tail.acc += cnt * lat
+			took[r-1] += pickBits(0, cnt, lt)
+		}
+		vol[pm.slot] += cnt
+	}
+	// took[q·r+m] is what member m's new server took from parent slot q;
+	// the rest stayed there. Volumes are integer sums, so this is exact.
+	for q, v := range vol {
+		for m := range mem {
+			t := eta[q*r+m]
+			eta[q*r+m] = v - t
+			eta[l*r+m] += t
+		}
+		vol[q] = 0
 	}
 }
 
-// loadPass folds the per-server load values into the access totals, in
-// placement order per configuration (the order accessSeparable sums them).
-// Slots that received no requests contribute the node's idle load; when
-// that value is exactly +0.0 the addition cannot change any IEEE-754
-// accumulator (the sum starts at +0.0 and +0.0 + -0.0 = +0.0, so it never
-// becomes -0.0), and skipping it is bit-identical. The paper's two load
-// models are inlined — the expressions are identical to their Value
-// methods, so the results are too — which removes the per-slot interface
-// call from the hot loop.
-func (s *ConfSweep) loadPass(lo, hi int, out []float64) {
-	off, eta, latAcc, strSlot := s.off, s.eta, s.latAcc, s.strSlot
-	switch s.e.load.(type) {
-	case Linear:
-		for i := lo; i < hi; i++ {
-			sum := 0.0
-			for q := off[i]; q < off[i+1]; q++ {
-				if e := eta[q]; e != 0 {
-					sum += e / strSlot[q]
-				}
+// steps is the run kernel's inner loop, apart so its values stay in
+// registers: for one pair with parent minimum pm, member m's appended
+// server takes the pair, adding to took[m], exactly when it is strictly
+// cheaper — the full scan's answer, as it comes last.
+//
+//go:noinline
+func steps(body []member, took, row []float64, cnt float64, pm minimum) {
+	cb, lb := int64(math.Float64bits(pm.cost)), math.Float64bits(pm.lat)
+	took = took[:len(body)]
+	for m := range body {
+		x := &body[m]
+		dist := row[x.v]
+		lt := lessMask(dist+x.off, cb)
+		x.acc += cnt * pickBits(lb, dist, lt)
+		took[m] += pickBits(0, cnt, lt)
+	}
+}
+
+// lessMask is all ones when c < the cost with bit pattern c0, else zero.
+// Bits order like the floats as no cost is negative, −0 or NaN: latencies
+// and strengths are positive, graph.Infinity is MaxFloat64, and
+// NewConfSweep rejects offsets with the sign bit set or NaN.
+func lessMask(c float64, c0 int64) int64 {
+	return (int64(math.Float64bits(c)) - c0) >> 63
+}
+
+// pickBits returns x when mask is all ones, else the float with bits old.
+func pickBits(old uint64, x float64, mask int64) float64 {
+	return math.Float64frombits(old ^ (old^math.Float64bits(x))&uint64(mask))
+}
+
+// fold writes the totals of configurations [i, j), of one width, and
+// zeroes their volumes. Loads are summed in placement order; Linear's is
+// inlined (its Value's expression), and idle slots whose load is exactly
+// +0.0 are skipped, which cannot change a sum that starts at +0.0.
+func (s *ConfSweep) fold(w *sweepScratch, i, j int, out []float64) {
+	r, width := j-i, s.off[i+1]-s.off[i]
+	nodes, eta := s.nodes[s.off[i]:s.off[j]], w.eta[:r*width]
+	_, linear := s.e.load.(Linear)
+	for m, x := range w.mem[:r] {
+		sum := 0.0
+		for q, v := range nodes[m*width : (m+1)*width] {
+			if e := eta[q*r+m]; linear && e != 0 {
+				sum += e / s.strength[v]
+			} else if !linear && (e != 0 || !s.idleZero[v]) {
+				sum += s.e.load.Value(s.strength[v], e)
 			}
-			out[i] = latAcc[i] + sum
+			eta[q*r+m] = 0
 		}
-	case Quadratic:
-		for i := lo; i < hi; i++ {
-			sum := 0.0
-			for q := off[i]; q < off[i+1]; q++ {
-				if e := eta[q]; e != 0 {
-					r := e / strSlot[q]
-					sum += r * r
-				}
-			}
-			out[i] = latAcc[i] + sum
-		}
-	default:
-		load, nodes, idleZero := s.e.load, s.nodes, s.idleZero
-		for i := lo; i < hi; i++ {
-			sum := 0.0
-			for q := off[i]; q < off[i+1]; q++ {
-				if e := eta[q]; e != 0 || !idleZero[nodes[q]] {
-					sum += load.Value(strSlot[q], e)
-				}
-			}
-			out[i] = latAcc[i] + sum
+		out[i+m] = x.acc + sum
+		if s.latOut != nil {
+			s.latOut[i+m] = x.acc
 		}
 	}
 }

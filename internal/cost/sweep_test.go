@@ -1,8 +1,12 @@
 package cost
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -160,6 +164,177 @@ func TestConfSweepAllocationFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { swg.Sweep(d, out) }); avg != 0 {
 		t.Errorf("generic Sweep: %v allocs/op, want 0", avg)
 	}
+}
+
+// enumerateActiveSets lists the non-empty active sets of every state vector
+// over n nodes with at most maxServers occupied (each occupied node active
+// or inactive), in the order they first appear when the vectors are
+// enumerated node by node — the order OPT hands its active sets to the
+// sweep, in which many configurations precede their parents.
+func enumerateActiveSets(n, maxServers int) [][]int {
+	var out [][]int
+	seen := map[string]bool{}
+	var active []int
+	var rec func(i, total int)
+	rec = func(i, total int) {
+		if i == n {
+			if key := fmt.Sprint(active); len(active) > 0 && !seen[key] {
+				seen[key] = true
+				out = append(out, slices.Clone(active))
+			}
+			return
+		}
+		rec(i+1, total)
+		if total < maxServers {
+			rec(i+1, total+1) // inactive
+			active = append(active, i)
+			rec(i+1, total+1)
+			active = active[:len(active)-1]
+		}
+	}
+	rec(0, 0)
+	return out
+}
+
+// fuzzSubstrate builds a random substrate of 2..13 nodes from rng. Some
+// nodes start a new component instead of joining an earlier one, so
+// distance rows can hold graph.Infinity. Half the substrates draw small
+// integer latencies and strengths, so servers tie on effective distance
+// and the first-slot tie-break is exercised.
+func fuzzSubstrate(rng *rand.Rand) *graph.Graph {
+	n := 2 + rng.Intn(12)
+	ties := rng.Intn(2) == 0
+	draw := func(lo, span float64) float64 {
+		if ties {
+			return float64(1 + rng.Intn(int(span)))
+		}
+		return lo + span*rng.Float64()
+	}
+	g := graph.New(n)
+	for v := 1; v < n; v++ {
+		if rng.Intn(4) != 0 {
+			g.MustAddEdge(rng.Intn(v), v, draw(0.25, 3), 1)
+		}
+	}
+	for v := 0; v < n; v++ {
+		g.SetStrength(v, draw(0.25, 2))
+	}
+	return g
+}
+
+// FuzzConfSweep pins the sweep to the per-configuration Access loop by
+// exact float bits: totals from Sweep, latencies from SweepAccess, and the
+// separable range kernel driven over random chunk splits, which cut
+// through sibling runs and leave chunks whose first configurations lack a
+// parent. shape picks the load model, the routing policy and the space's
+// order (DFS, shuffled, or OPT's first appearance).
+func FuzzConfSweep(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, splits []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		g := fuzzSubstrate(rng)
+		n := g.N()
+		load := []LoadFunc{Linear{}, Quadratic{}, Power{P: 1}, Power{P: 2}}[shape%4]
+		policy := []Policy{AssignMinCost, AssignNearest}[shape>>2&1]
+		k := 1 + rng.Intn(min(n, 4))
+		var configs [][]int
+		switch shape >> 3 % 3 {
+		case 0:
+			configs = enumeratePlacementsDFS(n, k)
+		case 1:
+			configs = enumeratePlacementsDFS(n, k)
+			rng.Shuffle(len(configs), func(i, j int) { configs[i], configs[j] = configs[j], configs[i] })
+		default:
+			configs = enumerateActiveSets(n, k)
+		}
+		list := make([]int, 1+rng.Intn(30))
+		for i := range list {
+			list[i] = rng.Intn(n)
+		}
+		d := DemandFromList(list)
+		e := NewEvaluator(g, g.AllPairs(), load, policy)
+		sw := NewConfSweep(e, configs)
+		C := len(configs)
+		want := make([]AccessCost, C)
+		for i, c := range configs {
+			want[i] = e.Access(c, d)
+		}
+		check := func(how string, got, lat []float64) {
+			t.Helper()
+			for i := range configs {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i].Total()) {
+					t.Fatalf("%s (%s/%s, n=%d k=%d, %d configs): config %d %v: total %v, Access %+v",
+						how, load.Name(), policy, n, k, C, i, configs[i], got[i], want[i])
+				}
+				if lat != nil && math.Float64bits(lat[i]) != math.Float64bits(want[i].Latency) {
+					t.Fatalf("%s (%s/%s, n=%d k=%d, %d configs): config %d %v: latency %v, Access %+v",
+						how, load.Name(), policy, n, k, C, i, configs[i], lat[i], want[i])
+				}
+			}
+		}
+		got, lat := make([]float64, C), make([]float64, C)
+		sw.Sweep(d, got)
+		check("Sweep", got, nil)
+		sw.SweepAccess(d, got, lat)
+		check("SweepAccess", got, lat)
+		if !sw.sep {
+			return
+		}
+		cuts := []int{0, C}
+		for _, b := range splits[:min(len(splits), 16)] {
+			cuts = append(cuts, int(b)*C/256)
+		}
+		slices.Sort(cuts)
+		clear(got)
+		clear(lat)
+		sw.rows, sw.pinNodes = pinPairs(e.m, sw.rows, sw.pinNodes, d.Pairs())
+		sw.latOut = lat
+		for c := 1; c < len(cuts); c++ {
+			if cuts[c-1] < cuts[c] {
+				sw.separableRange(d, cuts[c-1], cuts[c], got)
+			}
+		}
+		sw.latOut = nil
+		check(fmt.Sprintf("chunks %v", cuts), got, lat)
+	})
+}
+
+// fakeLoad is a separable load model whose routing offset (the marginal
+// load) is bad on nodes of strength 7.
+type fakeLoad struct{ bad float64 }
+
+func (fakeLoad) Name() string                        { return "fake" }
+func (fakeLoad) Value(strength, eta float64) float64 { return eta / strength }
+func (l fakeLoad) Marginal(strength, _ float64) float64 {
+	if strength == 7 {
+		return l.bad
+	}
+	return 1 / strength
+}
+func (fakeLoad) Separable() bool { return true }
+
+// TestNewConfSweepRejectsSignedOffsets pins the kernel's precondition: a
+// routing offset with its sign bit set (negative or −0) or NaN would break
+// the bit-pattern comparison, so NewConfSweep refuses it, naming the node.
+func TestNewConfSweepRejectsSignedOffsets(t *testing.T) {
+	g := graph.New(4)
+	for v := 1; v < 4; v++ {
+		g.MustAddEdge(v-1, v, 1, 1)
+	}
+	g.SetStrength(2, 7)
+	configs := enumeratePlacementsDFS(4, 2)
+	for _, bad := range []float64{-0.5, math.Copysign(0, -1), math.NaN()} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "node 2") {
+					t.Errorf("offset %v: panic %q, want one naming node 2", bad, msg)
+				}
+			}()
+			NewConfSweep(NewEvaluator(g, g.AllPairs(), fakeLoad{bad}, AssignMinCost), configs)
+		}()
+	}
+	// +0 offsets (nearest routing) are fine.
+	NewConfSweep(NewEvaluator(g, g.AllPairs(), fakeLoad{math.NaN()}, AssignNearest), configs)
 }
 
 // TestHeapRouterMatchesNaiveGreedy drives the non-separable router with

@@ -21,9 +21,11 @@ import (
 //     lattice: WFA's per-round update and OPT's per-round recurrence
 //     (internal/offline) both call it.
 //   - configCluster partitions the DFS-ordered configuration list into
-//     coarse cells by server-set prefix (the same parent-prefix order
-//     cost.ConfSweep exploits), giving O(k)-time lower bounds on the
-//     transition shape between whole groups of configurations.
+//     coarse cells by server-set prefix, giving O(k)-time lower bounds on
+//     the transition shape between whole groups of configurations. (The
+//     same DFS order lets cost.ConfSweep find each configuration's parent
+//     as the latest configuration one server shorter and evaluate sibling
+//     runs against it.)
 //   - checkConfigSpace is the shared Reset guard, now reporting the memory
 //     a space implies instead of a bare count, with the bound overridable
 //     per algorithm (MaxConfigs / -maxconfigs).
@@ -486,11 +488,14 @@ func checkConfigSpace(alg, hint string, n, k, bound int) error {
 	if full > probe {
 		count = "over 2^40"
 	}
-	// ≈(130 + 40k + 4·2^k) bytes per configuration, an upper estimate: the
-	// placement itself, the per-config float slices (work/scratch/counters,
-	// the work-function kernel's slot minima), and the kernel's subset
-	// lattice (up to 2^k int32 entries per configuration).
-	linear := float64(full) * (130 + 40*float64(k) + 4*math.Pow(2, float64(k)))
+	// ≈(120 + 24k + 4·2^k) bytes per configuration, an upper estimate for
+	// WFA (ONCONF holds less): the placement (24 + 8k), five per-config
+	// floats (work, scratch, running cost, the round's access totals and
+	// latencies: 40), the list handed to cost.NewConfSweep (24), the
+	// sweep's flattened nodes, offset and parent link (12 + 8k), and the
+	// work-function kernel's sizes and offsets (9), subset lattice (up to
+	// 2^k int32 entries) and slot values (at most k+1 float64s).
+	linear := float64(full) * (120 + 24*float64(k) + 4*math.Pow(2, float64(k)))
 	dense := 8 * float64(full) * float64(full)
 	return fmt.Errorf("%s: configuration space of %s placements (n=%d, k=%d) exceeds the bound %d: tracking it takes ≈%s of O(C) state (a dense C² transition matrix would need %s)%s — raise MaxConfigs (figures/flexserve -maxconfigs) if the O(C) footprint fits",
 		alg, count, n, k, bound, humanBytes(linear), humanBytes(dense), hint)
