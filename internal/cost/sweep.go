@@ -3,6 +3,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -15,17 +16,17 @@ import (
 //
 // A configuration's parent (itself minus its last node) is, in the DFS
 // order of core.EnumeratePlacements, the latest configuration one node
-// shorter. A separable sweep walks each worker's range in order with a
-// stack holding, per length, the per-pair minimum of the latest
-// configuration of that length. Siblings whose parent is on the stack
-// step as one run, pairs-outer and members-inner, each member keeping its
-// parent's minimum or taking its appended server without a data-dependent
-// branch; only the last member, the one later configurations can extend,
-// is pushed. Any other configuration takes the full scan. The same server
-// wins each pair as in Evaluator.Access, latency accumulates in pair
-// order, volumes are integer sums and loads are summed in placement
-// order, so Sweep is bit-identical to per-config Access for any worker
-// count (TestConfSweepMatchesNaive, FuzzConfSweep).
+// shorter, and it comes right before its first child. A separable sweep
+// walks each worker's range in order with a stack holding, per level, the
+// per-pair minima of the latest configuration of that many nodes that the
+// next configuration extends. A configuration whose parent is on the stack
+// steps once per pair from the parent's minimum, keeping it or taking its
+// appended server without a data-dependent branch; any other
+// configuration takes the full scan. The same server wins each pair as in
+// Evaluator.Access, latency accumulates in pair order, volumes are integer
+// sums and loads are summed in placement order, so Sweep is bit-identical
+// to per-config Access for any worker count (TestConfSweepMatchesNaive,
+// FuzzConfSweep).
 //
 // A ConfSweep is not safe for concurrent use; each algorithm instance owns
 // one. Steady-state serial Sweep calls are allocation-free.
@@ -34,10 +35,10 @@ type ConfSweep struct {
 	sep   bool
 	batch func(d Demand, lo, hi int, out []float64) // separableRange or genericRange
 
-	nodes  []int   // concatenated per-config server node lists
-	off    []int   // config i's nodes are nodes[off[i]:off[i+1]]; len = C+1
-	parent []int32 // latest earlier config equal to config i minus its last node; -1 if none
-	maxLen int     // nodes in the longest configuration
+	nodes  []int  // concatenated per-config server node lists
+	off    []int  // config i's nodes are nodes[off[i]:off[i+1]]; len = C+1
+	link   []link // per config, its last server, stack levels and parent
+	maxLen int    // nodes in the longest configuration
 
 	offNode  []float64 // per-node routing offset (separable path)
 	strength []float64 // per-node strength
@@ -51,14 +52,22 @@ type ConfSweep struct {
 	scratch  sync.Pool // of *sweepScratch, one per separable worker
 }
 
-// sweepScratch is a separable worker's state: the stack, whose level l
-// holds the minima of configuration top[l], and the buffers of one run.
+// link is a configuration's place in the sweep: its last server v, its
+// level l (nodes − 1), the stack level it pushes its minima to (l when the
+// next configuration extends it, else the spare level maxLen) and its
+// parent when that one pushes, else −1.
+type link struct {
+	v, l, to, pa int32
+}
+
+// sweepScratch is a separable worker's state: the stack levels, the
+// round's counts and distances, and the volumes of the configuration
+// being evaluated (zero between configurations).
 type sweepScratch struct {
-	top   []int32
-	stack []minimum // pair pi's level l at [l·pairs + pi]
-	mem   []member
-	eta   []float64 // member m's slot q at eta[q·members+m]
-	vol   []float64 // per parent slot: its volume over the run (eta, vol zero between runs)
+	lv   [][]minimum // per level, one minimum per pair
+	cnt  []float64   // per pair, its request count
+	dist []float64   // node v's distance to pair pi at [v·pairs + pi]
+	eta  []float64   // per slot, its volume
 }
 
 // minimum is a configuration's choice for one pair: the least effective
@@ -66,12 +75,6 @@ type sweepScratch struct {
 type minimum struct {
 	cost, lat float64
 	slot      int
-}
-
-// member is a run configuration: appended server, its offset, latency sum.
-type member struct {
-	v        int
-	off, acc float64
 }
 
 // confSweepParallelThreshold is the pairs×configs work below which the
@@ -95,20 +98,36 @@ func NewConfSweep(e *Evaluator, configs [][]int) *ConfSweep {
 		s.maxLen = max(s.maxLen, len(c))
 	}
 	C := len(configs)
-	s.nodes, s.off, s.parent = make([]int, 0, total), make([]int, C+1), make([]int32, C)
+	s.nodes, s.off, s.link = make([]int, 0, total), make([]int, C+1), make([]link, C)
 	// latest[l] is the latest configuration of l nodes. Orders other than
 	// DFS may find fewer parents; the prefix check keeps each one genuine.
 	latest := slices.Repeat([]int{-1}, s.maxLen+1)
 	for i, c := range configs {
 		s.off[i] = len(s.nodes)
 		s.nodes = append(s.nodes, c...)
-		s.parent[i] = -1
-		if pa := latest[len(c)-1]; pa >= 0 && slices.Equal(configs[pa], c[:len(c)-1]) {
-			s.parent[i] = int32(pa)
+		l := len(c) - 1
+		s.link[i] = link{v: int32(c[l]), l: int32(l), to: int32(s.maxLen), pa: -1}
+		if pa := latest[l]; pa >= 0 && slices.Equal(configs[pa], c[:l]) {
+			s.link[i].pa = int32(pa)
 		}
-		latest[len(c)] = i
+		latest[l+1] = i
 	}
 	s.off[C] = len(s.nodes)
+	// A configuration pushes its minima onto the stack when the next one
+	// extends it. They stay until a later configuration of the same length
+	// pushes, and that one is then the latest of its length, so every
+	// child linked to them finds them. A child of a configuration that does
+	// not push takes the full scan.
+	for i := 1; i < C; i++ {
+		if pa := s.link[i].pa; pa == int32(i-1) {
+			s.link[pa].to = s.link[pa].l
+		}
+	}
+	for i := range s.link {
+		if pa := s.link[i].pa; pa >= 0 && s.link[pa].to == int32(s.maxLen) {
+			s.link[i].pa = -1
+		}
+	}
 	if !s.sep {
 		return s
 	}
@@ -218,116 +237,109 @@ func ParallelChunksWorkers(n, workers, grain int, fn func(lo, hi int)) {
 }
 
 // separableRange evaluates configurations [lo, hi) with the closed-form
-// routing of accessSeparable, one sibling run or full scan at a time.
+// routing of accessSeparable: from the parent's minima when the parent is
+// in the range (and so on the stack), by the full scan otherwise.
 func (s *ConfSweep) separableRange(d Demand, lo, hi int, out []float64) {
 	pairs, w := d.Pairs(), s.scratch.Get().(*sweepScratch)
-	w.top = growI32(w.top, s.maxLen)
-	for l := range w.top {
-		w.top[l] = -1
+	np, n := len(pairs), len(s.offNode)
+	if cap(w.lv) <= s.maxLen {
+		w.lv = make([][]minimum, s.maxLen+1)
 	}
-	if n := s.maxLen * len(pairs); cap(w.stack) < n {
-		w.stack = make([]minimum, n)
-	}
-	for i := lo; i < hi; {
-		j, pa := i+1, s.parent[i]
-		if pa >= 0 && w.top[s.off[i+1]-s.off[i]-2] == pa {
-			for j < hi && s.parent[j] == pa {
-				j++
-			}
-			s.run(w, pairs, i, j, j < hi && s.parent[j] == int32(j-1))
-		} else {
-			s.scan(w, pairs, i)
+	w.lv = w.lv[:s.maxLen+1]
+	for l := range w.lv {
+		if cap(w.lv[l]) < np {
+			w.lv[l] = make([]minimum, np)
 		}
-		s.fold(w, i, j, out)
-		i = j
+		w.lv[l] = w.lv[l][:np]
+	}
+	w.cnt, w.dist, w.eta = growF(w.cnt, np), growF(w.dist, n*np), growF(w.eta, s.maxLen)
+	for pi, p := range pairs {
+		w.cnt[pi] = float64(p.Count)
+		for v, x := range s.rows[pi][:n] {
+			w.dist[v*np+pi] = x
+		}
+	}
+	_, linear := s.e.load.(Linear)
+	eta, cnt := w.eta, w.cnt
+	for i := lo; i < hi; i++ {
+		x := s.link[i]
+		var acc float64
+		// touched has bit q set when slot q (slots past 62: bit 63) took
+		// a pair; d is not empty, so some bit is set.
+		var touched uint64
+		if x.pa >= int32(lo) {
+			src, dst := w.lv[x.l-1], w.lv[x.to]
+			col, ov, l := w.dist[int(x.v)*np:][:len(src)], s.offNode[x.v], int(x.l)
+			dst, cnt = dst[:len(src)], cnt[:len(src)]
+			for pi, pm := range src {
+				dist := col[pi]
+				c := dist + ov
+				lt := lessMask(c, int64(math.Float64bits(pm.cost)))
+				lat := pickBits(math.Float64bits(pm.lat), dist, lt)
+				slot := pm.slot + (l-pm.slot)&int(lt)
+				dst[pi] = minimum{pickBits(math.Float64bits(pm.cost), c, lt), lat, slot}
+				acc += cnt[pi] * lat
+				eta[slot] += cnt[pi]
+				touched |= 1 << min(slot, 63)
+			}
+		} else {
+			acc, touched = s.scan(w, s.nodes[s.off[i]:s.off[i+1]], w.lv[x.to])
+		}
+		// Loads in placement order. A slot that took no pair adds its idle
+		// load, skipped when that is +0.0 (always, for Linear): it cannot
+		// change a sum that starts at +0.0.
+		sum := 0.0
+		if linear {
+			cfg := s.nodes[s.off[i]:s.off[i+1]]
+			for {
+				q := bits.TrailingZeros64(touched)
+				if q == 63 {
+					for ; q < len(cfg); q++ {
+						sum += eta[q] / s.strength[cfg[q]]
+						eta[q] = 0
+					}
+					break
+				}
+				sum += eta[q] / s.strength[cfg[q]]
+				eta[q] = 0
+				if touched &= touched - 1; touched == 0 {
+					break
+				}
+			}
+		} else {
+			for q, v := range s.nodes[s.off[i]:s.off[i+1]] {
+				if e := eta[q]; e != 0 || !s.idleZero[v] {
+					sum += s.e.load.Value(s.strength[v], e)
+				}
+				eta[q] = 0
+			}
+		}
+		out[i] = acc + sum
+		if s.latOut != nil {
+			s.latOut[i] = acc
+		}
 	}
 	s.scratch.Put(w)
 }
 
-// scan evaluates configuration i with accessSeparable's loop (strict
-// improvements over MaxFloat64, first slot on ties) and pushes its minima.
-func (s *ConfSweep) scan(w *sweepScratch, pairs []NodeCount, i int) {
-	cfg, np := s.nodes[s.off[i]:s.off[i+1]], len(pairs)
-	l, mem := len(cfg)-1, append(w.mem[:0], member{})
-	w.mem, w.eta = mem, growF(w.eta, len(cfg))
-	for pi, p := range pairs {
-		row := s.rows[pi]
-		best := minimum{math.MaxFloat64, row[cfg[0]], 0}
+// scan evaluates cfg with accessSeparable's loop (strict improvements over
+// MaxFloat64, first slot on ties), writing its minima to dst and its
+// volumes to w.eta; it returns the latency and the touched slots.
+func (s *ConfSweep) scan(w *sweepScratch, cfg []int, dst []minimum) (acc float64, touched uint64) {
+	np := len(w.cnt)
+	for pi, cnt := range w.cnt {
+		best := minimum{math.MaxFloat64, w.dist[cfg[0]*np+pi], 0}
 		for q, v := range cfg {
-			if c := row[v] + s.offNode[v]; c < best.cost {
-				best = minimum{c, row[v], q}
+			if c := w.dist[v*np+pi] + s.offNode[v]; c < best.cost {
+				best = minimum{c, w.dist[v*np+pi], q}
 			}
 		}
-		w.stack[l*np+pi] = best
-		mem[0].acc += float64(p.Count) * best.lat
-		w.eta[best.slot] += float64(p.Count)
+		dst[pi] = best
+		acc += cnt * best.lat
+		w.eta[best.slot] += cnt
+		touched |= 1 << min(best.slot, 63)
 	}
-	w.top[l] = int32(i)
-}
-
-// run evaluates the sibling run [i, j) of l+1 nodes each, whose parent is
-// at stack level l-1; with push, the last member's minima go to level l.
-func (s *ConfSweep) run(w *sweepScratch, pairs []NodeCount, i, j int, push bool) {
-	r, l, np := j-i, s.off[i+1]-s.off[i]-1, len(pairs)
-	if cap(w.mem) < r {
-		w.mem = make([]member, r)
-	}
-	mem := w.mem[:r]
-	w.mem, w.eta, w.vol = mem, growF(w.eta, r*(l+1)), growF(w.vol, l)
-	for m := range mem {
-		v := s.nodes[s.off[i+m+1]-1]
-		mem[m] = member{v: v, off: s.offNode[v]}
-	}
-	body, tail, eta, vol := mem, &mem[r-1], w.eta, w.vol[:l]
-	if push {
-		body = mem[:r-1]
-		w.top[l] = int32(j - 1)
-	}
-	for pi, p := range pairs {
-		row, cnt, pm := s.rows[pi], float64(p.Count), w.stack[(l-1)*np+pi]
-		took := eta[pm.slot*r:][:r]
-		if len(body) > 0 {
-			steps(body, took, row, cnt, pm)
-		}
-		if push {
-			dist := row[tail.v]
-			c := dist + tail.off
-			lt := lessMask(c, int64(math.Float64bits(pm.cost)))
-			lat := pickBits(math.Float64bits(pm.lat), dist, lt)
-			w.stack[l*np+pi] = minimum{pickBits(math.Float64bits(pm.cost), c, lt), lat, pm.slot + (l-pm.slot)&int(lt)}
-			tail.acc += cnt * lat
-			took[r-1] += pickBits(0, cnt, lt)
-		}
-		vol[pm.slot] += cnt
-	}
-	// took[q·r+m] is what member m's new server took from parent slot q;
-	// the rest stayed there. Volumes are integer sums, so this is exact.
-	for q, v := range vol {
-		for m := range mem {
-			t := eta[q*r+m]
-			eta[q*r+m] = v - t
-			eta[l*r+m] += t
-		}
-		vol[q] = 0
-	}
-}
-
-// steps is the run kernel's inner loop, apart so its values stay in
-// registers: for one pair with parent minimum pm, member m's appended
-// server takes the pair, adding to took[m], exactly when it is strictly
-// cheaper — the full scan's answer, as it comes last.
-//
-//go:noinline
-func steps(body []member, took, row []float64, cnt float64, pm minimum) {
-	cb, lb := int64(math.Float64bits(pm.cost)), math.Float64bits(pm.lat)
-	took = took[:len(body)]
-	for m := range body {
-		x := &body[m]
-		dist := row[x.v]
-		lt := lessMask(dist+x.off, cb)
-		x.acc += cnt * pickBits(lb, dist, lt)
-		took[m] += pickBits(0, cnt, lt)
-	}
+	return acc, touched
 }
 
 // lessMask is all ones when c < the cost with bit pattern c0, else zero.
@@ -341,31 +353,6 @@ func lessMask(c float64, c0 int64) int64 {
 // pickBits returns x when mask is all ones, else the float with bits old.
 func pickBits(old uint64, x float64, mask int64) float64 {
 	return math.Float64frombits(old ^ (old^math.Float64bits(x))&uint64(mask))
-}
-
-// fold writes the totals of configurations [i, j), of one width, and
-// zeroes their volumes. Loads are summed in placement order; Linear's is
-// inlined (its Value's expression), and idle slots whose load is exactly
-// +0.0 are skipped, which cannot change a sum that starts at +0.0.
-func (s *ConfSweep) fold(w *sweepScratch, i, j int, out []float64) {
-	r, width := j-i, s.off[i+1]-s.off[i]
-	nodes, eta := s.nodes[s.off[i]:s.off[j]], w.eta[:r*width]
-	_, linear := s.e.load.(Linear)
-	for m, x := range w.mem[:r] {
-		sum := 0.0
-		for q, v := range nodes[m*width : (m+1)*width] {
-			if e := eta[q*r+m]; linear && e != 0 {
-				sum += e / s.strength[v]
-			} else if !linear && (e != 0 || !s.idleZero[v]) {
-				sum += s.e.load.Value(s.strength[v], e)
-			}
-			eta[q*r+m] = 0
-		}
-		out[i+m] = x.acc + sum
-		if s.latOut != nil {
-			s.latOut[i+m] = x.acc
-		}
-	}
 }
 
 // genericRange evaluates configurations [lo, hi) with the full routing

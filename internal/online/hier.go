@@ -24,8 +24,8 @@ import (
 //     coarse cells by server-set prefix, giving O(k)-time lower bounds on
 //     the transition shape between whole groups of configurations. (The
 //     same DFS order lets cost.ConfSweep find each configuration's parent
-//     as the latest configuration one server shorter and evaluate sibling
-//     runs against it.)
+//     as the latest configuration one server shorter and derive its
+//     minima from the parent's.)
 //   - checkConfigSpace is the shared Reset guard, now reporting the memory
 //     a space implies instead of a bare count, with the bound overridable
 //     per algorithm (MaxConfigs / -maxconfigs).
@@ -488,14 +488,14 @@ func checkConfigSpace(alg, hint string, n, k, bound int) error {
 	if full > probe {
 		count = "over 2^40"
 	}
-	// ≈(120 + 24k + 4·2^k) bytes per configuration, an upper estimate for
+	// ≈(130 + 24k + 4·2^k) bytes per configuration, an upper estimate for
 	// WFA (ONCONF holds less): the placement (24 + 8k), five per-config
 	// floats (work, scratch, running cost, the round's access totals and
 	// latencies: 40), the list handed to cost.NewConfSweep (24), the
-	// sweep's flattened nodes, offset and parent link (12 + 8k), and the
+	// sweep's flattened nodes, offset and link (24 + 8k), and the
 	// work-function kernel's sizes and offsets (9), subset lattice (up to
 	// 2^k int32 entries) and slot values (at most k+1 float64s).
-	linear := float64(full) * (120 + 24*float64(k) + 4*math.Pow(2, float64(k)))
+	linear := float64(full) * (130 + 24*float64(k) + 4*math.Pow(2, float64(k)))
 	dense := 8 * float64(full) * float64(full)
 	return fmt.Errorf("%s: configuration space of %s placements (n=%d, k=%d) exceeds the bound %d: tracking it takes ≈%s of O(C) state (a dense C² transition matrix would need %s)%s — raise MaxConfigs (figures/flexserve -maxconfigs) if the O(C) footprint fits",
 		alg, count, n, k, bound, humanBytes(linear), humanBytes(dense), hint)
