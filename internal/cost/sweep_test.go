@@ -46,26 +46,14 @@ func naiveConfLoop(e *Evaluator, configs [][]int, d Demand, out []float64) {
 
 // TestConfSweepMatchesNaive pins Sweep to the per-config Access loop with
 // exact float equality, over separable and non-separable loads, both
-// routing policies, DFS-ordered and shuffled (parent-less) spaces.
+// routing policies, DFS-ordered and shuffled (parent-less) spaces, and
+// configurations of more than 64 servers.
 func TestConfSweepMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(907))
 	loads := []LoadFunc{Linear{}, Quadratic{}, Power{P: 1}, Power{P: 2.5}}
 	policies := []Policy{AssignMinCost, AssignNearest}
-	for trial := 0; trial < 40; trial++ {
-		g, m, _, d := randomParityInstance(rng)
-		n := g.N()
-		k := 1 + rng.Intn(3)
-		configs := enumeratePlacementsDFS(n, k)
-		if trial%3 == 2 {
-			// Shuffled order: parents are (mostly) unavailable and every
-			// configuration takes the full-scan fallback.
-			rng.Shuffle(len(configs), func(i, j int) {
-				configs[i], configs[j] = configs[j], configs[i]
-			})
-		}
-		load := loads[trial%len(loads)]
-		policy := policies[trial%len(policies)]
-		e := NewEvaluator(g, m, load, policy)
+	check := func(trial int, e *Evaluator, configs [][]int, d Demand) {
+		t.Helper()
 		sw := NewConfSweep(e, configs)
 		got := make([]float64, len(configs))
 		want := make([]float64, len(configs))
@@ -74,7 +62,7 @@ func TestConfSweepMatchesNaive(t *testing.T) {
 		for i := range configs {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d (%s/%s, %d configs): config %d %v: sweep %v, naive %v",
-					trial, load.Name(), policy, len(configs), i, configs[i], got[i], want[i])
+					trial, e.load.Name(), e.policy, len(configs), i, configs[i], got[i], want[i])
 			}
 		}
 		// Empty demand short-circuit.
@@ -87,6 +75,54 @@ func TestConfSweepMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+	for trial := 0; trial < 40; trial++ {
+		g, m, _, d := randomParityInstance(rng)
+		n := g.N()
+		k := 1 + rng.Intn(3)
+		configs := enumeratePlacementsDFS(n, k)
+		if trial%3 == 2 {
+			// Shuffled order: parents are (mostly) unavailable and every
+			// configuration takes the full-scan fallback.
+			rng.Shuffle(len(configs), func(i, j int) {
+				configs[i], configs[j] = configs[j], configs[i]
+			})
+		}
+		check(trial, NewEvaluator(g, m, loads[trial%len(loads)], policies[trial%len(policies)]), configs, d)
+	}
+	// Slots past 62 share one bit of the kernel's touched-slot mask: in
+	// DFS order, the prefixes {0, …, l-1} of a 90-node line, then each
+	// prefix's sibling {0, …, l-2, l}, under demand spread over the line.
+	const n = 90
+	g := graph.New(n)
+	for v := 1; v < n; v++ {
+		g.MustAddEdge(v-1, v, 0.25+4*rng.Float64(), 1)
+	}
+	for v := 0; v < n; v++ {
+		g.SetStrength(v, 0.25+3*rng.Float64())
+	}
+	var configs [][]int
+	for l := 1; l <= n; l++ {
+		configs = append(configs, firstNodes(l))
+	}
+	for l := n - 1; l >= 1; l-- {
+		configs = append(configs, append(firstNodes(l-1), l))
+	}
+	list := make([]int, 300)
+	for i := range list {
+		list[i] = rng.Intn(n)
+	}
+	for trial := range 4 {
+		check(40+trial, NewEvaluator(g, g.AllPairs(), loads[trial], policies[trial%2]), configs, DemandFromList(list))
+	}
+}
+
+// firstNodes returns 0, 1, …, n-1.
+func firstNodes(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
 }
 
 // TestConfSweepWorkerCountIndependent pins that chunked fan-out (which
