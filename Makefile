@@ -15,6 +15,7 @@ test:
 lint:
 	bash scripts/lint.sh
 
-# Hot-path benchmark snapshot with delta vs the previous PR's baseline.
+# Every end-to-end workload of the repo benchmark (bench/run.sh; A/B with
+# `bash bench/run.sh --compare parent/ change/`).
 bench:
-	bash scripts/bench.sh
+	bash bench/run.sh --seed 1

@@ -84,10 +84,9 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "fixed per-cell response deadline for pooled backends (0 = adaptive over observed cell times)")
 	drainTimeout := flag.Duration("drain-timeout", 0, "how long a drain (SIGINT/SIGTERM) waits for in-flight cells (0 = 30s)")
 	resume := flag.Bool("resume", false, "evaluate the cells missing from the partials in -partials and write a resume partial")
-	faultInject := flag.String("faultinject", "", "internal/testing: inject a worker fault, kind:N[:delay] with kind exit|wedge|slow|garbage|disconnect (bare N = exit:N); applies to the first spawned worker with -procs, to this worker with -worker -connect")
+	faultInject := flag.String("faultinject", "", "testing: inject one worker fault, kind:N[:delay] with kind exit|wedge|slow|garbage|disconnect; exit:N exits right after response N, and a bare N means exit:N. The first spawned worker gets it with -procs (through FIGURES_FAULT), this worker with -worker -connect")
 	workerFlag := flag.Bool("worker", false, "internal: serve cells on stdin/stdout (SPEC lines select the grid), or over TCP with -connect")
 	connect := flag.String("connect", "", "with -worker: dial the coordinator at this address and serve cells over TCP, reconnecting with backoff")
-	spec := flag.String("spec", "", "internal: spec served in -worker mode before any SPEC line")
 	flag.Parse()
 
 	fault, err := runner.ParseFault(*faultInject)
@@ -104,7 +103,7 @@ func main() {
 			}
 			return
 		}
-		if err := runWorker(*spec, opts); err != nil {
+		if err := runWorker(opts); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -160,7 +159,7 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("waiting for workers on %s", tr.Addr())
-		pool := runner.NewPoolTransport(tr, cfg)
+		pool := runner.NewPool(tr, cfg)
 		defer pool.Close()
 		if err := runPooled(pool, selected, opts, *csvDir, *partials); err != nil {
 			log.Fatal(err)
@@ -173,8 +172,7 @@ func main() {
 	// so they stay local.
 	var pool *runner.Pool
 	if *procs > 0 && !*merge && *plan == 0 {
-		pool = runner.NewPoolTransport(
-			&runner.PipeTransport{N: *procs, Command: workerCommand(opts, fault)}, cfg)
+		pool = runner.NewPool(&runner.PipeTransport{N: *procs, Command: workerCommand(opts, fault)}, cfg)
 		defer pool.Close()
 	}
 	if pool != nil && shardTotal == 0 && !*resume {
@@ -255,7 +253,7 @@ func runPooled(pool *runner.Pool, selected []string, opts experiments.Options, c
 	}()
 
 	start := time.Now() //repcheck:allow-wallclock progress log only; figure bytes come from seeded runs
-	grids, err := pool.RunAllGrids(specs, func(i int, g *runner.Grid) error {
+	grids, err := pool.RunAll(specs, nil, func(i int, g *runner.Grid) error {
 		tab, rerr := runner.Reduce(specs[i], g)
 		if rerr != nil {
 			return fmt.Errorf("figure %s: %w", selected[i], rerr)
@@ -382,29 +380,17 @@ func writeCSV(dir, name string, tab *trace.Table) error {
 // runWorker serves cells over stdin/stdout — the subprocess half of the
 // pooled backend. The coordinator selects grids with SPEC protocol lines
 // (any registered experiment name), so one worker process serves cells from
-// successive figures; -spec optionally names the grid served before any
-// SPEC line. The experiment options arrive on the command line, so both
-// sides build the identical grid.
-func runWorker(name string, o experiments.Options) error {
-	var initial *runner.Spec
-	if name != "" {
-		sp, err := experiments.NewSpec(name, o)
-		if err != nil {
-			return err
-		}
-		initial = sp
-	}
-	var out io.Writer = os.Stdout
-	if n, _ := strconv.Atoi(os.Getenv("FIGURES_DIE_AFTER")); n > 0 {
-		out = &runner.DieAfterWriter{W: os.Stdout, Lines: n}
-	}
+// successive figures. The experiment options arrive on the command line, so
+// both sides build the identical grid; FIGURES_FAULT optionally injects one
+// fault (-faultinject syntax).
+func runWorker(o experiments.Options) error {
 	fault, err := runner.ParseFault(os.Getenv("FIGURES_FAULT"))
 	if err != nil {
 		return err
 	}
-	err = runner.ServePoolOpts(initial, func(name string) (*runner.Spec, error) {
+	err = runner.ServePool(func(name string) (*runner.Spec, error) {
 		return experiments.NewSpec(name, o)
-	}, os.Stdin, out, runner.ServeOptions{Fault: fault})
+	}, os.Stdin, os.Stdout, runner.ServeOptions{Fault: fault})
 	if errors.Is(err, runner.ErrBye) {
 		return nil
 	}
@@ -484,10 +470,14 @@ func runShard(sp *runner.Spec, o experiments.Options, idx, total, workers int, d
 // in-process Local pool otherwise. Both produce identical grids — cell
 // results depend only on (figure, options, cell index).
 func runCellSubset(sp *runner.Spec, idxs []int, workers int, pool *runner.Pool) (*runner.Grid, error) {
-	if pool != nil {
-		return pool.RunCells(sp, idxs)
+	if pool == nil {
+		return runner.Local{Workers: workers, Cells: idxs}.Run(sp)
 	}
-	return runner.CellSet{Idxs: idxs, Workers: workers}.Run(sp)
+	grids, err := pool.RunAll([]*runner.Spec{sp}, [][]int{idxs}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return grids[0], nil
 }
 
 func shardFile(name string, idx, total int) string {

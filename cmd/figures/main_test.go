@@ -19,16 +19,16 @@ import (
 )
 
 func TestMain(m *testing.M) {
-	// Re-executed as a -worker subprocess by TestWorkerModeRoundTrip: serve
-	// the named spec on stdin/stdout exactly as `figures -worker` would.
-	if name := os.Getenv("FIGURES_TEST_WORKER"); name != "" {
+	// Re-executed as a -worker subprocess by the worker-mode tests: serve
+	// cells on stdin/stdout exactly as `figures -worker` would.
+	if os.Getenv("FIGURES_TEST_WORKER") != "" {
 		seed, err := strconv.ParseInt(os.Getenv("FIGURES_TEST_SEED"), 10, 64)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		o := experiments.Options{Quick: true, Seed: seed}
-		if err := runWorker(name, o); err != nil {
+		if err := runWorker(o); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -131,22 +131,9 @@ func TestWorkerModeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := runner.Procs{
-		N: 2,
-		Command: func() (*exec.Cmd, error) {
-			cmd := exec.Command(exe)
-			cmd.Env = append(os.Environ(),
-				"FIGURES_TEST_WORKER=13",
-				"FIGURES_TEST_SEED=7")
-			cmd.Stderr = os.Stderr
-			return cmd, nil
-		},
-	}
-	got, err := runner.Run(sp, procs)
+	pool := runner.NewPool(&runner.PipeTransport{N: 2, Command: testWorkerCmd(t, o.Seed, "")}, runner.Config{})
+	defer pool.Close()
+	got, err := runner.Run(sp, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,22 +159,15 @@ func TestWorkerModeFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var spawned atomic.Int64
-	pool := runner.NewPool(2, 0, func() (*exec.Cmd, error) {
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(),
-			"FIGURES_TEST_WORKER=13",
-			"FIGURES_TEST_SEED=7")
+	healthy := testWorkerCmd(t, o.Seed, "")
+	faulty := testWorkerCmd(t, o.Seed, "exit:2")
+	pool := runner.NewPool(&runner.PipeTransport{N: 2, Command: func() (*exec.Cmd, error) {
 		if spawned.Add(1) == 1 {
-			cmd.Env = append(cmd.Env, "FIGURES_DIE_AFTER=2")
+			return faulty()
 		}
-		cmd.Stderr = os.Stderr
-		return cmd, nil
-	})
+		return healthy()
+	}}, runner.Config{})
 	defer pool.Close()
 	g, err := pool.Run(sp)
 	if err != nil {
@@ -414,10 +394,6 @@ func TestWorkerModeFaultMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, mode := range []string{"exit:2", "garbage:2", "disconnect:2", "slow:1:50ms", "wedge:2:2s"} {
 		t.Run(mode, func(t *testing.T) {
 			fault, err := runner.ParseFault(mode)
@@ -425,20 +401,17 @@ func TestWorkerModeFaultMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			var spawned atomic.Int64
+			healthy := testWorkerCmd(t, o.Seed, "")
+			faulty := testWorkerCmd(t, o.Seed, fault.String())
 			// One slot, so the faulty first worker necessarily serves the
 			// cell that arms its fault.
-			pool := runner.NewPoolTransport(&runner.PipeTransport{
+			pool := runner.NewPool(&runner.PipeTransport{
 				N: 1,
 				Command: func() (*exec.Cmd, error) {
-					cmd := exec.Command(exe)
-					cmd.Env = append(os.Environ(),
-						"FIGURES_TEST_WORKER=13",
-						"FIGURES_TEST_SEED=7")
 					if spawned.Add(1) == 1 {
-						cmd.Env = append(cmd.Env, "FIGURES_FAULT="+fault.String())
+						return faulty()
 					}
-					cmd.Stderr = os.Stderr
-					return cmd, nil
+					return healthy()
 				},
 			}, runner.Config{
 				// A firm deadline so the wedge mode converts in test time.
@@ -497,7 +470,7 @@ func TestRunShardOnPoolMatchesLocal(t *testing.T) {
 	}
 	poolDir := t.TempDir()
 	localDir := t.TempDir()
-	pool := runner.NewPoolTransport(&runner.PipeTransport{N: 2, Command: testWorkerCmd(t, "3", o.Seed)}, runner.Config{})
+	pool := runner.NewPool(&runner.PipeTransport{N: 2, Command: testWorkerCmd(t, o.Seed, "")}, runner.Config{})
 	defer pool.Close()
 	if err := runShard(sp, o, 1, 2, 0, poolDir, false, pool); err != nil {
 		t.Fatal(err)
@@ -519,8 +492,9 @@ func TestRunShardOnPoolMatchesLocal(t *testing.T) {
 }
 
 // testWorkerCmd re-invokes this test binary as a quick-mode pool worker
-// serving the named figure (via the TestMain hook).
-func testWorkerCmd(t *testing.T, name string, seed int64) func() (*exec.Cmd, error) {
+// (via the TestMain hook); fault, if non-empty, is passed in FIGURES_FAULT
+// exactly as workerCommand passes -faultinject.
+func testWorkerCmd(t *testing.T, seed int64, fault string) func() (*exec.Cmd, error) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -529,8 +503,11 @@ func testWorkerCmd(t *testing.T, name string, seed int64) func() (*exec.Cmd, err
 	return func() (*exec.Cmd, error) {
 		cmd := exec.Command(exe)
 		cmd.Env = append(os.Environ(),
-			"FIGURES_TEST_WORKER="+name,
+			"FIGURES_TEST_WORKER=1",
 			"FIGURES_TEST_SEED="+strconv.FormatInt(seed, 10))
+		if fault != "" {
+			cmd.Env = append(cmd.Env, "FIGURES_FAULT="+fault)
+		}
 		cmd.Stderr = os.Stderr
 		return cmd, nil
 	}

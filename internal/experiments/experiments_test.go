@@ -385,7 +385,11 @@ func TestSpecShardMergeParity(t *testing.T) {
 	}
 	var parts []*trace.Partial
 	for i := 1; i <= 2; i++ {
-		g, err := runner.Shard{Index: i, Total: 2}.Run(spec)
+		cells, err := runner.ShardCells(spec.Cells(), i, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := runner.Local{Cells: cells}.Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

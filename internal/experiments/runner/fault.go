@@ -2,7 +2,6 @@ package runner
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -151,37 +150,10 @@ func (f *Fault) mangleResponse(line string) string {
 	return line
 }
 
-// DieAfterWriter forwards writes and exits the process once Lines response
-// lines have been written — the original exit-fault stand-in, kept for the
-// environment-variable injection path (FIGURES_DIE_AFTER and the runner
-// tests' RUNNER_TEST_DIE_AFTER). Exiting right after a completed response
-// line means the coordinator receives that cell's result and the *next*
-// assignment hits the dead pipe, exercising the requeue path at a known
-// cell — the same observable point as Fault{Kind: "exit"}.
-type DieAfterWriter struct {
-	W     io.Writer
-	Lines int
-}
-
-func (d *DieAfterWriter) Write(p []byte) (int, error) {
-	n, err := d.W.Write(p)
-	for _, b := range p[:n] {
-		if b == '\n' {
-			d.Lines--
-			if d.Lines <= 0 {
-				fmt.Fprintln(os.Stderr, "runner: fault injection, worker exiting after response")
-				os.Exit(1)
-			}
-		}
-	}
-	return n, err
-}
-
 // afterResponse counts a flushed response and fires the exit fault: the
 // process dies right after response After is on the wire, so the
 // coordinator receives that cell's result and the *next* assignment hits
-// the dead pipe — the same observable point as the historical
-// DieAfterWriter.
+// the dead pipe, exercising the requeue path at a known cell.
 func (f *Fault) afterResponse() {
 	if f == nil {
 		return

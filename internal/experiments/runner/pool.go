@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os/exec"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,7 +19,7 @@ const DefaultCellRetries = 2
 
 // ErrDrained reports a run stopped by Drain: no new cells were fed after
 // the drain signal, in-flight results were collected under the drain
-// deadline, and the grids returned by RunAllGrids hold every completed
+// deadline, and the grids returned by RunAll hold every completed
 // cell — convert them with Grid.Partial and persist, so a SIGTERM mid-run
 // loses no completed work.
 var ErrDrained = errors.New("runner: run drained")
@@ -99,8 +98,7 @@ func sleepFor(d time.Duration, cancel <-chan struct{}) {
 // over TCP (ListenTransport, the -serve-workers backend), with identical
 // requeue/retry logic and byte-identical output.
 //
-// Unlike Procs, which spins a pool up and drains it for every figure, a
-// Pool is created once for a whole selection: the same workers serve cells
+// A Pool is created once for a whole selection: the same workers serve cells
 // from successive specs (the coordinator announces spec switches with a
 // "SPEC <name>" protocol line), so workers stay busy across figure
 // boundaries instead of idling while one figure's tail cells finish and the
@@ -168,15 +166,10 @@ type poolDone struct {
 	err     error
 }
 
-// NewPool starts a subprocess pool: n worker slots (n < 1 means 1) that
-// lazily spawn workers via command. retries follows the Config.Retries
-// convention. Close the pool to shut the subprocesses down.
-func NewPool(n, retries int, command func() (*exec.Cmd, error)) *Pool {
-	return NewPoolTransport(&PipeTransport{N: n, Command: command}, Config{Retries: retries})
-}
-
-// NewPoolTransport starts a pool over an arbitrary transport.
-func NewPoolTransport(tr Transport, cfg Config) *Pool {
+// NewPool starts a pool over a transport: PipeTransport for worker
+// subprocesses, ListenTransport for remote TCP workers. Close the pool to
+// shut its workers down.
+func NewPool(tr Transport, cfg Config) *Pool {
 	p := &Pool{
 		tr:      tr,
 		cfg:     cfg.withDefaults(),
@@ -212,7 +205,7 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// Drain asks the pool to stop feeding new cells: the active RunAllGrids
+// Drain asks the pool to stop feeding new cells: the active RunAll
 // collects in-flight results under DrainTimeout and returns ErrDrained
 // with the partial grids. Drain is sticky — a drained pool starts no
 // further runs — and idempotent, the shape a SIGTERM handler needs.
@@ -242,61 +235,25 @@ func (p *Pool) lastFailure() error {
 
 // Run implements Exec for a single spec.
 func (p *Pool) Run(s *Spec) (*Grid, error) {
-	var out *Grid
-	err := p.RunAll([]*Spec{s}, func(_ int, g *Grid) error {
-		out = g
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunAll evaluates every spec's grid on the shared pool, pipelining cells
-// across spec boundaries: as soon as one spec's queue drains, workers pull
-// cells of the next spec while the previous spec's tail cells are still in
-// flight. emit is called once per spec, in spec order, as each grid
-// completes (it may be nil). On failure the already-dispatched cells are
-// drained before returning, so the pool stays usable for another RunAll.
-func (p *Pool) RunAll(specs []*Spec, emit func(i int, g *Grid) error) error {
-	_, err := p.RunAllGrids(specs, emit)
-	return err
-}
-
-// RunAllGrids is RunAll returning the per-spec grids. On ErrDrained the
-// grids hold every cell completed before the drain — persist them with
-// Grid.Partial; on other errors they are partial and best ignored.
-func (p *Pool) RunAllGrids(specs []*Spec, emit func(i int, g *Grid) error) ([]*Grid, error) {
-	return p.runAllCells(specs, make([][]int, len(specs)), emit)
-}
-
-// RunCells evaluates an explicit subset of one spec's cells on the pool —
-// the sharded path (ShardCells or a timing plan picks the subset), with
-// the pool's fault tolerance instead of a Local goroutine pool. The grid
-// is incomplete by design, like CellSet's; persist it with Grid.Partial.
-func (p *Pool) RunCells(s *Spec, idxs []int) (*Grid, error) {
-	seen := make(map[int]bool, len(idxs))
-	for _, idx := range idxs {
-		if idx < 0 || idx >= s.Cells() {
-			return nil, fmt.Errorf("runner: cell set index %d outside grid of %d cells", idx, s.Cells())
-		}
-		if seen[idx] {
-			return nil, fmt.Errorf("runner: cell set repeats index %d", idx)
-		}
-		seen[idx] = true
-	}
-	grids, err := p.runAllCells([]*Spec{s}, [][]int{idxs}, nil)
+	grids, err := p.RunAll([]*Spec{s}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return grids[0], nil
 }
 
-// runAllCells is the engine under RunAllGrids and RunCells: for each spec
-// it evaluates either the whole grid (cells[i] == nil) or an explicit
-// index subset.
-func (p *Pool) runAllCells(specs []*Spec, cells [][]int, emit func(i int, g *Grid) error) ([]*Grid, error) {
+// RunAll evaluates every spec's grid on the shared pool, pipelining cells
+// across spec boundaries: as soon as one spec's queue drains, workers pull
+// cells of the next spec while the previous spec's tail cells are still in
+// flight. cells, when non-nil, holds one entry per spec: nil evaluates the
+// spec's whole grid, a list only those cell indices (the sharded and
+// resume paths; the grid is then incomplete by design — persist it with
+// Grid.Partial). emit is called once per spec, in spec order, as each grid
+// completes (it may be nil). On ErrDrained the returned grids hold every
+// cell completed before the drain; on other errors they are partial and
+// best ignored. On failure the already-dispatched cells are drained before
+// returning, so the pool stays usable for another RunAll.
+func (p *Pool) RunAll(specs []*Spec, cells [][]int, emit func(i int, g *Grid) error) ([]*Grid, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -308,30 +265,29 @@ func (p *Pool) runAllCells(specs []*Spec, cells [][]int, emit func(i int, g *Gri
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("runner: RunAll without specs")
 	}
-	for _, s := range specs {
+	if cells == nil {
+		cells = make([][]int, len(specs))
+	} else if len(cells) != len(specs) {
+		return nil, fmt.Errorf("runner: RunAll with %d cell lists for %d specs", len(cells), len(specs))
+	}
+	type queued struct{ specIdx, idx, attempt int }
+	grids := make([]*Grid, len(specs))
+	remaining := make([]int, len(specs))
+	var pending []queued
+	for i, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, err
 		}
 		if strings.ContainsAny(s.Name, " \t\r\n") {
 			return nil, fmt.Errorf("runner: spec name %q cannot cross the worker protocol", s.Name)
 		}
-	}
-
-	type queued struct{ specIdx, idx, attempt int }
-	grids := make([]*Grid, len(specs))
-	remaining := make([]int, len(specs))
-	var pending []queued
-	for i, s := range specs {
-		grids[i] = NewGrid(s)
-		if cells[i] == nil {
-			remaining[i] = s.Cells()
-			for c := 0; c < s.Cells(); c++ {
-				pending = append(pending, queued{i, c, 0})
-			}
-			continue
+		idxs, err := cellList(s, cells[i])
+		if err != nil {
+			return nil, err
 		}
-		remaining[i] = len(cells[i])
-		for _, c := range cells[i] {
+		grids[i] = NewGrid(s)
+		remaining[i] = len(idxs)
+		for _, c := range idxs {
 			pending = append(pending, queued{i, c, 0})
 		}
 	}
@@ -385,6 +341,7 @@ func (p *Pool) runAllCells(specs []*Spec, cells [][]int, emit func(i int, g *Gri
 			emitted++
 		}
 	}
+	maybeEmit() // specs with an empty cell list are complete already
 
 	for {
 		if abandoned || (inflight == 0 && (failure != nil || draining || next >= len(pending))) {

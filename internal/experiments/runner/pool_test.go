@@ -29,6 +29,11 @@ func testWorkerCommand(t testing.TB, extraEnv func() []string) func() (*exec.Cmd
 	}
 }
 
+// pipePool starts a pool of n subprocess slots with the default Config.
+func pipePool(n int, command func() (*exec.Cmd, error)) *Pool {
+	return NewPool(&PipeTransport{N: n, Command: command}, Config{})
+}
+
 func namedSpec(t testing.TB, name string) *Spec {
 	s, err := buildTestSpec(name)
 	if err != nil {
@@ -49,11 +54,11 @@ func TestPoolPipelinesAcrossSpecs(t *testing.T) {
 		namedSpec(t, "grid-2x2x3"),
 		namedSpec(t, "grid-4x1x2"),
 	}
-	pool := NewPool(2, 0, testWorkerCommand(t, nil))
+	pool := pipePool(2, testWorkerCommand(t, nil))
 	defer pool.Close()
 	var order []int
 	grids := make([]*Grid, len(specs))
-	if err := pool.RunAll(specs, func(i int, g *Grid) error {
+	if _, err := pool.RunAll(specs, nil, func(i int, g *Grid) error {
 		order = append(order, i)
 		grids[i] = g
 		return nil
@@ -106,9 +111,9 @@ func TestPoolRequeuesDeadWorker(t *testing.T) {
 	}
 	s := namedSpec(t, "grid-4x3x2")
 	var spawned atomic.Int64
-	pool := NewPool(2, 0, testWorkerCommand(t, func() []string {
+	pool := pipePool(2, testWorkerCommand(t, func() []string {
 		if spawned.Add(1) == 1 {
-			return []string{"RUNNER_TEST_DIE_AFTER=3"}
+			return []string{"RUNNER_TEST_FAULT=exit:3"}
 		}
 		return nil
 	}))
@@ -144,7 +149,7 @@ func TestPoolFailsDeterministicCell(t *testing.T) {
 		t.Skip("spawns subprocesses")
 	}
 	s := namedSpec(t, "failcell-3x1x1") // cell index 1 (xi=1) always errors
-	pool := NewPool(2, 0, testWorkerCommand(t, nil))
+	pool := pipePool(2, testWorkerCommand(t, nil))
 	defer pool.Close()
 	_, err := pool.Run(s)
 	if err == nil {
@@ -175,7 +180,7 @@ func TestPoolRetriesSpawnFailure(t *testing.T) {
 	s := namedSpec(t, "grid-2x2x1")
 	healthy := testWorkerCommand(t, nil)
 	var calls atomic.Int64
-	pool := NewPool(1, 0, func() (*exec.Cmd, error) {
+	pool := pipePool(1, func() (*exec.Cmd, error) {
 		if calls.Add(1) == 1 {
 			return nil, fmt.Errorf("transient spawn failure")
 		}
@@ -198,7 +203,7 @@ func TestPoolRecordsTimings(t *testing.T) {
 		t.Skip("spawns subprocesses")
 	}
 	s := namedSpec(t, "work-2x2x1-200000")
-	pool := NewPool(2, 0, testWorkerCommand(t, nil))
+	pool := pipePool(2, testWorkerCommand(t, nil))
 	defer pool.Close()
 	g, err := pool.Run(s)
 	if err != nil {
@@ -222,7 +227,7 @@ func TestPoolRecordsTimings(t *testing.T) {
 func TestPoolRejectsUnserializableSpecName(t *testing.T) {
 	s := testSpec(1, 1, 1)
 	s.Name = "has space"
-	pool := NewPool(1, 0, testWorkerCommand(t, nil))
+	pool := pipePool(1, testWorkerCommand(t, nil))
 	defer pool.Close()
 	if _, err := pool.Run(s); err == nil {
 		t.Fatal("spec name with whitespace accepted")
@@ -231,7 +236,7 @@ func TestPoolRejectsUnserializableSpecName(t *testing.T) {
 
 // TestPoolClosedRefusesRuns pins Close semantics.
 func TestPoolClosedRefusesRuns(t *testing.T) {
-	pool := NewPool(1, 0, testWorkerCommand(t, nil))
+	pool := pipePool(1, testWorkerCommand(t, nil))
 	pool.Close()
 	pool.Close() // idempotent
 	if _, err := pool.Run(testSpec(1, 1, 1)); err == nil {
@@ -239,37 +244,42 @@ func TestPoolClosedRefusesRuns(t *testing.T) {
 	}
 }
 
-// TestCellSetMatchesShard pins the planned-shard execution path: an
-// explicit cell list must produce the same partial grid as the equivalent
-// modulo shard, and invalid lists are rejected.
+// TestCellSetMatchesShard pins Local's explicit-cell-list path (the
+// planned-shard and resume runs): listed cells match the whole-grid run,
+// unlisted cells stay missing, an empty list evaluates nothing, and
+// invalid lists are rejected.
 func TestCellSetMatchesShard(t *testing.T) {
 	s := testSpec(5, 2, 3)
-	want, err := Shard{Index: 2, Total: 3}.Run(s)
+	want, err := Local{}.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var idxs []int
-	for idx := 1; idx < s.Cells(); idx += 3 {
-		idxs = append(idxs, idx)
-	}
-	got, err := CellSet{Idxs: idxs}.Run(s)
+	idxs := []int{29, 1, 4, 17}
+	got, err := Local{Cells: idxs}.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	listed := map[int]bool{29: true, 1: true, 4: true, 17: true}
 	for idx := 0; idx < s.Cells(); idx++ {
 		xi, vi, run := s.Coords(idx)
-		if !reflect.DeepEqual(got.Cell(xi, vi, run), want.Cell(xi, vi, run)) {
-			t.Fatalf("cell %d differs between CellSet and Shard", idx)
+		switch {
+		case listed[idx] && !reflect.DeepEqual(got.Cell(xi, vi, run), want.Cell(xi, vi, run)):
+			t.Fatalf("listed cell %d differs from the whole-grid run", idx)
+		case !listed[idx] && got.Cell(xi, vi, run) != nil:
+			t.Fatalf("unlisted cell %d was evaluated", idx)
 		}
 	}
-	if _, err := (CellSet{Idxs: []int{-1}}).Run(s); err == nil {
-		t.Fatal("negative index accepted")
+	empty, err := Local{Cells: []int{}}.Run(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := (CellSet{Idxs: []int{s.Cells()}}).Run(s); err == nil {
-		t.Fatal("out-of-range index accepted")
+	if n := len(empty.Partial(0, false, 0, 0).Results); n != 0 {
+		t.Fatalf("empty cell list evaluated %d cells", n)
 	}
-	if _, err := (CellSet{Idxs: []int{1, 1}}).Run(s); err == nil {
-		t.Fatal("duplicate index accepted")
+	for _, bad := range [][]int{{-1}, {s.Cells()}, {1, 1}} {
+		if _, err := (Local{Cells: bad}).Run(s); err == nil {
+			t.Fatalf("cell list %v accepted", bad)
+		}
 	}
 }
 
@@ -322,8 +332,8 @@ func BenchmarkPoolPipelined(b *testing.B) {
 	cmd := testWorkerCommand(b, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pool := NewPool(2, 0, cmd)
-		if err := pool.RunAll(specs, nil); err != nil {
+		pool := pipePool(2, cmd)
+		if _, err := pool.RunAll(specs, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 		pool.Close()
@@ -339,7 +349,7 @@ func BenchmarkPoolPerFigure(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range specs {
-			pool := NewPool(2, 0, cmd)
+			pool := pipePool(2, cmd)
 			if _, err := pool.Run(s); err != nil {
 				b.Fatal(err)
 			}
@@ -348,8 +358,8 @@ func BenchmarkPoolPerFigure(b *testing.B) {
 	}
 }
 
-// TestShardCellsMatchesShard pins the exported slicing helper to the Shard
-// backend's modulo rule, so the pooled shard path covers the same cells.
+// TestShardCellsMatchesShard pins the exported slicing helper to the
+// modulo rule, so the local and pooled shard paths cover the same cells.
 func TestShardCellsMatchesShard(t *testing.T) {
 	for total := 1; total <= 4; total++ {
 		covered := map[int]bool{}
@@ -381,15 +391,15 @@ func TestShardCellsMatchesShard(t *testing.T) {
 }
 
 // TestPoolRunCellsMatchesCellSet runs one shard's cells through the worker
-// pool and the other through the in-process CellSet backend, merges the
-// two partials, and checks the reduced table is bit-identical to a Local
-// run — the -shard/-procs composition contract.
+// pool and the other through Local's cell list, merges the two partials,
+// and checks the reduced table is bit-identical to a whole-grid Local run
+// — the -shard/-procs composition contract.
 func TestPoolRunCellsMatchesCellSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	s := namedSpec(t, "grid-3x2x2")
-	pool := NewPool(2, 0, testWorkerCommand(t, nil))
+	pool := pipePool(2, testWorkerCommand(t, nil))
 	defer pool.Close()
 	idxs1, err := ShardCells(s.Cells(), 1, 2)
 	if err != nil {
@@ -399,11 +409,12 @@ func TestPoolRunCellsMatchesCellSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := pool.RunCells(s, idxs1)
+	grids, err := pool.RunAll([]*Spec{s}, [][]int{idxs1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := CellSet{Idxs: idxs2}.Run(s)
+	pooled := grids[0]
+	local, err := Local{Cells: idxs2}.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,10 +438,9 @@ func TestPoolRunCellsMatchesCellSet(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("pooled shard + local shard differ from the Local run")
 	}
-	if _, err := pool.RunCells(s, []int{-1}); err == nil {
-		t.Fatal("negative index accepted")
-	}
-	if _, err := pool.RunCells(s, []int{1, 1}); err == nil {
-		t.Fatal("duplicate index accepted")
+	for _, bad := range [][][]int{{{-1}}, {{1, 1}}, {nil, nil}} {
+		if _, err := pool.RunAll([]*Spec{s}, bad, nil); err == nil {
+			t.Fatalf("cell lists %v accepted", bad)
+		}
 	}
 }

@@ -11,15 +11,18 @@
 //
 // Execution goes through a pluggable Exec backend:
 //
-//   - Local runs cells on a bounded worker pool inside the current process.
-//   - Pool shares one set of worker subprocesses (cmd/figures -worker)
-//     across a whole multi-spec selection, streaming cell assignments over
-//     pipes; a crashed worker is respawned and its in-flight cell requeued.
-//   - Procs is the single-spec convenience over Pool.
-//   - Shard evaluates a deterministic subset of the grid, for multi-machine
-//     runs whose partial results are merged later (trace.MergePartials);
-//     CellSet evaluates an explicit cell list, for timing-balanced plans
-//     (trace.PlanShards).
+//   - Local runs cells on a bounded goroutine pool inside the current
+//     process: the whole grid, or an explicit cell list (a modulo shard
+//     from ShardCells or a timing plan from trace.PlanShards), whose
+//     incomplete grid is persisted with Grid.Partial and merged later
+//     (trace.MergePartials).
+//   - Pool shares one set of workers across a whole multi-spec selection —
+//     subprocesses over pipes (PipeTransport, cmd/figures -worker) or
+//     remote workers over TCP (ListenTransport) — streaming cell
+//     assignments; a crashed or wedged worker is retired and its in-flight
+//     cell requeued. Pool.RunAll takes the same optional cell lists.
+//
+// ServePool is the worker half of the pool's line protocol.
 package runner
 
 import (
@@ -255,6 +258,10 @@ type Local struct {
 	// 0 selects GOMAXPROCS. At most Workers goroutines are ever started —
 	// cells queue, they do not each get a goroutine.
 	Workers int
+	// Cells, when non-nil, restricts the run to these flat cell indices
+	// (in range, no repeats); the resulting grid is incomplete by design.
+	// Nil evaluates the whole grid.
+	Cells []int
 }
 
 // Run implements Exec.
@@ -262,11 +269,35 @@ func (l Local) Run(s *Spec) (*Grid, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	idxs := make([]int, s.Cells())
-	for i := range idxs {
-		idxs[i] = i
+	idxs, err := cellList(s, l.Cells)
+	if err != nil {
+		return nil, err
 	}
 	return runCells(s, idxs, l.Workers)
+}
+
+// cellList resolves an optional cell list against the spec's grid — the
+// one check Local and Pool.RunAll share: nil selects every cell in index
+// order; an explicit list must stay in range and repeat no index.
+func cellList(s *Spec, idxs []int) ([]int, error) {
+	if idxs == nil {
+		idxs = make([]int, s.Cells())
+		for i := range idxs {
+			idxs[i] = i
+		}
+		return idxs, nil
+	}
+	seen := make(map[int]bool, len(idxs))
+	for _, idx := range idxs {
+		if idx < 0 || idx >= s.Cells() {
+			return nil, fmt.Errorf("runner: cell list index %d outside grid of %d cells", idx, s.Cells())
+		}
+		if seen[idx] {
+			return nil, fmt.Errorf("runner: cell list repeats index %d", idx)
+		}
+		seen[idx] = true
+	}
+	return idxs, nil
 }
 
 // runCells evaluates the given cells with at most `workers` goroutines and
@@ -336,66 +367,17 @@ func runCells(s *Spec, idxs []int, workers int) (*Grid, error) {
 	return g, nil
 }
 
-// Shard evaluates the deterministic 1-based Index-th of Total slices of the
-// grid (cells whose flat index is congruent to Index-1 modulo Total) on a
-// Local pool. The resulting grid is incomplete by design; convert it with
-// Grid.Partial, persist it, and merge the shards' partials later.
-type Shard struct {
-	Index, Total int
-	// Workers bounds the local pool, as in Local.
-	Workers int
-}
-
-// Run implements Exec.
-func (sh Shard) Run(s *Spec) (*Grid, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	idxs, err := ShardCells(s.Cells(), sh.Index, sh.Total)
-	if err != nil {
-		return nil, err
-	}
-	return runCells(s, idxs, sh.Workers)
-}
-
 // ShardCells returns the flat cell indexes of the 1-based index-th of
-// total modulo shards over a grid of cells cells — the one slicing rule
-// Shard and the pooled shard path share, so both cover the same cells.
+// total modulo shards over a grid of cells cells — the slicing rule both
+// Local and Pool.RunAll shard runs use, so they cover the same cells. The
+// list is non-nil even when empty: a nil list means the whole grid.
 func ShardCells(cells, index, total int) ([]int, error) {
 	if total <= 0 || index < 1 || index > total {
 		return nil, fmt.Errorf("runner: invalid shard %d/%d", index, total)
 	}
-	var idxs []int
+	idxs := []int{}
 	for idx := index - 1; idx < cells; idx += total {
 		idxs = append(idxs, idx)
 	}
 	return idxs, nil
-}
-
-// CellSet evaluates an explicit set of cells on a Local pool — the
-// planned-shard path, where a timing plan (trace.PlanShards) rather than
-// index arithmetic picks each machine's cells. Like Shard, the resulting
-// grid is incomplete by design; persist it with Grid.Partial and merge.
-type CellSet struct {
-	Idxs []int
-	// Workers bounds the local pool, as in Local.
-	Workers int
-}
-
-// Run implements Exec.
-func (c CellSet) Run(s *Spec) (*Grid, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	seen := make(map[int]bool, len(c.Idxs))
-	for _, idx := range c.Idxs {
-		if idx < 0 || idx >= s.Cells() {
-			return nil, fmt.Errorf("runner: cell set index %d outside grid of %d cells", idx, s.Cells())
-		}
-		if seen[idx] {
-			return nil, fmt.Errorf("runner: cell set repeats index %d", idx)
-		}
-		seen[idx] = true
-	}
-	return runCells(s, c.Idxs, c.Workers)
 }

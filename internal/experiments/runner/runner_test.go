@@ -2,6 +2,7 @@ package runner
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -100,12 +101,13 @@ func buildTestSpec(name string) (*Spec, error) {
 func TestMain(m *testing.M) {
 	// Re-executed as a pool worker: speak the worker protocol on
 	// stdin/stdout (SPEC lines select the grid), then exit.
+	// RUNNER_TEST_FAULT optionally injects one fault (ParseFault syntax).
 	if os.Getenv("RUNNER_TEST_WORKER") != "" {
-		var out io.Writer = os.Stdout
-		if n, _ := strconv.Atoi(os.Getenv("RUNNER_TEST_DIE_AFTER")); n > 0 {
-			out = &DieAfterWriter{W: os.Stdout, Lines: n}
+		fault, err := ParseFault(os.Getenv("RUNNER_TEST_FAULT"))
+		if err == nil {
+			err = ServePool(buildTestSpec, os.Stdin, os.Stdout, ServeOptions{Fault: fault})
 		}
-		if err := ServePool(nil, buildTestSpec, os.Stdin, out); err != nil {
+		if err != nil && !errors.Is(err, ErrBye) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -235,7 +237,11 @@ func TestShardPartialMergeMatchesLocal(t *testing.T) {
 		var parts []*trace.Partial
 		covered := 0
 		for i := 1; i <= total; i++ {
-			g, err := Shard{Index: i, Total: total}.Run(s)
+			cells, err := ShardCells(s.Cells(), i, total)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := Local{Cells: cells}.Run(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,43 +277,37 @@ func TestShardPartialMergeMatchesLocal(t *testing.T) {
 }
 
 func TestShardRejectsBadSplit(t *testing.T) {
-	s := testSpec(2, 2, 2)
-	for _, sh := range []Shard{{Index: 0, Total: 2}, {Index: 3, Total: 2}, {Index: 1, Total: 0}} {
-		if _, err := sh.Run(s); err == nil {
-			t.Fatalf("shard %d/%d accepted", sh.Index, sh.Total)
+	for _, sh := range [][2]int{{0, 2}, {3, 2}, {1, 0}} {
+		if _, err := ShardCells(8, sh[0], sh[1]); err == nil {
+			t.Fatalf("shard %d/%d accepted", sh[0], sh[1])
 		}
 	}
+	// A shard beyond a small grid is empty, not nil: nil would select the
+	// whole grid.
+	cells, err := ShardCells(2, 3, 3)
+	if err != nil || cells == nil || len(cells) != 0 {
+		t.Fatalf("ShardCells(2, 3, 3) = %#v, %v; want an empty non-nil list", cells, err)
+	}
+}
+
+// serveSpec runs ServePool over input with a registry holding only s.
+func serveSpec(s *Spec, input string, w io.Writer) error {
+	return ServePool(func(name string) (*Spec, error) {
+		if name != s.Name {
+			return nil, fmt.Errorf("unknown spec %q", name)
+		}
+		return s, nil
+	}, strings.NewReader(input), w, ServeOptions{})
 }
 
 func TestServeWorkerProtocol(t *testing.T) {
 	s := testSpec(2, 2, 2)
-	clientIn, workerOut := io.Pipe()
-	workerIn, clientOut := io.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		err := ServeWorker(s, workerIn, workerOut)
-		workerOut.Close()
-		done <- err
-	}()
-
 	// Drive two cells by hand and check the responses line up.
-	go func() {
-		fmt.Fprintln(clientOut, 3)
-		fmt.Fprintln(clientOut, 0)
-		clientOut.Close()
-	}()
-	buf := make([]byte, 4096)
-	var out []byte
-	for {
-		n, err := clientIn.Read(buf)
-		out = append(out, buf[:n]...)
-		if err != nil {
-			break
-		}
-	}
-	if err := <-done; err != nil {
+	var buf safeBuffer
+	if err := serveSpec(s, "SPEC runner-test\n3\n0\n", &buf); err != nil {
 		t.Fatal(err)
 	}
+	out := buf.String()
 	// One JSON line per cell, answering the asked index with the
 	// coordinate-encoding values; the ns timing field may or may not appear.
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
@@ -340,13 +340,8 @@ func TestServeWorkerProtocol(t *testing.T) {
 func TestServeWorkerReportsCellErrors(t *testing.T) {
 	s := testSpec(1, 1, 1)
 	s.Cell = func(xi, vi, run int) ([]float64, error) { return nil, fmt.Errorf("kaput") }
-	in, out := io.Pipe()
 	var buf safeBuffer
-	done := make(chan error, 1)
-	go func() { done <- ServeWorker(s, in, &buf) }()
-	fmt.Fprintln(out, 0)
-	out.Close()
-	if err := <-done; err != nil {
+	if err := serveSpec(s, "SPEC runner-test\n0\n", &buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != "{\"i\":0,\"err\":\"kaput\"}\n" {
@@ -384,7 +379,7 @@ func TestProcsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := Procs{
+	pool := NewPool(&PipeTransport{
 		N: 2,
 		Command: func() (*exec.Cmd, error) {
 			cmd := exec.Command(exe)
@@ -393,8 +388,9 @@ func TestProcsRoundTrip(t *testing.T) {
 			cmd.Stderr = os.Stderr
 			return cmd, nil
 		},
-	}
-	got, err := Run(s, procs)
+	}, Config{})
+	defer pool.Close()
+	got, err := Run(s, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,14 +408,15 @@ func TestProcsSurfacesWorkerDeath(t *testing.T) {
 		t.Skip("spawns subprocesses")
 	}
 	s := testSpec(2, 1, 2)
-	procs := Procs{
+	pool := NewPool(&PipeTransport{
 		N: 1,
 		Command: func() (*exec.Cmd, error) {
 			// A worker that exits immediately without speaking the protocol.
 			return exec.Command("/bin/sh", "-c", "exit 0"), nil
 		},
-	}
-	if _, err := Run(s, procs); err == nil {
+	}, Config{})
+	defer pool.Close()
+	if _, err := Run(s, pool); err == nil {
 		t.Fatal("dead worker not reported")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,6 +27,19 @@ const heartbeatLine = `{"hb":true}`
 // ConnectWorker uses it to distinguish an orderly end (exit) from a dropped
 // connection (reconnect); the pipes path treats it like EOF.
 var ErrBye = errors.New("runner: coordinator ended the session")
+
+// cellMsg is one worker-protocol response: the cell index it answers, and
+// either the cell's values (plus its wall-clock nanoseconds, for timing-
+// balanced shard planning) or the error it failed with.
+type cellMsg struct {
+	Idx    int       `json:"i"`
+	Values []float64 `json:"v,omitempty"`
+	Nanos  int64     `json:"ns,omitempty"`
+	Err    string    `json:"err,omitempty"`
+	// Hb marks an idle-connection heartbeat rather than a cell result; the
+	// coordinator uses it for dead-peer detection on networked transports.
+	Hb bool `json:"hb,omitempty"`
+}
 
 // ServeOptions tunes the worker half of the pool protocol.
 type ServeOptions struct {
@@ -59,31 +73,15 @@ func (w *lineWriter) writeLine(line string) error {
 	return w.bw.Flush()
 }
 
-// ServePool runs the multi-spec worker half of the pool protocol: lines on
-// r are either "SPEC <name>" — switch to serving the named spec, built via
+// ServePool runs the worker half of the pool protocol: lines on r are
+// either "SPEC <name>" — switch to serving the named spec, built via
 // build — a decimal cell index for the current spec, or BYE (end of
 // session). One JSON result line per cell goes to w, carrying the cell's
 // wall-clock nanoseconds so the coordinator can balance future shard
-// assignments by measured cost. initial, if non-nil, is the spec served
-// before any SPEC line (the single-spec compatibility mode).
-func ServePool(initial *Spec, build func(name string) (*Spec, error), r io.Reader, w io.Writer) error {
-	err := ServePoolOpts(initial, build, r, w, ServeOptions{})
-	if errors.Is(err, ErrBye) {
-		return nil
-	}
-	return err
-}
-
-// ServePoolOpts is ServePool with heartbeats and fault injection. It
-// returns nil on EOF, ErrBye when the coordinator sent BYE, and any other
-// error on a broken session.
-func ServePoolOpts(initial *Spec, build func(name string) (*Spec, error), r io.Reader, w io.Writer, opts ServeOptions) error {
-	cur := initial
-	if cur != nil {
-		if err := cur.Validate(); err != nil {
-			return err
-		}
-	}
+// assignments by measured cost. It returns nil on EOF, ErrBye when the
+// coordinator sent BYE, and any other error on a broken session.
+func ServePool(build func(name string) (*Spec, error), r io.Reader, w io.Writer, opts ServeOptions) error {
+	var cur *Spec
 	lw := &lineWriter{bw: bufio.NewWriter(w)}
 
 	var busy atomic.Bool
@@ -165,4 +163,28 @@ func serveAssignment(s *Spec, line string, lw *lineWriter, fault *Fault) error {
 	}
 	fault.afterResponse()
 	return nil
+}
+
+// serveCell evaluates one assignment line against the spec and builds the
+// reply. Cell failures travel inside the message — the worker stays up; only
+// malformed assignments are protocol errors that bring the worker down.
+func serveCell(s *Spec, line string) (cellMsg, error) {
+	idx, err := strconv.Atoi(line)
+	if err != nil {
+		return cellMsg{}, fmt.Errorf("runner: bad cell assignment %q: %w", line, err)
+	}
+	if idx < 0 || idx >= s.Cells() {
+		return cellMsg{}, fmt.Errorf("runner: cell assignment %d outside grid of %d cells", idx, s.Cells())
+	}
+	msg := cellMsg{Idx: idx}
+	xi, vi, run := s.Coords(idx)
+	start := time.Now() //repcheck:allow-wallclock per-cell timing is diagnostic metadata, not a result value
+	v, err := s.Cell(xi, vi, run)
+	if err != nil {
+		msg.Err = err.Error()
+		return msg, nil
+	}
+	msg.Values = v
+	msg.Nanos = time.Since(start).Nanoseconds() //repcheck:allow-wallclock per-cell timing is diagnostic metadata, not a result value
+	return msg, nil
 }

@@ -176,7 +176,7 @@ func ConnectWorker(addr string, build func(name string) (*Spec, error), opts Wor
 		c, err := net.Dial("tcp", addr)
 		if err == nil {
 			logf("connected to coordinator %s", addr)
-			err = ServePoolOpts(nil, build, c, c, ServeOptions{Heartbeat: hb, Fault: opts.Fault})
+			err = ServePool(build, c, c, ServeOptions{Heartbeat: hb, Fault: opts.Fault})
 			c.Close()
 			if errors.Is(err, ErrBye) {
 				logf("coordinator ended the session")

@@ -16,7 +16,7 @@ func startTCPPool(t testing.TB, cfg Config) (*Pool, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPoolTransport(tr, cfg)
+	pool := NewPool(tr, cfg)
 	t.Cleanup(pool.Close)
 	return pool, tr.Addr()
 }
@@ -247,10 +247,10 @@ func BenchmarkPoolTCPLoopback(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pool := NewPoolTransport(tr, Config{Deadline: DeadlineConfig{Fixed: time.Minute}})
+		pool := NewPool(tr, Config{Deadline: DeadlineConfig{Fixed: time.Minute}})
 		w1 := startTCPWorker(b, tr.Addr(), workerTestOpts())
 		w2 := startTCPWorker(b, tr.Addr(), workerTestOpts())
-		if err := pool.RunAll(specs, nil); err != nil {
+		if _, err := pool.RunAll(specs, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 		pool.Close()

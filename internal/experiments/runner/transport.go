@@ -59,7 +59,7 @@ type Transport interface {
 
 // PipeTransport is the subprocess transport: each connection is a worker
 // process (Command) speaking the protocol on its stdin/stdout. This is the
-// transport behind NewPool and the figures -procs flag.
+// transport behind the figures -procs flag.
 type PipeTransport struct {
 	// N is the number of worker slots; values < 1 mean 1.
 	N int

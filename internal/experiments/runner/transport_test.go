@@ -156,7 +156,7 @@ func runFaulty(t *testing.T, s *Spec, mangle func(n int, line string) (string, b
 	t.Helper()
 	tr := &fakeTransport{n: 1, spec: s,
 		queue: []func() *fakeConn{func() *fakeConn { return scriptedConn(s, mangle) }}}
-	pool := NewPoolTransport(tr, fastCfg())
+	pool := NewPool(tr, fastCfg())
 	defer pool.Close()
 	g, err := pool.Run(s)
 	if err != nil {
@@ -258,7 +258,7 @@ func TestPoolDeadlineConvertsWedgedConn(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Deadline = DeadlineConfig{Fixed: 50 * time.Millisecond}
 	tr := &fakeTransport{n: 1, spec: s, queue: []func() *fakeConn{wedged}}
-	pool := NewPoolTransport(tr, cfg)
+	pool := NewPool(tr, cfg)
 	defer pool.Close()
 	start := time.Now()
 	g, err := pool.Run(s)
@@ -304,7 +304,7 @@ func TestPoolRespawnBackoffSchedule(t *testing.T) {
 		return c
 	}
 	tr := &fakeTransport{n: 1, spec: s, queue: []func() *fakeConn{dead, dead, dead, dead}}
-	pool := NewPoolTransport(tr, cfg)
+	pool := NewPool(tr, cfg)
 	defer pool.Close()
 	_, err := pool.Run(s)
 	if err == nil || !strings.Contains(err.Error(), "after 4 attempts") {
@@ -341,7 +341,7 @@ func TestPoolBackoffResetsAfterHealthyCell(t *testing.T) {
 	}
 	tr := &fakeTransport{n: 1, spec: s,
 		queue: []func() *fakeConn{oneCell, oneCell, oneCell, oneCell}}
-	pool := NewPoolTransport(tr, cfg)
+	pool := NewPool(tr, cfg)
 	defer pool.Close()
 	if _, err := pool.Run(s); err != nil {
 		t.Fatalf("run with one-cell workers: %v", err)
@@ -390,7 +390,7 @@ func TestPoolSpawnFailureBacksOff(t *testing.T) {
 		mu.Unlock()
 	}
 	tr := &errConnTransport{fakeTransport: fakeTransport{n: 1, spec: s}, fails: 2}
-	pool := NewPoolTransport(tr, cfg)
+	pool := NewPool(tr, cfg)
 	defer pool.Close()
 	if _, err := pool.Run(s); err != nil {
 		t.Fatalf("run after spawn failures: %v", err)
@@ -422,9 +422,9 @@ func TestGridDrainRoundTrip(t *testing.T) {
 	}
 	cfg := fastCfg()
 	tr := &fakeTransport{n: 1, spec: s, queue: []func() *fakeConn{slow}}
-	pool = NewPoolTransport(tr, cfg)
+	pool = NewPool(tr, cfg)
 	defer pool.Close()
-	grids, err := pool.RunAllGrids([]*Spec{s}, nil)
+	grids, err := pool.RunAll([]*Spec{s}, nil, nil)
 	if !errors.Is(err, ErrDrained) {
 		t.Fatalf("got %v, want ErrDrained", err)
 	}
@@ -438,7 +438,7 @@ func TestGridDrainRoundTrip(t *testing.T) {
 	if len(missing)+len(p.Results) != s.Cells() {
 		t.Fatalf("MissingCells reported %d, results %d, grid %d", len(missing), len(p.Results), s.Cells())
 	}
-	g2, err := CellSet{Idxs: missing}.Run(s)
+	g2, err := Local{Cells: missing}.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,10 +480,10 @@ func TestPoolDrainTimeoutAbandonsWedgedCell(t *testing.T) {
 	cfg := fastCfg()
 	cfg.DrainTimeout = 100 * time.Millisecond
 	tr := &fakeTransport{n: 1, spec: s, queue: []func() *fakeConn{wedgeAfter}}
-	pool = NewPoolTransport(tr, cfg)
+	pool = NewPool(tr, cfg)
 	defer pool.Close()
 	start := time.Now()
-	grids, err := pool.RunAllGrids([]*Spec{s}, nil)
+	grids, err := pool.RunAll([]*Spec{s}, nil, nil)
 	if !errors.Is(err, ErrDrained) {
 		t.Fatalf("got %v, want ErrDrained", err)
 	}

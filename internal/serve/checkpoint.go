@@ -124,7 +124,9 @@ func (c *Checkpoint) restore(e *Engine) error {
 // WriteCheckpoint persists the snapshot atomically: a temp file in the
 // destination directory is written, synced, and renamed into place, so a
 // crash mid-write (or an injected checkpoint-write failure) always leaves
-// the previous complete checkpoint behind, never a truncated one.
+// the previous complete checkpoint behind, never a truncated one. The
+// directory is synced after the rename, so the new checkpoint is durable
+// before the caller truncates WAL segments behind it.
 func WriteCheckpoint(path string, c *Checkpoint) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -147,7 +149,10 @@ func WriteCheckpoint(path string, c *Checkpoint) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 // ReadCheckpoint loads a snapshot and validates its fingerprint.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/online"
@@ -123,10 +124,10 @@ func TestRotationParityAgainstSingleFile(t *testing.T) {
 	}
 }
 
-// TestLegacyWALMigration: a state directory laid out by the
-// pre-segmentation code (a single wal.log) is adopted transparently — the
-// file is renamed to segment 1 and recovery replays it in full.
-func TestLegacyWALMigration(t *testing.T) {
+// TestLegacyWALRefused: a state directory laid out by the
+// pre-segmentation code (a single wal.log) is not adopted: New fails
+// loudly, naming the file, instead of starting fresh beside it.
+func TestLegacyWALRefused(t *testing.T) {
 	dir := t.TempDir()
 	cfg := recoveryConfig(t, dir, Fault{})
 	s1, err := New(cfg)
@@ -137,26 +138,19 @@ func TestLegacyWALMigration(t *testing.T) {
 	feedPhase(t, s1, 4, 0)
 	waitCursor(t, s1, s1.wal.Count())
 	s1.Drain()
-	before := s1.LedgerSnapshot()
 
 	// Re-create the legacy layout: the whole log as wal.log.
-	if err := os.Rename(filepath.Join(dir, "wal-000001.log"), filepath.Join(dir, WALName)); err != nil {
+	legacy := filepath.Join(dir, "wal.log")
+	if err := os.Rename(filepath.Join(dir, "wal-000001.log"), legacy); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatalf("legacy wal.log not adopted: %v", err)
+	_, err = New(cfg)
+	if err == nil || !strings.Contains(err.Error(), legacy) || !strings.Contains(err.Error(), "not a WAL segment name") {
+		t.Fatalf("legacy wal.log: New returned %v, want a refusal naming %s", err, legacy)
 	}
-	if got := s2.LedgerSnapshot(); !reflect.DeepEqual(before, got) {
-		t.Fatalf("migrated ledger diverges:\n  before %+v\n  after  %+v", before, got)
+	if _, err := os.Stat(legacy); err != nil {
+		t.Fatalf("refused wal.log was touched: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, WALName)); !os.IsNotExist(err) {
-		t.Fatal("legacy wal.log still present after migration")
-	}
-	if countSegments(t, dir) == 0 {
-		t.Fatal("migration left no segment files")
-	}
-	s2.queue.Close()
 }
 
 // nonSnapshotAlg hides ONTH's StateSnapshotter implementation, standing in

@@ -11,13 +11,9 @@ import (
 	"repro/internal/sim"
 )
 
-// State-directory file names. WALName is the legacy single-file log;
-// current logs are segment chains (wal-000001.log, …) managed by Log, and
-// an existing wal.log is adopted as segment 1 on open.
-const (
-	WALName        = "wal.log"
-	CheckpointName = "checkpoint.json"
-)
+// CheckpointName is the state directory's checkpoint file; the WAL beside
+// it is a chain of segment files (wal-000001.log, …) managed by Log.
+const CheckpointName = "checkpoint.json"
 
 // DefaultCheckpointEvery is the closed-round interval between checkpoints.
 const DefaultCheckpointEvery = 16

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // Entry is one write-ahead-log record: an admitted arrival (Count requests
@@ -35,10 +36,8 @@ func (e Entry) Request() Request { return Request{Node: e.Node, Count: e.Count, 
 // walHeader is the first line of every WAL file: a format version plus the
 // serving configuration's fingerprint, so a restart with a different
 // topology, algorithm, or window size refuses to replay a stale log
-// instead of silently producing a divergent ledger. Segmented logs add
-// Seq (the segment's position in the chain) and Base (the global index of
-// the segment's first entry); both are omitted from single-file logs, so
-// a pre-segmentation wal.log parses as {Seq: 0, Base: 0}.
+// instead of silently producing a divergent ledger. Seq is the segment's
+// position in the chain and Base the global index of its first entry.
 type walHeader struct {
 	WAL         int    `json:"wal"`
 	Fingerprint string `json:"fingerprint"`
@@ -48,22 +47,20 @@ type walHeader struct {
 
 const walVersion = 1
 
-// WAL is one append-only arrival log file — a whole log in single-file
-// mode, or one segment of a rotated Log. Writes are buffered and flushed
-// per append; a crash can lose at most the torn final line, which Open
-// discards (and truncates) — every complete line is replayable.
+// WAL is one append-only arrival log file: one segment of a Log. Writes
+// are buffered and flushed per append; a crash can lose at most the torn
+// final line, which openSegment discards (and truncates) — every complete
+// line is replayable.
 type WAL struct {
 	f     *os.File
 	w     *bufio.Writer
 	count int
 }
 
-// CreateWAL starts a fresh log at path, truncating any previous one.
-func CreateWAL(path, fingerprint string) (*WAL, error) {
-	return createSegment(path, walHeader{WAL: walVersion, Fingerprint: fingerprint})
-}
-
-// createSegment starts a fresh log file with an explicit header.
+// createSegment starts a fresh log file at path (truncating any previous
+// one) with the given header. The header and the file's directory entry
+// are synced before it returns, so after a power cut the segment is either
+// absent or readable — never an empty file that would fail recovery.
 func createSegment(path string, h walHeader) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -83,20 +80,37 @@ func createSegment(path string, h walHeader) (*WAL, error) {
 		f.Close()
 		return nil, err
 	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return w, nil
 }
 
-// OpenWAL reads an existing single-file log back for recovery: it
-// validates the header fingerprint, returns every complete entry in append
-// order, truncates a torn final line (the one write a crash may have
-// interrupted), and leaves the file positioned for further appends.
-func OpenWAL(path, fingerprint string) (*WAL, []Entry, error) {
-	w, _, entries, err := openSegment(path, fingerprint)
-	return w, entries, err
+// syncDir fsyncs a directory, making the creations, renames and removals
+// in it durable. Without it a power cut may keep a later operation (a
+// segment deletion) while losing an earlier one it depended on (the
+// checkpoint rename that made the deletion safe).
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// openSegment is OpenWAL returning the parsed header too, for the
-// segmented Log to validate sequence numbers and bases.
+// openSegment reads an existing log file back for recovery: it validates
+// the header fingerprint, returns the header and every complete entry in
+// append order, truncates a torn final line (the one write a crash may
+// have interrupted), and leaves the file positioned for further appends.
 func openSegment(path, fingerprint string) (*WAL, walHeader, []Entry, error) {
 	var hdr walHeader
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)

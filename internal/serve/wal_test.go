@@ -8,12 +8,25 @@ import (
 	"testing"
 )
 
-func TestWALRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := CreateWAL(path, "fp-1")
+// testSegment creates a first-segment WAL at path under fingerprint fp.
+func testSegment(t *testing.T, path, fp string) *WAL {
+	t.Helper()
+	w, err := createSegment(path, walHeader{WAL: walVersion, Fingerprint: fp, Seq: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
+
+// openEntries reopens a segment, dropping the header.
+func openEntries(path, fp string) (*WAL, []Entry, error) {
+	w, _, entries, err := openSegment(path, fp)
+	return w, entries, err
+}
+
+func TestWALRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal-000001.log")
+	w := testSegment(t, path, "fp-1")
 	wrote := []Entry{
 		ArrivalEntry(Request{Node: 3, Count: 2, Class: Critical}),
 		TickEntry(),
@@ -31,7 +44,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, entries, err := OpenWAL(path, "fp-1")
+	w2, entries, err := openEntries(path, "fp-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +59,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, entries, err = OpenWAL(path, "fp-1")
+	_, entries, err = openEntries(path, "fp-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +69,8 @@ func TestWALRoundTrip(t *testing.T) {
 }
 
 func TestWALTruncatesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := CreateWAL(path, "fp")
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "wal-000001.log")
+	w := testSegment(t, path, "fp")
 	if err := w.Append(TickEntry()); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +87,7 @@ func TestWALTruncatesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	w2, entries, err := OpenWAL(path, "fp")
+	w2, entries, err := openEntries(path, "fp")
 	if err != nil {
 		t.Fatalf("torn tail not tolerated: %v", err)
 	}
@@ -91,7 +101,7 @@ func TestWALTruncatesTornTail(t *testing.T) {
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, entries, err = OpenWAL(path, "fp")
+	_, entries, err = openEntries(path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +111,10 @@ func TestWALTruncatesTornTail(t *testing.T) {
 }
 
 func TestWALRefusesForeignFingerprint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := CreateWAL(path, "config-a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "wal-000001.log")
+	w := testSegment(t, path, "config-a")
 	w.Close()
-	if _, _, err := OpenWAL(path, "config-b"); err == nil ||
+	if _, _, err := openEntries(path, "config-b"); err == nil ||
 		!strings.Contains(err.Error(), "refusing to replay") {
 		t.Fatalf("foreign fingerprint accepted: %v", err)
 	}
@@ -119,14 +126,14 @@ func TestWALRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenWAL(empty, "fp"); err == nil {
+	if _, _, err := openEntries(empty, "fp"); err == nil {
 		t.Fatal("empty file accepted as a WAL")
 	}
 	junk := filepath.Join(dir, "junk.log")
 	if err := os.WriteFile(junk, []byte("not json\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenWAL(junk, "fp"); err == nil {
+	if _, _, err := openEntries(junk, "fp"); err == nil {
 		t.Fatal("junk header accepted as a WAL")
 	}
 }

@@ -56,8 +56,10 @@ func (pl *Plan) Validate() error {
 }
 
 // ShardCells returns the cells the 1-based shard evaluates, in index order.
+// The list is non-nil even when the shard is empty: to runner.Local and
+// Pool.RunAll a nil cell list means the whole grid.
 func (pl *Plan) ShardCells(shard int) []int {
-	var idxs []int
+	idxs := []int{}
 	for idx, sh := range pl.Assign {
 		if sh == shard {
 			idxs = append(idxs, idx)
