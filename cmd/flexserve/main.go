@@ -84,7 +84,7 @@ func main() {
 		queueCap  = flag.Int("queuecap", serve.DefaultQueueCap, "ingest queue bound")
 		shedFrac  = flag.Float64("shed", serve.DefaultShedFraction, "queue occupancy above which non-critical classes are shed")
 		ckptEvery = flag.Int("ckpt-every", serve.DefaultCheckpointEvery, "rounds between checkpoints")
-		walSeg    = flag.Int("wal-segment", 0, "rotate the WAL every this many entries and truncate sealed segments behind checkpoints (0 = single ever-growing file)")
+		walSeg    = flag.Int("wal-segment", serve.DefaultSegmentEntries, "rotate the WAL every this many entries and truncate sealed segments behind checkpoints (0 selects the default)")
 		tickEvery = flag.Duration("tick", 0, "close the demand window on this period even without load (0 = count-only)")
 		faultSpec = flag.String("faultinject", "", "chaos fault: slow[:after[:delay]], flood[:after[:factor]], ckptfail[:after], kill[:after]")
 

@@ -86,7 +86,9 @@ const confSweepParallelThreshold = 1 << 14
 // node ids (the form core.EnumeratePlacements produces). Under a separable
 // evaluator it panics, naming the node, on a routing offset that is
 // negative, −0 or NaN: the kernel compares costs by their bit patterns.
-func NewConfSweep(e *Evaluator, configs [][]int) *ConfSweep {
+// The configurations are copied, so callers pass their own lists, such as
+// a []core.Placement, without building a [][]int view of them.
+func NewConfSweep[P ~[]int](e *Evaluator, configs []P) *ConfSweep {
 	s := &ConfSweep{e: e, sep: e.Separable()}
 	s.batch, s.scratch.New = s.genericRange, func() any { return new(sweepScratch) }
 	total := 0

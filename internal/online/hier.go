@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/sim"
 )
 
 // This file holds the machinery that breaks the configuration-space
@@ -472,6 +474,43 @@ func (cl *configCluster) prefixBounds(c core.Placement) (uncovered, missing int)
 	return uncovered, missing
 }
 
+// confSpace is the configuration space ONCONF and WFA track: the
+// placements of at most k servers, the current one's index, the access
+// sweep, per-configuration running costs, and the prefix clusters with a
+// scratch minimum each.
+type confSpace struct {
+	configs  []core.Placement
+	cur      int
+	sweep    *cost.ConfSweep
+	runCost  []float64
+	clusters []configCluster
+	cMin     []float64
+}
+
+// init enumerates env's space under server bound k; it fails when that
+// exceeds bound (0: MaxONCONFConfigs) or misses the start placement.
+func (s *confSpace) init(alg, hint string, env *sim.Env, k, bound int) error {
+	n := env.Graph.N()
+	if bound <= 0 {
+		bound = MaxONCONFConfigs
+	}
+	if err := checkConfigSpace(alg, hint, n, k, bound); err != nil {
+		return err
+	}
+	s.configs = core.EnumeratePlacements(n, k)
+	if s.cur = slices.IndexFunc(s.configs, env.Start.Equal); s.cur < 0 {
+		return fmt.Errorf("%s: initial placement %v not in configuration space", alg, env.Start)
+	}
+	s.runCost = make([]float64, len(s.configs))
+	for i, c := range s.configs {
+		s.runCost[i] = env.Costs.Run(c.Len(), 0)
+	}
+	s.sweep = cost.NewConfSweep(env.Eval, s.configs)
+	s.clusters = buildClusters(s.configs, n)
+	s.cMin = make([]float64, len(s.clusters))
+	return nil
+}
+
 // checkConfigSpace guards a Reset against enumerating an intractable
 // configuration space. Unlike the old guard, which named only the count,
 // the error reports the memory the space implies: the rewritten algorithms
@@ -488,14 +527,14 @@ func checkConfigSpace(alg, hint string, n, k, bound int) error {
 	if full > probe {
 		count = "over 2^40"
 	}
-	// ≈(130 + 24k + 4·2^k) bytes per configuration, an upper estimate for
+	// ≈(106 + 24k + 4·2^k) bytes per configuration, an upper estimate for
 	// WFA (ONCONF holds less): the placement (24 + 8k), five per-config
 	// floats (work, scratch, running cost, the round's access totals and
-	// latencies: 40), the list handed to cost.NewConfSweep (24), the
-	// sweep's flattened nodes, offset and link (24 + 8k), and the
-	// work-function kernel's sizes and offsets (9), subset lattice (up to
-	// 2^k int32 entries) and slot values (at most k+1 float64s).
-	linear := float64(full) * (130 + 24*float64(k) + 4*math.Pow(2, float64(k)))
+	// latencies: 40), the sweep's flattened nodes, offset and link
+	// (24 + 8k), and the work-function kernel's sizes and offsets (9),
+	// subset lattice (up to 2^k int32 entries) and slot values (at most
+	// k+1 float64s).
+	linear := float64(full) * (106 + 24*float64(k) + 4*math.Pow(2, float64(k)))
 	dense := 8 * float64(full) * float64(full)
 	return fmt.Errorf("%s: configuration space of %s placements (n=%d, k=%d) exceeds the bound %d: tracking it takes ≈%s of O(C) state (a dense C² transition matrix would need %s)%s — raise MaxConfigs (figures/flexserve -maxconfigs) if the O(C) footprint fits",
 		alg, count, n, k, bound, humanBytes(linear), humanBytes(dense), hint)

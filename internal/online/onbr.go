@@ -33,11 +33,9 @@ type ONBR struct {
 	// every node.
 	Clusters int
 
-	theta      float64
-	accum      float64
-	epochStart int
-	epochAgg   *cost.Accumulator
-	targets    []int
+	theta   float64
+	epoch   epoch
+	targets []int
 }
 
 // NewONBR returns the fixed-threshold variant.
@@ -61,23 +59,16 @@ func (a *ONBR) Name() string {
 	return "ONBR-fixed"
 }
 
-func (a *ONBR) factor() float64 {
-	if a.ThetaFactor > 0 {
-		return a.ThetaFactor
-	}
-	return 2
-}
+func (a *ONBR) factor() float64 { return paperFactor(a.ThetaFactor) }
 
 // Reset implements sim.Algorithm.
 func (a *ONBR) Reset(env *sim.Env) error {
 	if len(env.Start) == 0 {
 		return fmt.Errorf("onbr: empty initial placement")
 	}
-	a.reset(env)
+	a.reset(env, a.state)
 	a.theta = a.factor() * env.Costs.Create
-	a.accum = 0
-	a.epochStart = 0
-	a.epochAgg = cost.NewAccumulator(env.Graph.N())
+	a.epoch = newEpoch(env.Graph.N())
 	a.targets = nil
 	if a.Clusters > 0 {
 		cl, err := cluster.KCenters(env.Metric, a.Clusters)
@@ -91,22 +82,19 @@ func (a *ONBR) Reset(env *sim.Env) error {
 
 // Observe implements sim.Algorithm.
 func (a *ONBR) Observe(t int, d cost.Demand, access cost.AccessCost) core.Delta {
-	a.accum += access.Total() + a.pool.RunCost()
-	a.epochAgg.Add(d)
-	if a.accum < a.theta {
+	a.epoch.observe(d, access.Total()+a.pool.RunCost())
+	if a.epoch.accum < a.theta {
 		return core.Delta{}
 	}
 	// Epoch over: best response against the epoch just passed.
-	length := t - a.epochStart + 1
-	agg := a.epochAgg.Demand()
+	length := a.epoch.rounds(t)
+	agg := a.epoch.agg.Demand()
 	target := a.bestResponse(agg, length, SearchMoves{Move: true, Deactivate: true, Add: true, Targets: a.targets})
 	delta := a.apply(target)
 	a.pool.AdvanceEpoch()
 	if a.Dynamic && length > 0 {
 		a.theta = a.factor() * a.env.Costs.Create / float64(length)
 	}
-	a.accum = 0
-	a.epochStart = t + 1
-	a.epochAgg.Reset()
+	a.epoch.restart(t + 1)
 	return delta
 }

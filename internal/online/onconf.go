@@ -40,23 +40,17 @@ type ONCONF struct {
 	base
 	// Rand drives the uniform random switch. It must be set (use
 	// NewONCONF).
-	Rand *rand.Rand
+	Rand  *rand.Rand
+	draws int // Int63 calls made on Rand, the stream position a snapshot records
 
 	// MaxConfigs overrides the configuration-space bound (0 selects the
 	// default MaxONCONFConfigs).
 	MaxConfigs int
 
-	configs  []core.Placement
-	counters []float64
-	cur      int
-	budget   float64 // k·c
-
-	clusters []configCluster // prefix decomposition, for the alive scan
-	cMin     []float64       // per cluster: min counter after the charge pass
-
-	sweep     *cost.ConfSweep
+	confSpace // cMin: per cluster, the min counter after the charge pass
+	counters  []float64
+	budget    float64   // k·c
 	roundCost []float64 // scratch: this round's access total per config
-	runCost   []float64 // per config: Costrun(γ) for one round
 	alive     []int     // scratch: configs still under budget
 }
 
@@ -79,38 +73,13 @@ func (a *ONCONF) Reset(env *sim.Env) error {
 	if k <= 0 {
 		k = env.Graph.N()
 	}
-	bound := a.MaxConfigs
-	if bound <= 0 {
-		bound = MaxONCONFConfigs
-	}
-	if err := checkConfigSpace("onconf", "; or use ONBR or ONTH", env.Graph.N(), k, bound); err != nil {
+	if err := a.init("onconf", "; or use ONBR or ONTH", env, k, a.MaxConfigs); err != nil {
 		return err
 	}
-	a.configs = core.EnumeratePlacements(env.Graph.N(), k)
-	a.reset(env)
+	a.reset(env, a.state)
 	a.counters = make([]float64, len(a.configs))
-	a.cur = -1
-	for i, c := range a.configs {
-		if c.Equal(env.Start) {
-			a.cur = i
-			break
-		}
-	}
-	if a.cur < 0 {
-		return fmt.Errorf("onconf: initial placement %v not in configuration space", env.Start)
-	}
 	a.budget = float64(k) * env.Costs.Create
-
-	views := make([][]int, len(a.configs))
-	a.runCost = make([]float64, len(a.configs))
-	for i, c := range a.configs {
-		views[i] = c
-		a.runCost[i] = env.Costs.Run(c.Len(), 0)
-	}
-	a.sweep = cost.NewConfSweep(env.Eval, views)
 	a.roundCost = make([]float64, len(a.configs))
-	a.clusters = buildClusters(a.configs, env.Graph.N())
-	a.cMin = make([]float64, len(a.clusters))
 	a.alive = a.alive[:0]
 	return nil
 }
@@ -161,11 +130,30 @@ func (a *ONCONF) Observe(t int, d cost.Demand, access cost.AccessCost) core.Delt
 		a.pool.AdvanceEpoch()
 		return core.Delta{}
 	}
-	next := alive[a.Rand.Intn(len(alive))]
+	next := alive[a.intn(len(alive))]
 	a.cur = next
 	delta := a.apply(a.configs[next])
 	a.pool.AdvanceEpoch()
 	return delta
+}
+
+// intn returns a.Rand.Intn(n), drawn as math/rand's Int31n draws it
+// (n < 2^31: at most C configurations are alive), and counts the draws.
+func (a *ONCONF) intn(n int) int {
+	m := int32(n)
+	draw := func() int32 {
+		a.draws++
+		return int32(a.Rand.Int63() >> 32)
+	}
+	if m&(m-1) == 0 {
+		return int(draw() & (m - 1))
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+	v := draw()
+	for v > max {
+		v = draw()
+	}
+	return int(v % m)
 }
 
 // chargeRange adds this round's cost to every counter in clusters

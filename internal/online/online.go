@@ -269,17 +269,55 @@ func BestResponse(env *sim.Env, pool *core.Pool, agg cost.Demand, rounds int, mo
 	return scan.materialize(bestOrd)
 }
 
-// base carries the pool plumbing shared by the online strategies.
+// base carries the pool plumbing shared by the online strategies, and
+// their state snapshots (snapshot.go) through the strategy's field list.
 type base struct {
-	env  *sim.Env
-	pool *core.Pool
+	env   *sim.Env
+	pool  *core.Pool
+	state func(*codec)
 }
 
-func (b *base) reset(env *sim.Env) {
-	b.env = env
+func (b *base) reset(env *sim.Env, state func(*codec)) {
+	b.env, b.state = env, state
 	b.pool = env.NewPool()
 	b.pool.Bootstrap(env.Start)
 }
+
+// paperFactor returns f when positive, else the paper's factor 2 (ONBR's
+// and ONSAMP's θ = 2c, ONTH's small-epoch y = 2).
+func paperFactor(f float64) float64 {
+	if f > 0 {
+		return f
+	}
+	return 2
+}
+
+// epoch is the window an epoch strategy judges when it ends: the cost
+// accumulated since it began, its first round and its aggregated demand.
+// The thresholds stay with ONBR, ONSAMP and ONTH.
+type epoch struct {
+	accum float64
+	start int
+	agg   *cost.Accumulator
+}
+
+func newEpoch(n int) epoch { return epoch{agg: cost.NewAccumulator(n)} }
+
+// observe folds one round into the epoch. c is added as one term, so the
+// caller's expression fixes the float order of the running sum.
+func (e *epoch) observe(d cost.Demand, c float64) {
+	e.accum += c
+	e.agg.Add(d)
+}
+
+// restart opens the next epoch at round start.
+func (e *epoch) restart(start int) {
+	e.accum, e.start = 0, start
+	e.agg.Reset()
+}
+
+// rounds returns the epoch's length when it ends with round t.
+func (e *epoch) rounds(t int) int { return t - e.start + 1 }
 
 // Placement implements sim.Algorithm.
 func (b *base) Placement() core.Placement { return b.pool.Active() }

@@ -30,10 +30,8 @@ type ONSAMP struct {
 	// ThetaFactor scales the epoch threshold θ = ThetaFactor·c (default 2).
 	ThetaFactor float64
 
-	theta      float64
-	accum      float64
-	epochStart int
-	epochAgg   *cost.Accumulator
+	theta float64
+	epoch epoch
 }
 
 // NewONSAMP returns the sampling strategy with default parameters.
@@ -42,12 +40,7 @@ func NewONSAMP() *ONSAMP { return &ONSAMP{} }
 // Name implements sim.Algorithm.
 func (a *ONSAMP) Name() string { return "ONSAMP" }
 
-func (a *ONSAMP) factor() float64 {
-	if a.ThetaFactor > 0 {
-		return a.ThetaFactor
-	}
-	return 2
-}
+func (a *ONSAMP) factor() float64 { return paperFactor(a.ThetaFactor) }
 
 func (a *ONSAMP) maxSample() int {
 	if a.MaxSample > 0 {
@@ -71,29 +64,24 @@ func (a *ONSAMP) Reset(env *sim.Env) error {
 	if len(env.Start) == 0 {
 		return fmt.Errorf("onsamp: empty initial placement")
 	}
-	a.reset(env)
+	a.reset(env, a.state)
 	a.theta = a.factor() * env.Costs.Create
-	a.accum = 0
-	a.epochStart = 0
-	a.epochAgg = cost.NewAccumulator(env.Graph.N())
+	a.epoch = newEpoch(env.Graph.N())
 	return nil
 }
 
 // Observe implements sim.Algorithm.
 func (a *ONSAMP) Observe(t int, d cost.Demand, access cost.AccessCost) core.Delta {
-	a.accum += access.Total() + a.pool.RunCost()
-	a.epochAgg.Add(d)
-	if a.accum < a.theta {
+	a.epoch.observe(d, access.Total()+a.pool.RunCost())
+	if a.epoch.accum < a.theta {
 		return core.Delta{}
 	}
-	length := t - a.epochStart + 1
-	agg := a.epochAgg.Demand()
+	length := a.epoch.rounds(t)
+	agg := a.epoch.agg.Demand()
 	target := a.bestSample(agg, length)
 	delta := a.apply(target)
 	a.pool.AdvanceEpoch()
-	a.accum = 0
-	a.epochStart = t + 1
-	a.epochAgg.Reset()
+	a.epoch.restart(t + 1)
 	return delta
 }
 

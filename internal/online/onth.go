@@ -31,14 +31,10 @@ type ONTH struct {
 	// paper's y = 2.
 	Y float64
 
-	smallAccum float64
-	smallAgg   *cost.Accumulator
-	smallStart int
-
-	largeAccess float64
-	largeRun    float64
-	largeAgg    *cost.Accumulator
-	largeStart  int
+	// small accumulates access plus running cost; large accumulates
+	// access cost only, with the running cost beside it in largeRun.
+	small, large epoch
+	largeRun     float64
 }
 
 // NewONTH returns ONTH with the paper's parameters.
@@ -47,40 +43,31 @@ func NewONTH() *ONTH { return &ONTH{} }
 // Name implements sim.Algorithm.
 func (a *ONTH) Name() string { return "ONTH" }
 
-func (a *ONTH) y() float64 {
-	if a.Y > 0 {
-		return a.Y
-	}
-	return 2
-}
+func (a *ONTH) y() float64 { return paperFactor(a.Y) }
 
 // Reset implements sim.Algorithm.
 func (a *ONTH) Reset(env *sim.Env) error {
 	if len(env.Start) == 0 {
 		return fmt.Errorf("onth: empty initial placement")
 	}
-	a.reset(env)
-	a.smallAccum, a.smallStart = 0, 0
-	a.smallAgg = cost.NewAccumulator(env.Graph.N())
-	a.largeAccess, a.largeRun, a.largeStart = 0, 0, 0
-	a.largeAgg = cost.NewAccumulator(env.Graph.N())
+	a.reset(env, a.state)
+	a.small, a.large = newEpoch(env.Graph.N()), newEpoch(env.Graph.N())
+	a.largeRun = 0
 	return nil
 }
 
 // Observe implements sim.Algorithm.
 func (a *ONTH) Observe(t int, d cost.Demand, access cost.AccessCost) core.Delta {
 	run := a.pool.RunCost()
-	a.smallAccum += access.Total() + run
-	a.smallAgg.Add(d)
-	a.largeAccess += access.Total()
+	a.small.observe(d, access.Total()+run)
+	a.large.observe(d, access.Total())
 	a.largeRun += run
-	a.largeAgg.Add(d)
 
 	var delta core.Delta
 	if a.largeEpochOver() {
 		delta = delta.Add(a.endLargeEpoch(t))
 	}
-	if a.smallAccum >= a.y()*a.env.Costs.Beta {
+	if a.small.accum >= a.y()*a.env.Costs.Beta {
 		delta = delta.Add(a.endSmallEpoch(t))
 	}
 	return delta
@@ -90,7 +77,7 @@ func (a *ONTH) Observe(t int, d cost.Demand, access cost.AccessCost) core.Delta 
 // Costacc/(kcur+1) − Costrun > c.
 func (a *ONTH) largeEpochOver() bool {
 	kcur := float64(a.pool.NumActive())
-	return a.largeAccess/(kcur+1)-a.largeRun > a.env.Costs.Create
+	return a.large.accum/(kcur+1)-a.largeRun > a.env.Costs.Create
 }
 
 // endLargeEpoch activates one more server at the position optimal for the
@@ -99,29 +86,27 @@ func (a *ONTH) endLargeEpoch(t int) core.Delta {
 	var delta core.Delta
 	cur := a.pool.Active()
 	if a.env.Pool.MaxServers <= 0 || cur.Len() < a.env.Pool.MaxServers {
-		agg := a.largeAgg.Demand()
+		agg := a.large.agg.Demand()
 		if v, _, ok := a.env.Eval.BestAddition(cur, agg); ok {
 			delta = a.apply(cur.With(v))
 		}
 	}
-	a.largeAccess, a.largeRun, a.largeStart = 0, 0, t+1
-	a.largeAgg.Reset()
+	a.large.restart(t + 1)
+	a.largeRun = 0
 	// The configuration changed; restart the small epoch so its best
 	// response judges the new configuration on fresh observations.
-	a.smallAccum, a.smallStart = 0, t+1
-	a.smallAgg.Reset()
+	a.small.restart(t + 1)
 	return delta
 }
 
 // endSmallEpoch runs the restricted best response (no additions — growing
 // the configuration is the large epoch's job).
 func (a *ONTH) endSmallEpoch(t int) core.Delta {
-	length := t - a.smallStart + 1
-	agg := a.smallAgg.Demand()
+	length := a.small.rounds(t)
+	agg := a.small.agg.Demand()
 	target := a.bestResponse(agg, length, SearchMoves{Move: true, Deactivate: true})
 	delta := a.apply(target)
 	a.pool.AdvanceEpoch()
-	a.smallAccum, a.smallStart = 0, t+1
-	a.smallAgg.Reset()
+	a.small.restart(t + 1)
 	return delta
 }

@@ -39,7 +39,7 @@ func (a *naiveONCONF) Reset(env *sim.Env) error {
 		k = env.Graph.N()
 	}
 	a.configs = core.EnumeratePlacements(env.Graph.N(), k)
-	a.reset(env)
+	a.reset(env, nil)
 	a.counters = make([]float64, len(a.configs))
 	a.cur = -1
 	for i, c := range a.configs {
@@ -101,7 +101,7 @@ func (a *naiveWFA) Reset(env *sim.Env) error {
 	if k <= 0 {
 		k = env.Graph.N()
 	}
-	a.reset(env)
+	a.reset(env, nil)
 	a.configs = core.EnumeratePlacements(env.Graph.N(), k)
 	a.work = make([]float64, len(a.configs))
 	a.scratch = make([]float64, len(a.configs))

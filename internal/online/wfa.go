@@ -48,22 +48,15 @@ type WFA struct {
 	// error reports the footprint a rejected space would need.
 	MaxConfigs int
 
-	configs []core.Placement
-	work    []float64
-	scratch []float64
-	cur     int
-
-	kern     *WorkKernel     // work-function update; its shape table and sizes serve the move rule
-	clusters []configCluster // prefix decomposition (move-rule pruning, stats)
-	cMin     []float64       // per cluster: min scratch this round
-	mrVal    []float64       // per cluster: best move-rule value below the stay-put seed
-	mrIdx    []int32         // per cluster: index attaining mrVal (-1 = none)
-	improved int
-
-	sweep   *cost.ConfSweep
-	taskBuf []float64 // scratch: per-config access totals of the round
-	latBuf  []float64 // scratch: per-config access latencies (feasibility test)
-	runCost []float64 // per config: Costrun(γ) for one round
+	confSpace // cMin: per cluster, the min scratch this round
+	work      []float64
+	scratch   []float64
+	kern      *WorkKernel // work-function update; its shape table and sizes serve the move rule
+	mrVal     []float64   // per cluster: best move-rule value below the stay-put seed
+	mrIdx     []int32     // per cluster: index attaining mrVal (-1 = none)
+	improved  int
+	taskBuf   []float64 // scratch: per-config access totals of the round
+	latBuf    []float64 // scratch: per-config access latencies (feasibility test)
 }
 
 // NewWFA returns the work-function baseline.
@@ -89,47 +82,25 @@ func (a *WFA) Reset(env *sim.Env) error {
 	if k <= 0 || k > n {
 		k = n
 	}
-	bound := a.MaxConfigs
-	if bound <= 0 {
-		bound = MaxONCONFConfigs
-	}
-	if err := checkConfigSpace("wfa", "", n, k, bound); err != nil {
+	if err := a.init("wfa", "", env, k, a.MaxConfigs); err != nil {
 		return err
 	}
-	a.reset(env)
-	a.configs = core.EnumeratePlacements(n, k)
+	a.reset(env, a.state)
 	C := len(a.configs)
 	a.work = make([]float64, C)
 	a.scratch = make([]float64, C)
-	a.cur = -1
-	for i, c := range a.configs {
-		if c.Equal(env.Start) {
-			a.cur = i
-		}
-	}
-	if a.cur < 0 {
-		return fmt.Errorf("wfa: initial placement %v not in configuration space", env.Start)
-	}
 	kern, err := NewWorkKernel(env.Costs, a.configs, n, k, 0)
 	if err != nil {
 		return fmt.Errorf("wfa: %w; lower MaxConfigs or the server bound k", err)
 	}
 	a.kern = kern
-	a.clusters = buildClusters(a.configs, n)
-	M := len(a.clusters)
-	a.cMin = make([]float64, M)
-	a.mrVal = make([]float64, M)
-	a.mrIdx = make([]int32, M)
-	views := make([][]int, C)
-	a.runCost = make([]float64, C)
+	a.mrVal = make([]float64, len(a.clusters))
+	a.mrIdx = make([]int32, len(a.clusters))
 	for i, c := range a.configs {
-		views[i] = c
-		a.runCost[i] = env.Costs.Run(c.Len(), 0)
 		// Initial work function: cost of moving from the start state.
 		entering, leaving := env.Start.DiffSize(c)
 		a.work[i] = env.Costs.Transition(entering, leaving)
 	}
-	a.sweep = cost.NewConfSweep(env.Eval, views)
 	a.taskBuf = make([]float64, C)
 	a.latBuf = make([]float64, C)
 	return nil

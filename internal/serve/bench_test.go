@@ -52,7 +52,11 @@ func BenchmarkCheckpoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteCheckpoint(path, checkpointOf(e, "bench-ckpt")); err != nil {
+		c, err := checkpointOf(e, "bench-ckpt")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := WriteCheckpoint(path, c); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/sim"
@@ -13,35 +14,21 @@ import (
 
 // Checkpoint is the periodic snapshot of the serving state: the stream
 // cursor (how many WAL entries were applied), the round counter, the
-// current placement, and the ledger totals as exact float bits.
-//
-// When the algorithm implements sim.StateSnapshotter, the checkpoint
-// additionally carries full restore state — the open demand window and
-// the algorithm's serialised run state — and recovery can resume from it
-// directly instead of replaying the WAL from entry zero. That is what
-// anchors WAL truncation: sealed segments entirely below a restorable
-// checkpoint's cursor can be deleted. For other algorithms the restore
-// fields stay empty and the checkpoint's role on restart is validation
-// only: the replayed state at Cursor must match the snapshot bit for bit,
-// or the state directory is corrupt.
+// placement, the ledger totals as exact float bits, the open demand window
+// and the algorithm's run state (sim.StateSnapshotter). Recovery restores
+// it and replays only the WAL entries past Cursor.
 type Checkpoint struct {
-	Fingerprint string    `json:"fingerprint"`
-	Cursor      int       `json:"cursor"`
-	Round       int       `json:"round"`
-	Quarantined int       `json:"quarantined"`
-	Placement   []int     `json:"placement"`
-	Inactive    int       `json:"inactive"`
-	TotalBits   [5]uint64 `json:"total_bits"` // latency, load, run, migration, creation
-	Total       float64   `json:"total"`      // human-readable; TotalBits is authoritative
-
-	// Restore state (present only for snapshot-capable algorithms).
-	Window   []cost.NodeCount `json:"window,omitempty"`    // open demand window, sorted by node
-	AlgState json.RawMessage  `json:"alg_state,omitempty"` // sim.StateSnapshotter payload
+	Fingerprint string           `json:"fingerprint"`
+	Cursor      int              `json:"cursor"`
+	Round       int              `json:"round"`
+	Quarantined int              `json:"quarantined"`
+	Placement   []int            `json:"placement"`
+	Inactive    int              `json:"inactive"`
+	TotalBits   [5]uint64        `json:"total_bits"`       // latency, load, run, migration, creation
+	Total       float64          `json:"total"`            // human-readable; TotalBits is authoritative
+	Window      []cost.NodeCount `json:"window,omitempty"` // open demand window, sorted by node
+	AlgState    []byte           `json:"alg_state"`        // sim.StateSnapshotter payload
 }
-
-// Restorable reports whether the checkpoint carries full restore state,
-// i.e. recovery can resume from it without the WAL prefix before Cursor.
-func (c *Checkpoint) Restorable() bool { return len(c.AlgState) > 0 }
 
 // totalsToBits packs a breakdown into exact float bits.
 func totalsToBits(b sim.Breakdown) [5]uint64 {
@@ -65,13 +52,19 @@ func bitsToTotals(bits [5]uint64) sim.Breakdown {
 	}
 }
 
-// checkpointOf snapshots an engine. For snapshot-capable algorithms the
-// checkpoint carries full restore state; a failing snapshot degrades to a
-// validation-only checkpoint (full replay still recovers) rather than
-// failing the checkpoint.
-func checkpointOf(e *Engine, fingerprint string) *Checkpoint {
+// checkpointOf snapshots an engine; it fails when the algorithm's state
+// snapshot does.
+func checkpointOf(e *Engine, fingerprint string) (*Checkpoint, error) {
+	snap, err := snapshotter(e.stream.Algorithm())
+	if err != nil {
+		return nil, err
+	}
+	data, err := snap.SnapshotState()
+	if err != nil {
+		return nil, err
+	}
 	totals := e.Totals()
-	c := &Checkpoint{
+	return &Checkpoint{
 		Fingerprint: fingerprint,
 		Cursor:      e.Cursor(),
 		Round:       e.Round(),
@@ -80,31 +73,30 @@ func checkpointOf(e *Engine, fingerprint string) *Checkpoint {
 		Inactive:    e.stream.Algorithm().Inactive(),
 		TotalBits:   totalsToBits(totals),
 		Total:       totals.Total(),
-	}
-	if snap, ok := e.stream.Algorithm().(sim.StateSnapshotter); ok {
-		if data, err := snap.SnapshotState(); err == nil {
-			c.Window = e.WindowDemand().Pairs()
-			c.AlgState = data
-		}
-	}
-	return c
+		Window:      e.WindowDemand().Pairs(),
+		AlgState:    data,
+	}, nil
 }
 
-// restore reinstalls the checkpoint into a freshly built engine: the
-// algorithm's run state, the stream position and totals, the open demand
-// window, and the engine counters. It then validates the result against
-// the checkpoint's own fields, so an inconsistent snapshot is rejected
-// instead of silently diverging. Only restorable checkpoints qualify.
-func (c *Checkpoint) restore(e *Engine) error {
-	if !c.Restorable() {
-		return fmt.Errorf("serve: checkpoint at cursor %d carries no restore state", c.Cursor)
-	}
-	snap, ok := e.stream.Algorithm().(sim.StateSnapshotter)
+// snapshotter returns the algorithm's state snapshots; serving refuses an
+// algorithm without them, naming it.
+func snapshotter(alg sim.Algorithm) (sim.StateSnapshotter, error) {
+	snap, ok := alg.(sim.StateSnapshotter)
 	if !ok {
-		return fmt.Errorf("serve: checkpoint at cursor %d carries %s state, but the configured algorithm cannot restore it",
-			c.Cursor, e.stream.Algorithm().Name())
+		return nil, fmt.Errorf("serve: %s has no state snapshot (sim.StateSnapshotter), so it cannot be checkpointed or served", alg.Name())
 	}
-	if err := snap.RestoreState([]byte(c.AlgState)); err != nil {
+	return snap, nil
+}
+
+// restore reinstalls the checkpoint into a freshly built engine, then
+// validates the result against the checkpoint's own fields, so an
+// inconsistent snapshot is rejected instead of silently diverging.
+func (c *Checkpoint) restore(e *Engine) error {
+	snap, err := snapshotter(e.stream.Algorithm())
+	if err != nil {
+		return err
+	}
+	if err := snap.RestoreState(c.AlgState); err != nil {
 		return err
 	}
 	e.stream.RestoreTotals(c.Round, bitsToTotals(c.TotalBits))
@@ -133,23 +125,20 @@ func WriteCheckpoint(path string, c *Checkpoint) error {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op once renamed
-	enc := json.NewEncoder(tmp)
-	if err := enc.Encode(c); err != nil {
-		tmp.Close()
-		return err
+	err = json.NewEncoder(tmp).Encode(c)
+	if err == nil {
+		err = tmp.Chmod(0o644)
 	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		return err
 	}
 	return syncDir(filepath.Dir(path))
@@ -173,28 +162,13 @@ func ReadCheckpoint(path, fingerprint string) (*Checkpoint, error) {
 }
 
 // matches reports whether the engine's state equals the checkpoint, bit
-// for bit — the recovery validation run against the replayed WAL.
+// for bit.
 func (c *Checkpoint) matches(e *Engine) error {
-	if e.Cursor() != c.Cursor {
-		return fmt.Errorf("cursor %d, checkpoint has %d", e.Cursor(), c.Cursor)
-	}
-	if e.Round() != c.Round {
-		return fmt.Errorf("round %d, checkpoint has %d", e.Round(), c.Round)
-	}
-	if e.Quarantined() != c.Quarantined {
-		return fmt.Errorf("quarantined %d, checkpoint has %d", e.Quarantined(), c.Quarantined)
-	}
-	p := e.Placement()
-	if len(p) != len(c.Placement) {
-		return fmt.Errorf("placement %v, checkpoint has %v", p, c.Placement)
-	}
-	for i := range p {
-		if p[i] != c.Placement[i] {
-			return fmt.Errorf("placement %v, checkpoint has %v", p, c.Placement)
-		}
-	}
-	if got := totalsToBits(e.Totals()); got != c.TotalBits {
-		return fmt.Errorf("ledger totals %v, checkpoint has %v", got, c.TotalBits)
+	if e.Cursor() != c.Cursor || e.Round() != c.Round || e.Quarantined() != c.Quarantined ||
+		!slices.Equal(e.Placement(), c.Placement) || totalsToBits(e.Totals()) != c.TotalBits {
+		return fmt.Errorf("engine at cursor %d, round %d, %d quarantined, placement %v, totals %v; checkpoint has %d, %d, %d, %v, %v",
+			e.Cursor(), e.Round(), e.Quarantined(), e.Placement(), totalsToBits(e.Totals()),
+			c.Cursor, c.Round, c.Quarantined, c.Placement, c.TotalBits)
 	}
 	return nil
 }

@@ -24,9 +24,19 @@ func buildEngine(t *testing.T, rounds int) *Engine {
 	return e
 }
 
+// mustCheckpoint snapshots an engine, failing the test on error.
+func mustCheckpoint(t *testing.T, e *Engine, fingerprint string) *Checkpoint {
+	t.Helper()
+	c, err := checkpointOf(e, fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestCheckpointRoundTripAndMatch(t *testing.T) {
 	e := buildEngine(t, 10)
-	c := checkpointOf(e, "fp")
+	c := mustCheckpoint(t, e, "fp")
 	path := filepath.Join(t.TempDir(), CheckpointName)
 	if err := WriteCheckpoint(path, c); err != nil {
 		t.Fatal(err)
@@ -38,7 +48,7 @@ func TestCheckpointRoundTripAndMatch(t *testing.T) {
 	if err := back.matches(e); err != nil {
 		t.Fatalf("round-tripped checkpoint does not validate its own engine: %v", err)
 	}
-	// A replayed twin of the engine validates too — the recovery path.
+	// A deterministic twin of the engine matches too.
 	twin := buildEngine(t, 10)
 	if err := back.matches(twin); err != nil {
 		t.Fatalf("deterministic twin rejected: %v", err)
@@ -53,7 +63,7 @@ func TestCheckpointRoundTripAndMatch(t *testing.T) {
 func TestCheckpointRefusesForeignFingerprint(t *testing.T) {
 	e := buildEngine(t, 3)
 	path := filepath.Join(t.TempDir(), CheckpointName)
-	if err := WriteCheckpoint(path, checkpointOf(e, "config-a")); err != nil {
+	if err := WriteCheckpoint(path, mustCheckpoint(t, e, "config-a")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadCheckpoint(path, "config-b"); err == nil ||
@@ -67,7 +77,7 @@ func TestCheckpointWriteIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, CheckpointName)
 	for i := 0; i < 3; i++ {
-		if err := WriteCheckpoint(path, checkpointOf(e, "fp")); err != nil {
+		if err := WriteCheckpoint(path, mustCheckpoint(t, e, "fp")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -146,6 +148,22 @@ func (p *panicAfter) Observe(t int, d cost.Demand, access cost.AccessCost) core.
 		panic("injected algorithm failure")
 	}
 	return p.Algorithm.Observe(t, d, access)
+}
+
+// SnapshotState implements sim.StateSnapshotter: the wrapped state, then
+// the round count as 8 little-endian bytes.
+func (p *panicAfter) SnapshotState() ([]byte, error) {
+	data, err := p.Algorithm.(sim.StateSnapshotter).SnapshotState()
+	return binary.LittleEndian.AppendUint64(data, uint64(p.seen)), err
+}
+
+// RestoreState implements sim.StateSnapshotter.
+func (p *panicAfter) RestoreState(data []byte) error {
+	if len(data) < 8 {
+		return fmt.Errorf("panicAfter: %d-byte snapshot", len(data))
+	}
+	p.seen = int(binary.LittleEndian.Uint64(data[len(data)-8:]))
+	return p.Algorithm.(sim.StateSnapshotter).RestoreState(data[:len(data)-8])
 }
 
 // TestEngineQuarantinesPanickingRound checks that an algorithm panic is

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -31,22 +32,15 @@ const (
 	FaultKill
 )
 
+// faultNames are the matrix names of the kinds, indexed by kind.
+var faultNames = [...]string{"none", "slow", "flood", "ckptfail", "kill"}
+
 // String returns the matrix name of the kind.
 func (k FaultKind) String() string {
-	switch k {
-	case FaultNone:
-		return "none"
-	case FaultSlow:
-		return "slow"
-	case FaultFlood:
-		return "flood"
-	case FaultCkptFail:
-		return "ckptfail"
-	case FaultKill:
-		return "kill"
-	default:
-		return fmt.Sprintf("fault(%d)", int(k))
+	if k >= 0 && int(k) < len(faultNames) {
+		return faultNames[k]
 	}
+	return fmt.Sprintf("fault(%d)", int(k))
 }
 
 // Fault is one armed injection: Kind arms after After trigger events
@@ -82,19 +76,11 @@ func ParseFault(s string) (Fault, error) {
 		return Fault{}, nil
 	}
 	parts := strings.Split(s, ":")
-	f := Fault{Delay: 50 * time.Millisecond, Factor: 8}
-	switch parts[0] {
-	case "slow":
-		f.Kind = FaultSlow
-	case "flood":
-		f.Kind = FaultFlood
-	case "ckptfail":
-		f.Kind = FaultCkptFail
-	case "kill":
-		f.Kind = FaultKill
-	default:
+	kind := FaultKind(slices.Index(faultNames[:], parts[0]))
+	if kind <= FaultNone {
 		return Fault{}, fmt.Errorf("serve: unknown fault %q (want slow, flood, ckptfail, kill)", parts[0])
 	}
+	f := Fault{Kind: kind, Delay: 50 * time.Millisecond, Factor: 8}
 	if len(parts) > 1 && parts[1] != "" {
 		after, err := strconv.Atoi(parts[1])
 		if err != nil || after < 0 {

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -33,33 +35,9 @@ func Handler(s *Server) http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		var bodies []ingestBody
-		// Peek at the first token to accept one object or an array.
-		if t, err := dec.Token(); err != nil {
+		bodies, err := decodeIngest(r.Body)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-			return
-		} else if delim, ok := t.(json.Delim); ok && delim == '[' {
-			for dec.More() {
-				var b ingestBody
-				if err := dec.Decode(&b); err != nil {
-					httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-					return
-				}
-				bodies = append(bodies, b)
-			}
-		} else if ok && delim == '{' {
-			// Re-decode the single object: the opening brace is consumed, so
-			// decode the fields manually into a map-backed body.
-			var b ingestBody
-			if err := decodeOpenObject(dec, &b); err != nil {
-				httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-				return
-			}
-			bodies = append(bodies, b)
-		} else {
-			httpError(w, http.StatusBadRequest, "bad JSON: want an object or array")
 			return
 		}
 		admitted := 0
@@ -132,37 +110,27 @@ func Handler(s *Server) http.Handler {
 	return http.TimeoutHandler(mux, s.cfg.RequestTimeout, "request deadline exceeded\n")
 }
 
-// decodeOpenObject finishes decoding an object whose '{' token was already
-// consumed while sniffing single-vs-array.
-func decodeOpenObject(dec *json.Decoder, b *ingestBody) error {
-	for dec.More() {
-		t, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		key, ok := t.(string)
-		if !ok {
-			return fmt.Errorf("bad object key %v", t)
-		}
-		switch key {
-		case "node":
-			if err := dec.Decode(&b.Node); err != nil {
-				return err
-			}
-		case "count":
-			if err := dec.Decode(&b.Count); err != nil {
-				return err
-			}
-		case "slo_class":
-			if err := dec.Decode(&b.Class); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown field %q", key)
-		}
+// decodeIngest decodes a POST /ingest body: one object or an array of
+// them, with no unknown fields.
+func decodeIngest(r io.Reader) ([]ingestBody, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
-	_, err := dec.Token() // consume '}'
-	return err
+	data = bytes.TrimSpace(data)
+	var bodies []ingestBody
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	switch {
+	case bytes.HasPrefix(data, []byte("[")):
+		err = dec.Decode(&bodies)
+	case bytes.HasPrefix(data, []byte("{")):
+		bodies = make([]ingestBody, 1)
+		err = dec.Decode(&bodies[0])
+	default:
+		err = fmt.Errorf("want an object or array")
+	}
+	return bodies, err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -225,7 +225,7 @@ func TestHTTPDrainSemantics(t *testing.T) {
 // TestHTTPLedgerMatchesReplayBytes pins the wire contract the CI smoke
 // test diffs on: the GET /ledger body of a drained server is byte-identical
 // to what flexserve -replay prints (json.Encoder over the same LedgerDump
-// of a WAL replay).
+// of the state directory's recovery).
 func TestHTTPLedgerMatchesReplayBytes(t *testing.T) {
 	cfg := recoveryConfig(t, t.TempDir(), Fault{})
 	s, err := New(cfg)

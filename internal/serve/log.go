@@ -17,6 +17,9 @@ func segmentPath(dir string, seq int) string {
 	return filepath.Join(dir, fmt.Sprintf(segPattern, seq))
 }
 
+// DefaultSegmentEntries is the WAL segment size when none is given.
+const DefaultSegmentEntries = 4096
+
 // segInfo describes one sealed segment: its sequence number, the global
 // index of its first entry, and how many entries it holds. Sealed
 // segments are immutable, so TruncateBefore can delete whole files by
@@ -27,14 +30,11 @@ type segInfo struct {
 	count int
 }
 
-// Log is the segmented write-ahead log of one state directory. It behaves
-// like the single append-only WAL it replaces — entries carry global
-// indices, Count is the global length — but the bytes live in a chain of
-// segment files that rotate every segEntries appends, so
-// checkpoint-anchored truncation (TruncateBefore) can bound the state
-// directory of a long-running server by deleting sealed segments that a
-// restorable checkpoint has made redundant. segEntries <= 0 disables
-// rotation: the log stays a single wal-000001.log forever.
+// Log is the segmented write-ahead log of one state directory: entries
+// carry global indices and Count is the global length, but the bytes live
+// in a chain of segment files that rotate every segEntries appends
+// (DefaultSegmentEntries when zero or less), so TruncateBefore can delete
+// the sealed segments a durable checkpoint has made redundant.
 type Log struct {
 	dir         string
 	fingerprint string
@@ -57,7 +57,16 @@ func CreateLog(dir, fingerprint string, segEntries int) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Log{dir: dir, fingerprint: fingerprint, segEntries: segEntries, active: w, activeSeq: 1}, nil
+	log := newLog(dir, fingerprint, segEntries)
+	log.active, log.activeSeq = w, 1
+	return log, nil
+}
+
+func newLog(dir, fingerprint string, segEntries int) *Log {
+	if segEntries <= 0 {
+		segEntries = DefaultSegmentEntries
+	}
+	return &Log{dir: dir, fingerprint: fingerprint, segEntries: segEntries}
 }
 
 // listSegments returns the segment sequence numbers present in dir,
@@ -100,7 +109,7 @@ func OpenLog(dir, fingerprint string, segEntries int) (*Log, int, []Entry, error
 		return nil, 0, nil, fmt.Errorf("serve: %s holds no WAL", dir)
 	}
 
-	log := &Log{dir: dir, fingerprint: fingerprint, segEntries: segEntries}
+	log := newLog(dir, fingerprint, segEntries)
 	var all []Entry
 	base := -1
 	next := 0 // expected base of the next segment in the chain
@@ -148,7 +157,7 @@ func OpenLog(dir, fingerprint string, segEntries int) (*Log, int, []Entry, error
 func (l *Log) Append(e Entry) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.segEntries > 0 && l.active.Count() >= l.segEntries {
+	if l.active.Count() >= l.segEntries {
 		if err := l.rotate(); err != nil {
 			return err
 		}

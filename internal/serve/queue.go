@@ -93,16 +93,11 @@ func (q *IngestQueue) Admit(r Request, now time.Time, persist func(Entry) error)
 		q.shed[r.Class]++
 		return &OverloadError{Class: r.Class}
 	}
-	e := ArrivalEntry(r)
-	if persist != nil {
-		if err := persist(e); err != nil {
-			return err
-		}
+	if err := q.push(ArrivalEntry(r), now, persist); err != nil {
+		return err
 	}
 	q.admitted[r.Class]++
-	q.items = append(q.items, queued{e: e, at: now})
 	q.reqs++
-	q.cond.Signal()
 	return nil
 }
 
@@ -114,7 +109,11 @@ func (q *IngestQueue) Tick(now time.Time, persist func(Entry) error) error {
 	if q.closed {
 		return ErrDraining
 	}
-	e := TickEntry()
+	return q.push(TickEntry(), now, persist)
+}
+
+// push runs persist on e and enqueues it; the caller holds q.mu.
+func (q *IngestQueue) push(e Entry, now time.Time, persist func(Entry) error) error {
 	if persist != nil {
 		if err := persist(e); err != nil {
 			return err

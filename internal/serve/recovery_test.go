@@ -2,7 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,7 +80,7 @@ func feedPhase(t *testing.T, s *Server, rounds, base int) {
 // serve under the fault, abandon the process state mid-stream (no drain, no
 // final checkpoint — the WAL is ahead of the last checkpoint), restart
 // healthy from the same state directory, serve more, drain, and require the
-// final ledger to be bit-identical to an uninterrupted replay of the WAL.
+// final ledger to be bit-identical to Replay of the state directory.
 func runRecoveryMatrix(t *testing.T, fault Fault) {
 	dir := t.TempDir()
 
@@ -108,7 +112,7 @@ func runRecoveryMatrix(t *testing.T, fault Fault) {
 			t.Fatal("ckptfail fault injected no failures")
 		}
 		if snap.CheckpointsOK == 0 {
-			t.Fatal("want one pre-fault checkpoint for recovery to validate")
+			t.Fatal("want one pre-fault checkpoint for recovery to restore")
 		}
 	}
 	// Crash: abandon s1 — no Drain, no final checkpoint, WAL left open.
@@ -188,8 +192,8 @@ func TestRecoveryRejectsForeignState(t *testing.T) {
 }
 
 // TestDrainThenRestartIsCleanContinuation: a graceful drain writes a final
-// checkpoint at the WAL head; the restart validates it at the end of replay
-// and continues without re-serving anything.
+// checkpoint at the WAL head; the restart restores it, has no entry left
+// to replay, and continues without re-serving anything.
 func TestDrainThenRestartIsCleanContinuation(t *testing.T) {
 	dir := t.TempDir()
 	cfg := recoveryConfig(t, dir, Fault{})
@@ -252,4 +256,197 @@ func TestQuarantineSurvivesRecovery(t *testing.T) {
 		t.Fatalf("quarantine count changed: %d -> %d", live.Quarantined, recovered.Quarantined)
 	}
 	s2.queue.Close()
+}
+
+// servableAlgorithms mirrors flexserve's online -alg names, each with the
+// server bound its configuration space needs here.
+var servableAlgorithms = []struct {
+	name string
+	k    int
+	mk   func() sim.Algorithm
+}{
+	{"onth", 0, func() sim.Algorithm { return online.NewONTH() }},
+	{"onbr", 0, func() sim.Algorithm { return online.NewONBR() }},
+	{"onbr-dyn", 0, func() sim.Algorithm { return online.NewONBRDynamic() }},
+	{"onbr-cluster", 0, func() sim.Algorithm { return online.NewONBRClustered(8) }},
+	{"onsamp", 0, func() sim.Algorithm { return online.NewONSAMP() }},
+	{"wfa", 2, func() sim.Algorithm { return online.NewWFA() }},
+	{"onconf", 2, func() sim.Algorithm { return online.NewONCONF(rand.New(rand.NewSource(7))) }},
+}
+
+// TestEveryServableAlgorithmRecovers is the uninterrupted-ledger check
+// for every servable strategy. A server killed after 13 rounds, with its
+// WAL rotated and truncated behind its checkpoints, recovers and keeps
+// serving; its final ledger must be byte-identical to one uninterrupted
+// server's over the same admitted stream. The uninterrupted server's
+// whole WAL, replayed from entry zero, must then reproduce its mid-run
+// and final checkpoints bit for bit at their cursors. ONCONF makes random
+// switches in rounds 11 and 24 here, so the checkpoint the killed server
+// restores (round 12) carries a draw and the run after it draws again.
+func TestEveryServableAlgorithmRecovers(t *testing.T) {
+	for _, alg := range servableAlgorithms {
+		t.Run(alg.name, func(t *testing.T) {
+			config := func(dir string, fault Fault, segEntries int) Config {
+				cfg := recoveryConfig(t, dir, fault)
+				cfg.NewStream = testFactoryK(t, alg.k, alg.mk)
+				cfg.Fingerprint = "servable-" + alg.name
+				cfg.SegmentEntries = segEntries
+				return cfg
+			}
+
+			whole := t.TempDir()
+			u, err := New(config(whole, Fault{}, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			u.Start()
+			feedPhase(t, u, 16, 0)
+			waitCursor(t, u, u.wal.Count())
+			mid := readTestCheckpoint(t, whole, "servable-"+alg.name)
+			feedPhase(t, u, 12, 100)
+			waitCursor(t, u, u.wal.Count())
+			u.Drain()
+			end := readTestCheckpoint(t, whole, "servable-"+alg.name)
+
+			dir := t.TempDir()
+			s1, err := New(config(dir, Fault{Kind: FaultKill, After: 13}, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s1.queue.Close)
+			killed := make(chan struct{})
+			s1.cfg.Kill = func(string) { close(killed) }
+			s1.Start()
+			feedPhase(t, s1, 16, 0)
+			select {
+			case <-killed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("kill fault never fired")
+			}
+			if s1.MetricsSnapshot().CheckpointsOK == 0 || s1.wal.Base() == 0 {
+				t.Fatal("killed before a checkpoint truncated the WAL")
+			}
+			s2, err := New(config(dir, Fault{}, 8))
+			if err != nil {
+				t.Fatalf("recovery failed: %v", err)
+			}
+			s2.Start()
+			feedPhase(t, s2, 12, 100)
+			waitCursor(t, s2, s2.wal.Count())
+			s2.Drain()
+
+			got, err := json.Marshal(s2.LedgerSnapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(u.LedgerSnapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("recovered ledger diverges from the uninterrupted run:\n  recovered     %s\n  uninterrupted %s", got, want)
+			}
+			replayMatches(t, config(whole, Fault{}, 0), mid, end)
+		})
+	}
+}
+
+// readTestCheckpoint reads the state directory's checkpoint.
+func readTestCheckpoint(t *testing.T, dir, fingerprint string) *Checkpoint {
+	t.Helper()
+	c, err := ReadCheckpoint(filepath.Join(dir, CheckpointName), fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// replayMatches replays the state directory's whole WAL from entry zero
+// through a fresh engine and requires each checkpoint to equal, byte for
+// byte, the checkpoint of the replayed engine at its cursor.
+func replayMatches(t *testing.T, cfg Config, ckpts ...*Checkpoint) {
+	t.Helper()
+	engine, err := newEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, base, entries, err := OpenLog(cfg.Dir, cfg.Fingerprint, cfg.SegmentEntries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+	if base != 0 {
+		t.Fatalf("WAL starts at entry %d, want the whole log", base)
+	}
+	for i := 0; i <= len(entries); i++ {
+		for _, c := range ckpts {
+			if c.Cursor != i {
+				continue
+			}
+			want, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(mustCheckpoint(t, engine, cfg.Fingerprint))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("replay from entry zero diverges from the checkpoint at cursor %d:\n  replayed   %s\n  checkpoint %s", i, got, want)
+			}
+		}
+		if i < len(entries) {
+			engine.Apply(entries[i])
+		}
+	}
+}
+
+// TestParentCheckpointRefused: a checkpoint.json from before the state
+// codec — its alg_state a JSON object, or absent — fails recovery and
+// replay loudly, naming the file, instead of panicking or starting over.
+func TestParentCheckpointRefused(t *testing.T) {
+	edits := []struct {
+		name string
+		edit func(map[string]any)
+	}{
+		{"object", func(m map[string]any) { m["alg_state"] = map[string]any{"pool": map[string]any{"active": []int{1}}} }},
+		{"absent", func(m map[string]any) { delete(m, "alg_state") }},
+	}
+	for _, tc := range edits {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := recoveryConfig(t, dir, Fault{})
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Start()
+			feedPhase(t, s, 4, 0)
+			waitCursor(t, s, s.wal.Count())
+			s.Drain()
+
+			path := filepath.Join(dir, CheckpointName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m map[string]any
+			if err := json.Unmarshal(data, &m); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(m)
+			if data, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("New returned %v, want an error naming %s", err, path)
+			}
+			if _, err := Replay(cfg); err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("Replay returned %v, want an error naming %s", err, path)
+			}
+		})
+	}
 }

@@ -33,7 +33,7 @@ func countSegments(t *testing.T, dir string) int {
 }
 
 // TestRotationTruncationRecoveryParity is the satellite's pinned guarantee:
-// a server whose WAL rotated and was truncated behind restorable
+// a server whose WAL rotated and was truncated behind durable
 // checkpoints crashes, restarts from a log whose prefix is gone (recovery
 // must restore the checkpoint and replay only the retained tail — a tail
 // that starts mid-segment-chain, across a rotation boundary), keeps
@@ -101,8 +101,11 @@ func TestRotationTruncationRecoveryParity(t *testing.T) {
 }
 
 // TestRotationParityAgainstSingleFile: the same admitted stream produces a
-// bit-identical ledger whether the WAL rotated (and truncated) or stayed a
-// single file — segmentation is a storage concern, invisible to the game.
+// bit-identical ledger whether the WAL rotated (and truncated) every 8
+// entries or stayed within one segment of the default size —
+// segmentation is a storage concern, invisible to the game. A segment
+// size of 0 selects DefaultSegmentEntries: the log rotates at its
+// (DefaultSegmentEntries+1)-th append.
 func TestRotationParityAgainstSingleFile(t *testing.T) {
 	ledgers := make([]LedgerDump, 2)
 	for i, segEntries := range []int{0, 8} {
@@ -118,9 +121,32 @@ func TestRotationParityAgainstSingleFile(t *testing.T) {
 		waitCursor(t, s, s.wal.Count())
 		s.Drain()
 		ledgers[i] = s.LedgerSnapshot()
+		if segEntries == 0 && countSegments(t, dir) != 1 {
+			t.Fatalf("%d segments for %d entries at the default size", countSegments(t, dir), ledgers[i].Cursor)
+		}
 	}
 	if !reflect.DeepEqual(ledgers[0], ledgers[1]) {
 		t.Fatalf("segmented ledger diverges from single-file ledger:\n  single   %+v\n  rotated  %+v", ledgers[0], ledgers[1])
+	}
+
+	dir := t.TempDir()
+	log, err := CreateLog(dir, "default-rotation", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= DefaultSegmentEntries; i++ {
+		if i == DefaultSegmentEntries && countSegments(t, dir) != 1 {
+			t.Fatalf("%d segments after %d appends, want 1", countSegments(t, dir), i)
+		}
+		if err := log.Append(TickEntry()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := countSegments(t, dir); got != 2 {
+		t.Fatalf("%d segments after %d appends, want 2", got, DefaultSegmentEntries+1)
 	}
 }
 
@@ -154,42 +180,27 @@ func TestLegacyWALRefused(t *testing.T) {
 }
 
 // nonSnapshotAlg hides ONTH's StateSnapshotter implementation, standing in
-// for strategies whose state cannot be serialised (e.g. ONSAMP's RNG).
+// for a strategy that cannot be checkpointed.
 type nonSnapshotAlg struct{ sim.Algorithm }
 
-// TestNonSnapshotAlgorithmKeepsAllSegments: without sim.StateSnapshotter a
-// checkpoint anchors nothing — segments rotate but every one is retained,
-// and recovery still works by full replay from entry zero.
-func TestNonSnapshotAlgorithmKeepsAllSegments(t *testing.T) {
+func (nonSnapshotAlg) Name() string { return "no-snapshot-alg" }
+
+// TestNonSnapshotAlgorithmRefused: serving requires sim.StateSnapshotter,
+// since every checkpoint restores; New and Replay refuse any other
+// algorithm, naming it, before touching the state directory.
+func TestNonSnapshotAlgorithmRefused(t *testing.T) {
 	dir := t.TempDir()
 	cfg := rotationConfig(t, dir, Fault{})
 	cfg.NewStream = testFactoryAlg(t, func() sim.Algorithm {
 		return &nonSnapshotAlg{Algorithm: online.NewONTH()}
 	})
-	cfg.Fingerprint = "non-snapshot-test"
-	s1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "no-snapshot-alg") {
+		t.Fatalf("New returned %v, want a refusal naming no-snapshot-alg", err)
 	}
-	s1.Start()
-	feedPhase(t, s1, 8, 0)
-	waitCursor(t, s1, s1.wal.Count())
-	written := s1.wal.Count()
-	if base := s1.wal.Base(); base != 0 {
-		t.Fatalf("truncation ran (base %d) for an algorithm that cannot be restored", base)
+	if _, err := Replay(cfg); err == nil || !strings.Contains(err.Error(), "no-snapshot-alg") {
+		t.Fatalf("Replay returned %v, want a refusal naming no-snapshot-alg", err)
 	}
-	s1.Drain()
-	before := s1.LedgerSnapshot()
-
-	if on, want := countSegments(t, dir), (written+7)/8; on != want {
-		t.Fatalf("%d segments on disk, want all %d retained", on, want)
+	if n := countSegments(t, dir); n != 0 {
+		t.Fatalf("refused server left %d WAL segments", n)
 	}
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatalf("full-replay recovery failed: %v", err)
-	}
-	if got := s2.LedgerSnapshot(); !reflect.DeepEqual(before, got) {
-		t.Fatalf("full-replay ledger diverges:\n  before %+v\n  after  %+v", before, got)
-	}
-	s2.queue.Close()
 }

@@ -14,12 +14,13 @@
 //   - IngestQueue (queue.go) bounds admission: when the queue passes the
 //     shed threshold, non-critical classes are refused (429 + per-class
 //     shed counters); when it is full, everything is.
-//   - WAL (wal.go) persists every admitted arrival and round tick in
-//     admission order; Checkpoint (checkpoint.go) snapshots the engine
-//     state (placement, round, stream cursor, ledger totals) atomically.
-//     A crash is recovered by replaying the WAL through a fresh,
-//     deterministic engine and validating the replayed state against the
-//     last checkpoint — the recovered ledger is bit-identical to an
+//   - WAL (wal.go, log.go) persists every admitted arrival and round tick
+//     in admission order, in rotating segment files; Checkpoint
+//     (checkpoint.go) snapshots the engine state (stream cursor, round,
+//     ledger totals, open window, the algorithm's exact run state)
+//     atomically. A crash is recovered by restoring the last checkpoint
+//     into a fresh, deterministic engine and replaying the WAL entries
+//     past its cursor — the recovered ledger is bit-identical to an
 //     uninterrupted run over the same admitted stream.
 //   - Metrics (metrics.go) keeps rolling per-class admission/shed/served
 //     counters and sojourn-latency percentiles (slo_class "critical" is
@@ -32,6 +33,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -54,32 +56,27 @@ const (
 	numClasses = 3
 )
 
+// classNames are the wire names of the classes, indexed by class.
+var classNames = [numClasses]string{"critical", "standard", "batch"}
+
 // String returns the wire name of the class.
 func (c Class) String() string {
-	switch c {
-	case Critical:
-		return "critical"
-	case Standard:
-		return "standard"
-	case Batch:
-		return "batch"
-	default:
-		return fmt.Sprintf("class(%d)", uint8(c))
+	if int(c) < numClasses {
+		return classNames[c]
 	}
+	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
 // ParseClass parses a wire slo_class name; the empty string is Standard.
 func ParseClass(s string) (Class, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "critical":
-		return Critical, nil
-	case "", "standard":
+	name := strings.ToLower(strings.TrimSpace(s))
+	if name == "" {
 		return Standard, nil
-	case "batch":
-		return Batch, nil
-	default:
-		return Standard, fmt.Errorf("serve: unknown slo_class %q (want critical, standard, or batch)", s)
 	}
+	if i := slices.Index(classNames[:], name); i >= 0 {
+		return Class(i), nil
+	}
+	return Standard, fmt.Errorf("serve: unknown slo_class %q (want critical, standard, or batch)", s)
 }
 
 // Classes lists every class, for iterating metrics.

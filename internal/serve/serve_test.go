@@ -24,6 +24,12 @@ func testFactory(t testing.TB) func() (*sim.Stream, error) {
 // chaos tests can swap in deterministic misbehaving strategies.
 func testFactoryAlg(t testing.TB, mkAlg func() sim.Algorithm) func() (*sim.Stream, error) {
 	t.Helper()
+	return testFactoryK(t, 0, mkAlg)
+}
+
+// testFactoryK is testFactoryAlg under server bound k (0 = unbounded).
+func testFactoryK(t testing.TB, k int, mkAlg func() sim.Algorithm) func() (*sim.Stream, error) {
+	t.Helper()
 	return func() (*sim.Stream, error) {
 		rng := rand.New(rand.NewSource(5))
 		g, err := gen.ErdosRenyi(24, 0.15, gen.DefaultOptions(), rng)
@@ -32,7 +38,7 @@ func testFactoryAlg(t testing.TB, mkAlg func() sim.Algorithm) func() (*sim.Strea
 		}
 		env, err := sim.NewEnv(g, cost.Linear{}, cost.AssignMinCost,
 			cost.Params{Beta: 40, Create: 400, RunActive: 2.5, RunInactive: 0.5},
-			core.Params{QueueCap: 3, Expiry: 20})
+			core.Params{QueueCap: 3, Expiry: 20, MaxServers: k})
 		if err != nil {
 			return nil, err
 		}

@@ -35,12 +35,9 @@ type Config struct {
 	CheckpointEvery int     // closed rounds between checkpoints (DefaultCheckpointEvery)
 
 	// SegmentEntries rotates the WAL to a fresh segment file every that
-	// many appends; sealed segments wholly below a restorable checkpoint's
-	// cursor are then deleted, keeping a long run's state directory
-	// bounded. Zero (the default) keeps a single ever-growing segment.
-	// Truncation requires the algorithm to implement sim.StateSnapshotter
-	// (ONTH and ONBR do); for other algorithms segments rotate but are all
-	// retained, since recovery must replay the log from entry zero.
+	// many appends (DefaultSegmentEntries when zero or negative); sealed
+	// segments wholly below a durable checkpoint's cursor are then
+	// deleted, keeping a long run's state directory bounded.
 	SegmentEntries int
 
 	// Dir is the state directory for the WAL and checkpoints; empty runs
@@ -96,24 +93,16 @@ type Server struct {
 }
 
 // New builds a server and, when the state directory already holds a WAL,
-// recovers. With the full log on disk it is replayed through a fresh
-// deterministic engine, and the last checkpoint (if any) is validated
-// bit-for-bit against the replayed state at its cursor. When truncation
-// has deleted the log's prefix, the checkpoint is restored directly and
-// only the retained tail is replayed. Either way, after recovery the
-// ledger is exactly what an uninterrupted run over the same admitted
-// stream would hold.
+// recovers through recoverEngine. The algorithm must implement
+// sim.StateSnapshotter; New refuses any other, naming it.
 func New(cfg Config) (*Server, error) {
-	if cfg.NewStream == nil {
-		return nil, fmt.Errorf("serve: Config.NewStream is required")
-	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = DefaultCheckpointEvery
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 5 * time.Second
 	}
-	stream, err := cfg.NewStream()
+	engine, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +110,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:          cfg,
 		queue:        NewIngestQueue(cfg.QueueCap, cfg.ShedFraction),
 		metrics:      &Metrics{},
-		engine:       NewEngine(stream, cfg.Window, cfg.KeepRounds),
+		engine:       engine,
 		consumerDone: make(chan struct{}),
 	}
 	if cfg.Kill == nil {
@@ -148,80 +137,72 @@ func New(cfg Config) (*Server, error) {
 		s.wal = wal
 		return s, nil
 	}
-	wal, base, entries, err := OpenLog(cfg.Dir, cfg.Fingerprint, cfg.SegmentEntries)
+	wal, replayed, from, err := recoverEngine(s.engine, cfg)
 	if err != nil {
-		return nil, err
-	}
-	replayed, err := recoverEngine(s.engine, cfg, base, entries)
-	if err != nil {
-		wal.Close()
 		return nil, err
 	}
 	s.metrics.ObserveReplay(replayed)
-	if replayed > 0 || len(entries) > 0 || base > 0 {
-		s.logf("recovered: replayed %d WAL entries (%d rounds) from base %d, resuming at round %d cursor %d",
-			len(entries), replayed, base, s.engine.Round(), s.engine.Cursor())
-	}
+	s.logf("recovered: replayed %d WAL entries (%d rounds) after cursor %d, resuming at round %d cursor %d",
+		s.engine.Cursor()-from, replayed, from, s.engine.Round(), s.engine.Cursor())
 	s.wal = wal
 	return s, nil
 }
 
-// recoverEngine rebuilds a fresh engine from the state directory's
-// checkpoint and retained WAL entries (whose first global index is base),
-// returning how many rounds the replay closed. base == 0 is the original
-// full-replay path: every entry is applied and the checkpoint, if any,
-// validates bit-for-bit at its cursor. base > 0 means truncation deleted
-// the log's prefix; then a restorable checkpoint inside the retained
-// range is mandatory, the engine resumes from it, and only the entries
-// past its cursor are replayed.
-func recoverEngine(engine *Engine, cfg Config, base int, entries []Entry) (int, error) {
-	var ckpt *Checkpoint
+// newEngine builds a fresh engine from the configuration's stream
+// factory, refusing an algorithm that cannot be checkpointed.
+func newEngine(cfg Config) (*Engine, error) {
+	if cfg.NewStream == nil {
+		return nil, fmt.Errorf("serve: Config.NewStream is required")
+	}
+	stream, err := cfg.NewStream()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := snapshotter(stream.Algorithm()); err != nil {
+		return nil, err
+	}
+	return NewEngine(stream, cfg.Window, cfg.KeepRounds), nil
+}
+
+// recoverEngine is the one recovery path: it opens the state directory's
+// log, restores the checkpoint into a fresh engine and applies the entries
+// past its cursor; without a checkpoint the log must start at entry zero.
+// The ledger is then exactly an uninterrupted run's over the same admitted
+// stream. It returns the log positioned for appends, how many rounds the
+// applied entries closed, and the cursor they started from.
+func recoverEngine(engine *Engine, cfg Config) (_ *Log, replayed, from int, err error) {
+	wal, base, entries, err := OpenLog(cfg.Dir, cfg.Fingerprint, cfg.SegmentEntries)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer func() {
+		if err != nil {
+			wal.Close()
+		}
+	}()
 	ckptPath := filepath.Join(cfg.Dir, CheckpointName)
 	if _, statErr := os.Stat(ckptPath); statErr == nil {
 		c, err := ReadCheckpoint(ckptPath, cfg.Fingerprint)
 		if err != nil {
-			return 0, err
+			return nil, 0, 0, err
 		}
-		ckpt = c
-		if ckpt.Cursor > base+len(entries) {
-			return 0, fmt.Errorf("serve: checkpoint cursor %d beyond WAL length %d — log lost entries", ckpt.Cursor, base+len(entries))
+		if c.Cursor < base || c.Cursor > base+len(entries) {
+			return nil, 0, 0, fmt.Errorf("serve: %s: cursor %d outside the WAL's entries %d..%d — log lost entries",
+				ckptPath, c.Cursor, base, base+len(entries))
 		}
+		if err := c.restore(engine); err != nil {
+			return nil, 0, 0, fmt.Errorf("serve: %s: %w", ckptPath, err)
+		}
+		from = c.Cursor
+	} else if base > 0 {
+		return nil, 0, 0, fmt.Errorf("serve: WAL truncated to base %d but no checkpoint to restore from — state directory corrupt", base)
 	}
-	if base > 0 {
-		if ckpt == nil {
-			return 0, fmt.Errorf("serve: WAL truncated to base %d but no checkpoint to restore from — state directory corrupt", base)
-		}
-		if ckpt.Cursor < base {
-			return 0, fmt.Errorf("serve: checkpoint cursor %d below WAL base %d — log lost entries", ckpt.Cursor, base)
-		}
-		if err := ckpt.restore(engine); err != nil {
-			return 0, err
-		}
-		replayed := 0
-		for _, e := range entries[ckpt.Cursor-base:] {
-			if engine.Apply(e).Closed() {
-				replayed++
-			}
-		}
-		return replayed, nil
-	}
-	replayed := 0
-	for i, e := range entries {
-		if ckpt != nil && i == ckpt.Cursor {
-			if err := ckpt.matches(engine); err != nil {
-				return 0, fmt.Errorf("serve: replayed state diverges from checkpoint at cursor %d: %w", ckpt.Cursor, err)
-			}
-		}
+	for _, e := range entries[from-base:] {
 		if engine.Apply(e).Closed() {
 			replayed++
 		}
 	}
-	if ckpt != nil && ckpt.Cursor == len(entries) {
-		if err := ckpt.matches(engine); err != nil {
-			return 0, fmt.Errorf("serve: replayed state diverges from checkpoint at cursor %d: %w", ckpt.Cursor, err)
-		}
-	}
-	return replayed, nil
+	return wal, replayed, from, nil
 }
 
 // Start launches the consumer goroutine. It is idempotent.
@@ -356,8 +337,13 @@ func (s *Server) checkpoint() {
 		return
 	}
 	s.mu.Lock()
-	c := checkpointOf(s.engine, s.cfg.Fingerprint)
+	c, err := checkpointOf(s.engine, s.cfg.Fingerprint)
 	s.mu.Unlock()
+	if err != nil {
+		s.metrics.ObserveCheckpoint(false)
+		s.logf("checkpoint skipped: %v; previous checkpoint retained", err)
+		return
+	}
 	if err := WriteCheckpoint(filepath.Join(s.cfg.Dir, CheckpointName), c); err != nil {
 		s.metrics.ObserveCheckpoint(false)
 		s.logf("checkpoint write failed: %v", err)
@@ -365,18 +351,13 @@ func (s *Server) checkpoint() {
 	}
 	s.ckptOK++
 	s.metrics.ObserveCheckpoint(true)
-	// The durable checkpoint anchors truncation: sealed segments wholly
-	// below its cursor are no longer needed for recovery (restore covers
-	// them), so a long run's state directory stays bounded. Non-restorable
-	// checkpoints (algorithm without state snapshots) anchor nothing —
-	// recovery would still need the full log.
-	if c.Restorable() {
-		removed, err := s.wal.TruncateBefore(c.Cursor)
-		if err != nil {
-			s.logf("WAL truncation: %v", err)
-		} else if removed > 0 {
-			s.logf("WAL truncated: removed %d sealed segments below cursor %d (%d on disk)", removed, c.Cursor, s.wal.Segments())
-		}
+	// The durable checkpoint anchors truncation: recovery no longer needs
+	// the sealed segments wholly below its cursor.
+	removed, err := s.wal.TruncateBefore(c.Cursor)
+	if err != nil {
+		s.logf("WAL truncation: %v", err)
+	} else if removed > 0 {
+		s.logf("WAL truncated: removed %d sealed segments below cursor %d (%d on disk)", removed, c.Cursor, s.wal.Segments())
 	}
 }
 
@@ -488,36 +469,21 @@ func (s *Server) LedgerSnapshot() LedgerDump {
 	return DumpLedger(s.engine)
 }
 
-// Replay rebuilds the ledger offline: the WAL in dir is replayed through a
-// fresh engine built from the same configuration (restoring the
-// checkpoint first when truncation removed the log's prefix). This is the
-// "uninterrupted baseline" the recovery guarantee is stated against — a
-// restarted server's /ledger must byte-match Replay of its own WAL.
+// Replay rebuilds the ledger offline from the state directory through
+// the same recovery path a restarting server takes: restore the
+// checkpoint, then apply the WAL entries past its cursor. A restarted
+// server's /ledger must byte-match Replay of its own state directory.
 func Replay(cfg Config) (*Engine, error) {
-	if cfg.NewStream == nil {
-		return nil, fmt.Errorf("serve: Config.NewStream is required")
-	}
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("serve: replay needs a state directory")
 	}
-	stream, err := cfg.NewStream()
+	engine, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	engine := NewEngine(stream, cfg.Window, cfg.KeepRounds)
-	wal, base, entries, err := OpenLog(cfg.Dir, cfg.Fingerprint, cfg.SegmentEntries)
+	wal, _, _, err := recoverEngine(engine, cfg)
 	if err != nil {
 		return nil, err
 	}
-	wal.Close()
-	if base > 0 {
-		if _, err := recoverEngine(engine, cfg, base, entries); err != nil {
-			return nil, err
-		}
-		return engine, nil
-	}
-	for _, e := range entries {
-		engine.Apply(e)
-	}
-	return engine, nil
+	return engine, wal.Close()
 }

@@ -61,31 +61,31 @@ type WAL struct {
 // one) with the given header. The header and the file's directory entry
 // are synced before it returns, so after a power cut the segment is either
 // absent or readable — never an empty file that would fail recovery.
-func createSegment(path string, h walHeader) (*WAL, error) {
+func createSegment(path string, h walHeader) (w *WAL, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	w := &WAL{f: f, w: bufio.NewWriter(f)}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	w = &WAL{f: f, w: bufio.NewWriter(f)}
 	hdr, err := json.Marshal(h)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	if _, err := w.w.Write(append(hdr, '\n')); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if err := w.w.Flush(); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if err := syncDir(filepath.Dir(path)); err != nil {
-		f.Close()
 		return nil, err
 	}
 	return w, nil
@@ -111,15 +111,18 @@ func syncDir(dir string) error {
 // the header fingerprint, returns the header and every complete entry in
 // append order, truncates a torn final line (the one write a crash may
 // have interrupted), and leaves the file positioned for further appends.
-func openSegment(path, fingerprint string) (*WAL, walHeader, []Entry, error) {
-	var hdr walHeader
+func openSegment(path, fingerprint string) (w *WAL, hdr walHeader, entries []Entry, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, hdr, nil, err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	data, err := io.ReadAll(f)
 	if err != nil {
-		f.Close()
 		return nil, hdr, nil, err
 	}
 	// Only complete (newline-terminated) lines are replayable; whatever
@@ -130,35 +133,29 @@ func openSegment(path, fingerprint string) (*WAL, walHeader, []Entry, error) {
 		lines = lines[:len(lines)-1]
 	}
 	if len(lines) == 0 {
-		f.Close()
 		return nil, hdr, nil, fmt.Errorf("serve: %s: empty WAL (missing header)", path)
 	}
 	if err := json.Unmarshal(lines[0], &hdr); err != nil || hdr.WAL != walVersion {
-		f.Close()
 		return nil, hdr, nil, fmt.Errorf("serve: %s: not a v%d WAL", path, walVersion)
 	}
 	if hdr.Fingerprint != fingerprint {
-		f.Close()
 		return nil, hdr, nil, fmt.Errorf("serve: %s was written under config %q, this server is %q — refusing to replay",
 			path, hdr.Fingerprint, fingerprint)
 	}
-	entries := make([]Entry, 0, len(lines)-1)
+	entries = make([]Entry, 0, len(lines)-1)
 	for i, line := range lines[1:] {
 		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil {
-			f.Close()
 			return nil, hdr, nil, fmt.Errorf("serve: %s: bad WAL entry %d: %w", path, i, err)
 		}
 		entries = append(entries, e)
 	}
 	if good < len(data) {
 		if err := f.Truncate(int64(good)); err != nil {
-			f.Close()
 			return nil, hdr, nil, err
 		}
 	}
 	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
-		f.Close()
 		return nil, hdr, nil, err
 	}
 	return &WAL{f: f, w: bufio.NewWriter(f), count: len(entries)}, hdr, entries, nil

@@ -103,12 +103,12 @@ type Algorithm interface {
 // floats as exact bits, not decimal), and RestoreState, called on a
 // freshly Reset algorithm over the identical environment, reinstalls it
 // so that the subsequent rounds are bit-identical to a run that never
-// stopped. The serving layer uses this to anchor WAL truncation: a
-// checkpoint carrying a state snapshot can be restored directly, so the
-// log entries before its cursor no longer need to be replayed and their
-// segments can be deleted. Strategies with unserialisable state (e.g. an
-// embedded RNG mid-sequence) simply do not implement the interface, and
-// the serving layer keeps the full log instead.
+// stopped. A strategy that draws random numbers (ONCONF) records how many
+// draws it made, so its random source must be seeded as the snapshotted
+// run's was and not drawn from before RestoreState. The serving layer
+// serves only algorithms that implement the interface: every checkpoint
+// carries a snapshot, recovery restores the last one and replays the log
+// entries after it, and the log segments before it are deleted.
 type StateSnapshotter interface {
 	// SnapshotState serialises the algorithm's mutable run state.
 	SnapshotState() ([]byte, error)

@@ -4,20 +4,32 @@
 # For each chaos fault kind the script: (1) serves under the fault and
 # fires seeded load at it, interrupting the process mid-stream without a
 # drain (the kill fault exits on its own; the others are SIGKILLed); (2)
-# restarts healthy from the same state directory — recovery must replay
-# the WAL and validate the checkpoint — serves more load, and SIGTERMs
-# mid-load to exercise the graceful drain; (3) replays the WAL offline
-# with `flexserve -replay` (the uninterrupted baseline) and byte-compares
-# it against GET /ledger of a third recovered server. Finally an overload
-# leg checks the admission controller sheds under a hot load generator
-# while the server stays healthy.
+# restarts healthy from the same state directory — recovery restores the
+# checkpoint and replays the WAL past it — serves more load, and SIGTERMs
+# mid-load to exercise the graceful drain; (3) rebuilds the ledger offline
+# with `flexserve -replay` and byte-compares it against GET /ledger of a
+# third recovered server. An ONCONF leg (the strategy with a random
+# source) repeats the kill, restart and comparison on its own. Finally an
+# overload leg checks the admission controller sheds under a hot load
+# generator while the server stays healthy. Every directory the script
+# creates is removed on exit.
 #
 #   scripts/serve_smoke.sh [port-base]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 PORT=${1:-9188}
-BIN=${BIN:-$(mktemp -d)/flexserve}
+DIRS=()
+# On any exit: stop the servers still running, then remove the directories.
+trap 'jobs -p | xargs -r kill 2>/dev/null; wait; [ ${#DIRS[@]} -eq 0 ] || rm -rf "${DIRS[@]}"' EXIT
+newdir() { # sets $dir to a fresh directory removed on exit
+    dir=$(mktemp -d)
+    DIRS+=("$dir")
+}
+if [ -z "${BIN:-}" ]; then
+    newdir
+    BIN=$dir/flexserve
+fi
 go build -o "$BIN" ./cmd/flexserve
 
 COMMON=(-topo er -n 60 -scenario commuter-dynamic -alg onth -seed 1 -window 32)
@@ -35,7 +47,7 @@ wait_ready() { # addr
 
 for fault in kill:20 slow:2:5ms flood:4:4 ckptfail:1; do
     kind=${fault%%:*}
-    dir=$(mktemp -d)
+    newdir
     addr=127.0.0.1:$PORT; PORT=$((PORT + 1))
     echo "=== fault $fault (state in $dir) ==="
 
@@ -84,10 +96,36 @@ for fault in kill:20 slow:2:5ms flood:4:4 ckptfail:1; do
     echo "    recovery parity OK: $(wc -c <"$dir/baseline.json") byte ledger matches"
 done
 
+# ONCONF: kill mid-stream after the first checkpoints, restart, and
+# byte-compare the recovered /ledger with -replay. The restore advances a
+# freshly seeded random source by the recorded draw count.
+ONCONF=(-topo er -n 30 -k 2 -scenario commuter-dynamic -alg onconf -seed 1 -window 32)
+newdir
+addr=127.0.0.1:$PORT; PORT=$((PORT + 1))
+echo "=== onconf kill:20 (state in $dir) ==="
+"$BIN" "${ONCONF[@]}" "${SERVE[@]}" -serve "$addr" -statedir "$dir" \
+    -tick 25ms -faultinject kill:20 2>"$dir/serve1.log" &
+pid=$!
+wait_ready "$addr"
+"$BIN" "${ONCONF[@]}" -fire "http://$addr" -rate 2000 -burst 20 -requests 600 \
+    >/dev/null 2>&1 || true
+wait "$pid" && fail "onconf: kill fault did not terminate the server" || true
+addr=127.0.0.1:$PORT; PORT=$((PORT + 1))
+"$BIN" "${ONCONF[@]}" "${SERVE[@]}" -serve "$addr" -statedir "$dir" 2>"$dir/serve2.log" &
+pid=$!
+wait_ready "$addr"
+grep -q "recovered: replayed" "$dir/serve2.log" || fail "onconf: restart did not recover"
+curl -sf "http://$addr/ledger" >"$dir/ledger.http"
+kill -TERM "$pid"; wait "$pid" || true
+"$BIN" "${ONCONF[@]}" -replay "$dir" >"$dir/baseline.json"
+cmp "$dir/baseline.json" "$dir/ledger.http" \
+    || fail "onconf: recovered /ledger diverges from -replay"
+echo "    recovery parity OK: $(wc -c <"$dir/baseline.json") byte ledger matches"
+
 # Overload: a hot generator against a small queue and a slowed consumer
 # (the slow-consumer fault) must shed non-critical load — 429s show up in
 # the fire summary — while the server stays healthy.
-dir=$(mktemp -d)
+newdir
 addr=127.0.0.1:$PORT; PORT=$((PORT + 1))
 "$BIN" "${COMMON[@]}" -serve "$addr" -queuecap 64 -shed 0.5 \
     -faultinject slow:0:200ms 2>"$dir/serve.log" &
