@@ -149,10 +149,7 @@ func main() {
 		}
 	}
 
-	cfg := runner.Config{
-		Deadline:     runner.DeadlineConfig{Fixed: *deadline},
-		DrainTimeout: *drainTimeout,
-	}
+	cfg := runner.Config{Deadline: *deadline, DrainTimeout: *drainTimeout}
 	if *serveWorkers != "" {
 		tr, err := runner.Listen(*serveWorkers)
 		if err != nil {

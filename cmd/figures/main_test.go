@@ -415,8 +415,7 @@ func TestWorkerModeFaultMatrix(t *testing.T) {
 				},
 			}, runner.Config{
 				// A firm deadline so the wedge mode converts in test time.
-				Deadline: runner.DeadlineConfig{Fixed: 500 * time.Millisecond},
-				Backoff:  runner.BackoffConfig{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
+				Deadline: 500 * time.Millisecond,
 			})
 			defer pool.Close()
 			g, err := pool.Run(sp)

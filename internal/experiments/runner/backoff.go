@@ -5,82 +5,57 @@ import (
 	"time"
 )
 
-// BackoffConfig parameterises the exponential-backoff-with-jitter schedule
-// the pool applies between worker respawns and a remote worker applies
-// between reconnect attempts. Replacing the old immediate respawn, the
-// schedule keeps a crash-looping worker binary from spinning the
-// coordinator: consecutive failures space out geometrically up to Max, and
-// the jitter keeps a fleet of workers (or slots) that failed together from
-// retrying in lockstep.
-type BackoffConfig struct {
-	// Base is the delay after the first failure; 0 selects 100ms.
-	Base time.Duration
-	// Max caps the delay; 0 selects 10s.
-	Max time.Duration
-	// Factor multiplies the delay per consecutive failure; 0 selects 2.
-	Factor float64
-	// Jitter is the fraction of the delay randomised around its nominal
-	// value: a delay d becomes d·(1 − Jitter/2 + Jitter·u) for uniform
-	// u ∈ [0,1), so Jitter=0.5 spreads attempts over ±25%. Negative
-	// disables jitter; 0 selects 0.5.
-	Jitter float64
+// backoffConfig is the exponential-backoff-with-jitter schedule the pool
+// applies between a slot's re-dials and a remote worker applies between
+// reconnect attempts. It keeps a crash-looping worker binary from spinning
+// the coordinator: consecutive failures space out geometrically (doubling
+// from base) up to max, and the jitter keeps a fleet of workers (or slots)
+// that failed together from retrying in lockstep: a delay d becomes
+// d·(1 − jitter/2 + jitter·u) for uniform u ∈ [0,1).
+type backoffConfig struct {
+	base, max time.Duration
+	jitter    float64
 }
 
-// withDefaults fills zero fields with the production schedule.
-func (c BackoffConfig) withDefaults() BackoffConfig {
-	if c.Base <= 0 {
-		c.Base = 100 * time.Millisecond
-	}
-	if c.Max <= 0 {
-		c.Max = 10 * time.Second
-	}
-	if c.Factor <= 0 {
-		c.Factor = 2
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.5
-	} else if c.Jitter < 0 {
-		c.Jitter = 0
-	}
-	return c
-}
+// defaultBackoff is the production schedule: 100ms doubling to 10s, each
+// delay spread over ±25%.
+var defaultBackoff = backoffConfig{base: 100 * time.Millisecond, max: 10 * time.Second, jitter: 0.5}
 
 // backoff tracks one failure streak. Not safe for concurrent use; every
 // worker slot and every remote worker owns its own.
 type backoff struct {
-	cfg     BackoffConfig
+	cfg     backoffConfig
 	attempt int
 	uniform func() float64 // jitter source; injectable for deterministic tests
 }
 
-func newBackoff(cfg BackoffConfig, uniform func() float64) *backoff {
+// newBackoff starts a streak on cfg, the zero value selecting
+// defaultBackoff.
+func newBackoff(cfg backoffConfig, uniform func() float64) *backoff {
+	if cfg == (backoffConfig{}) {
+		cfg = defaultBackoff
+	}
 	if uniform == nil {
 		uniform = rand.Float64 //repcheck:allow-wallclock reconnect jitter must differ across workers; results never depend on it
 	}
-	return &backoff{cfg: cfg.withDefaults(), uniform: uniform}
+	return &backoff{cfg: cfg, uniform: uniform}
 }
 
 // Next returns the delay before the next attempt and advances the streak.
 func (b *backoff) Next() time.Duration {
-	d := float64(b.cfg.Base)
-	for i := 0; i < b.attempt; i++ {
-		d *= b.cfg.Factor
-		if d >= float64(b.cfg.Max) {
-			d = float64(b.cfg.Max)
-			break
-		}
+	d := b.cfg.base
+	for i := 0; i < b.attempt && d < b.cfg.max; i++ {
+		d *= 2
 	}
-	if d > float64(b.cfg.Max) {
-		d = float64(b.cfg.Max)
-	}
+	d = min(d, b.cfg.max)
 	b.attempt++
-	if j := b.cfg.Jitter; j > 0 {
-		d *= 1 - j/2 + j*b.uniform()
+	if j := b.cfg.jitter; j > 0 {
+		d = time.Duration(float64(d) * (1 - j/2 + j*b.uniform()))
 	}
-	return time.Duration(d)
+	return d
 }
 
-// Reset ends the failure streak: the next delay starts from Base again.
+// Reset ends the failure streak: the next delay starts from base again.
 // Called once a worker proves healthy (a spawned process completes a cell, a
 // reconnected worker holds a session).
 func (b *backoff) Reset() { b.attempt = 0 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBackoffScheduleDeterministic(t *testing.T) {
-	bo := newBackoff(BackoffConfig{Base: 100 * time.Millisecond, Max: time.Second, Jitter: -1}, nil)
+	bo := newBackoff(backoffConfig{base: 100 * time.Millisecond, max: time.Second}, nil)
 	want := []time.Duration{
 		100 * time.Millisecond,
 		200 * time.Millisecond,
@@ -38,7 +38,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 		{1, 125 * time.Millisecond},
 	}
 	for _, c := range cases {
-		bo := newBackoff(BackoffConfig{Base: 100 * time.Millisecond, Jitter: 0.5},
+		bo := newBackoff(backoffConfig{base: 100 * time.Millisecond, max: 10 * time.Second, jitter: 0.5},
 			func() float64 { return c.uniform })
 		if got := bo.Next(); got != c.want {
 			t.Errorf("uniform %v: got %v, want %v", c.uniform, got, c.want)
@@ -47,7 +47,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 }
 
 func TestDeadlineTrackerBootstrapThenAdaptive(t *testing.T) {
-	tr := newDeadlineTracker(DeadlineConfig{Floor: 50 * time.Millisecond, Mult: 10})
+	tr := &deadlineTracker{floor: 50 * time.Millisecond, mult: 10}
 	if got := tr.Current(); got != deadlineBootstrap {
 		t.Fatalf("no observations: got %v, want bootstrap %v", got, deadlineBootstrap)
 	}
@@ -65,7 +65,7 @@ func TestDeadlineTrackerBootstrapThenAdaptive(t *testing.T) {
 }
 
 func TestDeadlineTrackerFloor(t *testing.T) {
-	tr := newDeadlineTracker(DeadlineConfig{Floor: time.Second, Mult: 10})
+	tr := &deadlineTracker{floor: time.Second, mult: 10}
 	for i := 0; i < 10; i++ {
 		tr.Observe(time.Millisecond)
 	}
@@ -75,7 +75,7 @@ func TestDeadlineTrackerFloor(t *testing.T) {
 }
 
 func TestDeadlineTrackerFixedOverride(t *testing.T) {
-	tr := newDeadlineTracker(DeadlineConfig{Fixed: 42 * time.Millisecond})
+	tr := newDeadlineTracker(42 * time.Millisecond)
 	if got := tr.Current(); got != 42*time.Millisecond {
 		t.Fatalf("fixed, no observations: got %v", got)
 	}
@@ -91,7 +91,7 @@ func TestDeadlineTrackerFixedOverride(t *testing.T) {
 // deadlineWindow entries and old observations are evicted, so the p95
 // follows a cost shift instead of being anchored by early cheap cells.
 func TestDeadlineTrackerSlidingWindow(t *testing.T) {
-	tr := newDeadlineTracker(DeadlineConfig{Floor: 1, Mult: 1})
+	tr := &deadlineTracker{floor: 1, mult: 1}
 	for i := 0; i < deadlineWindow; i++ {
 		tr.Observe(10 * time.Millisecond)
 	}
@@ -117,7 +117,7 @@ func TestDeadlineTrackerSlidingWindow(t *testing.T) {
 // every completed cell: one sorted insert plus one p95 read, both bounded
 // by the sliding window.
 func BenchmarkDeadlineTracker(b *testing.B) {
-	tr := newDeadlineTracker(DeadlineConfig{})
+	tr := newDeadlineTracker(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Observe(time.Duration(i%1000) * time.Microsecond)

@@ -6,30 +6,17 @@ import (
 	"time"
 )
 
-// DeadlineConfig bounds how long the coordinator waits for one cell's
-// response before declaring the worker wedged. A worker that crashes is
+// The adaptive response deadline's constants. A worker that crashes is
 // detected immediately (the connection errors), but a wedged-but-alive
 // worker — stuck in a loop, swapping, or on the far side of a half-open TCP
 // connection — produces no such signal; the response deadline converts it
-// into the same kill/respawn/requeue path a crash takes.
-type DeadlineConfig struct {
-	// Fixed, when positive, is used verbatim for every cell.
-	Fixed time.Duration
-	// Floor is the minimum adaptive deadline; 0 selects 30s.
-	Floor time.Duration
-	// Mult scales the observed p95 cell wall-clock; 0 selects 10.
-	Mult float64
-}
-
-func (c DeadlineConfig) withDefaults() DeadlineConfig {
-	if c.Floor <= 0 {
-		c.Floor = 30 * time.Second
-	}
-	if c.Mult <= 0 {
-		c.Mult = 10
-	}
-	return c
-}
+// into the same retire/requeue path a crash takes.
+const (
+	// deadlineFloor is the minimum adaptive deadline.
+	deadlineFloor = 30 * time.Second
+	// deadlineMult scales the observed p95 cell wall-clock.
+	deadlineMult = 10
+)
 
 // deadlineMinObs is how many completed cells the adaptive deadline needs
 // before it trusts the p95: with fewer observations the tracker returns the
@@ -39,7 +26,7 @@ func (c DeadlineConfig) withDefaults() DeadlineConfig {
 const deadlineMinObs = 5
 
 // deadlineBootstrap is the deadline used until deadlineMinObs cells have
-// completed (unless a Fixed deadline is configured). A wedge during the
+// completed (unless a fixed deadline is configured). A wedge during the
 // bootstrap window still converts into a requeue, just slowly.
 const deadlineBootstrap = 10 * time.Minute
 
@@ -52,11 +39,12 @@ const deadlineBootstrap = 10 * time.Minute
 const deadlineWindow = 512
 
 // deadlineTracker derives the per-cell response deadline from observed cell
-// wall-clock: max(Floor, Mult × p95 of the last deadlineWindow cells).
-// Durations are kept sorted so the quantile read is O(1); inserts are
-// bounded by the window size.
+// wall-clock: max(floor, mult × p95 of the last deadlineWindow cells), or
+// fixed when that is positive (Config.Deadline). Durations are kept sorted
+// so the quantile read is O(1); inserts are bounded by the window size.
 type deadlineTracker struct {
-	cfg DeadlineConfig
+	fixed, floor time.Duration
+	mult         float64
 
 	mu   sync.Mutex
 	durs []time.Duration // sorted ascending, ≤ deadlineWindow entries
@@ -64,8 +52,8 @@ type deadlineTracker struct {
 	next int             // ring slot the next observation evicts
 }
 
-func newDeadlineTracker(cfg DeadlineConfig) *deadlineTracker {
-	return &deadlineTracker{cfg: cfg.withDefaults()}
+func newDeadlineTracker(fixed time.Duration) *deadlineTracker {
+	return &deadlineTracker{fixed: fixed, floor: deadlineFloor, mult: deadlineMult}
 }
 
 // Observe records one successful cell's coordinator-side wall-clock (send
@@ -96,27 +84,20 @@ func (t *deadlineTracker) Observe(d time.Duration) {
 
 // Current returns the deadline to apply to the next cell.
 func (t *deadlineTracker) Current() time.Duration {
-	if t.cfg.Fixed > 0 {
-		return t.cfg.Fixed
+	if t.fixed > 0 {
+		return t.fixed
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.durs) < deadlineMinObs {
-		if t.cfg.Floor > deadlineBootstrap {
-			return t.cfg.Floor
-		}
-		return deadlineBootstrap
+		return max(t.floor, deadlineBootstrap)
 	}
 	// p95 by the nearest-rank method on the sorted sample.
 	rank := (95*len(t.durs) + 99) / 100
 	if rank < 1 {
 		rank = 1
 	}
-	d := time.Duration(t.cfg.Mult * float64(t.durs[rank-1]))
-	if d < t.cfg.Floor {
-		return t.cfg.Floor
-	}
-	return d
+	return max(t.floor, time.Duration(t.mult*float64(t.durs[rank-1])))
 }
 
 // Observations reports how many cell durations the tracker has seen.

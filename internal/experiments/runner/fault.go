@@ -43,7 +43,7 @@ var FaultKinds = []string{"exit", "wedge", "slow", "garbage", "disconnect"}
 
 // ParseFault parses a -faultinject value: "" is no fault, a bare integer N
 // is "exit:N" (the pre-matrix syntax), and "kind:N[:delay]" selects a
-// matrix mode, with the optional delay applying to slow and wedge.
+// matrix mode; only slow and wedge take the delay, the others refuse one.
 func ParseFault(s string) (*Fault, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "0" {
@@ -76,6 +76,9 @@ func ParseFault(s string) (*Fault, error) {
 	}
 	f.After = n
 	if len(parts) == 3 {
+		if f.Kind != "slow" && f.Kind != "wedge" {
+			return nil, fmt.Errorf("runner: fault %q takes no delay (only slow and wedge do)", f.Kind)
+		}
 		d, err := time.ParseDuration(parts[2])
 		if err != nil || d < 0 {
 			return nil, fmt.Errorf("runner: invalid fault delay in %q", s)

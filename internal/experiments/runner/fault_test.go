@@ -1,8 +1,12 @@
 package runner
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 func TestParseFault(t *testing.T) {
@@ -45,17 +49,60 @@ func TestParseFault(t *testing.T) {
 
 func TestParseFaultRejectsMalformed(t *testing.T) {
 	for _, in := range []string{
-		"-2",            // negative exit count
-		"exit",          // missing count
-		"exit:x",        // non-integer count
-		"exit:-1",       // negative count
-		"bogus:1",       // unknown kind
-		"wedge:1:huh",   // unparseable delay
-		"wedge:1:-5s",   // negative delay
-		"exit:1:1s:huh", // too many fields
+		"-2",              // negative exit count
+		"exit",            // missing count
+		"exit:x",          // non-integer count
+		"exit:-1",         // negative count
+		"bogus:1",         // unknown kind
+		"wedge:1:huh",     // unparseable delay
+		"wedge:1:-5s",     // negative delay
+		"exit:1:1s:huh",   // too many fields
+		"exit:3:5s",       // exit takes no delay
+		"garbage:2:1s",    // neither does garbage
+		"disconnect:2:1s", // nor disconnect
 	} {
 		if f, err := ParseFault(in); err == nil {
 			t.Errorf("ParseFault(%q) = %+v, want error", in, f)
 		}
 	}
+}
+
+// FuzzParseFault feeds arbitrary -faultinject values to both fault parsers,
+// the figure runner's and the placement service's. Each must return an
+// error or a well-formed fault, never panic, and report "no fault" only for
+// its blank spellings; a runner fault must survive its String form.
+func FuzzParseFault(f *testing.F) {
+	for _, s := range []string{"", "0", "3", "exit:2", "wedge:1:500ms", "slow:0:50ms", "garbage:4",
+		"disconnect:1", "exit:3:5s", "bogus:1", "slow:2:1h2m3.5s", "none", "flood:1:4", "ckptfail:2", "kill", "slow::"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		blank := strings.TrimSpace(in)
+		fault, err := ParseFault(in)
+		switch {
+		case err != nil:
+		case fault == nil:
+			if blank != "" && blank != "0" {
+				t.Fatalf("ParseFault(%q) = no fault, no error", in)
+			}
+		default:
+			if !slices.Contains(FaultKinds, fault.Kind) || fault.After < 0 || fault.Delay < 0 {
+				t.Fatalf("ParseFault(%q) = malformed %+v", in, fault)
+			}
+			back, err := ParseFault(fault.String())
+			if err != nil || back == nil || *back != *fault {
+				t.Fatalf("ParseFault(%q) = %+v, but its String %q parses to %+v, %v", in, fault, fault.String(), back, err)
+			}
+		}
+		sf, err := serve.ParseFault(in)
+		switch {
+		case err != nil:
+		case sf.Kind == serve.FaultNone:
+			if blank != "" && blank != "none" {
+				t.Fatalf("serve.ParseFault(%q) = no fault, no error", in)
+			}
+		case sf.Kind < serve.FaultNone || sf.Kind > serve.FaultKill || sf.After < 0 || sf.Delay < 0 || sf.Factor < 2:
+			t.Fatalf("serve.ParseFault(%q) = malformed %+v", in, sf)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,11 +12,20 @@ import (
 	"time"
 )
 
-// DefaultCellRetries is how many times a cell is re-attempted after its
-// first failure before the run is declared failed. A worker crash costs the
-// in-flight cell one attempt; only a cell that keeps failing across fresh
-// workers — a deterministic failure — exhausts the budget.
-const DefaultCellRetries = 2
+// The pool's failure-handling constants.
+const (
+	// cellRetries is how many times a cell is re-attempted after its first
+	// failure before the run is declared failed. A worker crash costs the
+	// in-flight cell one attempt; only a cell that keeps failing across
+	// fresh workers — a deterministic failure — exhausts the budget.
+	cellRetries = 2
+	// rejoinGrace is how long a run waits at zero membership (after at
+	// least one worker had joined) for a worker to come back before
+	// failing.
+	rejoinGrace = 10 * time.Second
+	// defaultDrainTimeout is Config.DrainTimeout's default.
+	defaultDrainTimeout = 30 * time.Second
+)
 
 // ErrDrained reports a run stopped by Drain: no new cells were fed after
 // the drain signal, in-flight results were collected under the drain
@@ -24,54 +34,32 @@ const DefaultCellRetries = 2
 // loses no completed work.
 var ErrDrained = errors.New("runner: run drained")
 
-// Config tunes the pool's failure handling. The zero value selects the
-// production defaults throughout.
+// Config tunes the pool. The zero value selects the production defaults.
 type Config struct {
-	// Retries is the per-cell re-attempt budget after the first failure;
-	// 0 selects DefaultCellRetries, negative disables requeueing.
-	Retries int
-	// Deadline bounds how long one cell may stay unanswered before its
-	// worker is treated as wedged and recycled.
-	Deadline DeadlineConfig
-	// Backoff paces worker respawns, replacing immediate respawn so a
-	// crash-looping worker binary cannot spin the coordinator.
-	Backoff BackoffConfig
-	// HeartbeatTimeout retires an idle worker-driven connection that has
-	// sent nothing (not even heartbeats) for this long — the dead-peer
-	// detector for half-open TCP connections; 0 selects 15s. Pool-driven
-	// (pipe) connections don't need it: a dead subprocess is visible as
-	// pipe EOF immediately.
-	HeartbeatTimeout time.Duration
-	// RejoinGrace is how long a worker-driven pool holds a run at zero
-	// membership (after at least one worker had joined) waiting for a
-	// rejoin before failing it; 0 selects 10s.
-	RejoinGrace time.Duration
+	// Deadline, when positive, bounds how long every cell may stay
+	// unanswered before its worker is treated as wedged and recycled; 0
+	// derives the deadline from observed cell times (see deadlineTracker).
+	Deadline time.Duration
 	// DrainTimeout bounds how long a drain waits for in-flight cells
 	// before abandoning them; 0 selects 30s.
 	DrainTimeout time.Duration
 
-	// sleep and uniform are test hooks: a recording sleeper pins the
-	// respawn backoff schedule without real delays, a fixed uniform pins
-	// the jitter.
-	sleep   func(d time.Duration, cancel <-chan struct{})
-	uniform func() float64
+	// Test hooks, zero in production: retries and rejoinGrace override
+	// cellRetries and rejoinGrace, backoff the respawn schedule, a
+	// recording sleep pins the schedule without real delays, and a fixed
+	// uniform pins the jitter.
+	retries     int
+	rejoinGrace time.Duration
+	backoff     backoffConfig
+	sleep       func(d time.Duration, cancel <-chan struct{})
+	uniform     func() float64
 }
 
 func (c Config) withDefaults() Config {
-	switch {
-	case c.Retries == 0:
-		c.Retries = DefaultCellRetries
-	case c.Retries < 0:
-		c.Retries = 0
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 15 * time.Second
-	}
-	if c.RejoinGrace <= 0 {
-		c.RejoinGrace = 10 * time.Second
-	}
+	c.retries = cmp.Or(c.retries, cellRetries)
+	c.rejoinGrace = cmp.Or(c.rejoinGrace, rejoinGrace)
 	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 30 * time.Second
+		c.DrainTimeout = defaultDrainTimeout
 	}
 	if c.sleep == nil {
 		c.sleep = sleepFor
@@ -95,8 +83,9 @@ func sleepFor(d time.Duration, cancel <-chan struct{}) {
 // Pool is a fault-tolerant worker pool shared across specs, generic over
 // its Transport: the same coordinator drives worker subprocesses over
 // stdin/stdout pipes (PipeTransport, the -procs backend) or remote workers
-// over TCP (ListenTransport, the -serve-workers backend), with identical
-// requeue/retry logic and byte-identical output.
+// over TCP (ListenTransport, the -serve-workers backend). Every connection,
+// however it arrives, goes through one lifecycle (serve), so requeue and
+// retry logic and the output are identical across transports.
 //
 // A Pool is created once for a whole selection: the same workers serve cells
 // from successive specs (the coordinator announces spec switches with a
@@ -108,19 +97,19 @@ func sleepFor(d time.Duration, cancel <-chan struct{}) {
 //
 //   - A worker that dies or answers out of protocol is retired (killed and
 //     reaped for subprocesses) and its in-flight cell requeued; pipe slots
-//     respawn with exponential backoff and jitter.
+//     re-dial with exponential backoff and jitter.
 //   - A wedged-but-alive worker — no crash, no response — is converted
 //     into the same retire/requeue path by the per-cell response deadline
-//     (adaptive over observed cell wall-clock; see DeadlineConfig).
-//   - An idle worker-driven connection that stops heartbeating is retired
-//     (dead-peer detection), while a slow cell under its deadline is left
-//     alone: heartbeats distinguish slow from dead.
-//   - Worker-driven membership is elastic: workers join mid-run and are
-//     fed from the shared queue; workers may leave without failing the run
-//     as long as one remains (or rejoins within RejoinGrace), and when
-//     none do the error names the last worker failure.
-//   - The grid only fails once a single cell has failed Retries+1 times —
-//     a deterministic failure — and the error names that cell. A
+//     (adaptive over observed cell wall-clock; see deadlineTracker).
+//   - A TCP worker that stops heartbeating is retired (dead-peer detection
+//     in tcpConn), while a slow cell under its deadline is left alone:
+//     heartbeats distinguish slow from dead.
+//   - Membership is elastic: TCP workers join mid-run and are fed from the
+//     shared queue; workers may leave without failing the run as long as
+//     one remains (or one joins within rejoinGrace), and when none do the
+//     error names the last worker failure.
+//   - The grid only fails once a single cell has failed cellRetries+1
+//     times — a deterministic failure — and the error names that cell. A
 //     cell-level error reported by a healthy worker is retried on the same
 //     budget without recycling the worker.
 //   - Drain stops feeding new cells and collects in-flight results under a
@@ -147,23 +136,23 @@ type Pool struct {
 	closed bool
 }
 
+// cellTry is one attempt at one cell: the spec's position in the run, the
+// cell index, and how many attempts came before.
+type cellTry struct{ specIdx, idx, attempt int }
+
 // poolTask is one cell assignment handed to a worker connection.
 type poolTask struct {
-	spec    *Spec
-	specIdx int
-	idx     int
-	attempt int
-	done    chan<- poolDone
+	cellTry
+	spec *Spec
+	done chan<- poolDone
 }
 
 // poolDone reports one attempt's outcome back to the coordinator.
 type poolDone struct {
-	specIdx int
-	idx     int
-	attempt int
-	values  []float64
-	nanos   int64
-	err     error
+	cellTry
+	values []float64
+	nanos  int64
+	err    error
 }
 
 // NewPool starts a pool over a transport: PipeTransport for worker
@@ -178,15 +167,17 @@ func NewPool(tr Transport, cfg Config) *Pool {
 		drainCh: make(chan struct{}),
 	}
 	p.track = newDeadlineTracker(p.cfg.Deadline)
-	for i := 0; i < tr.Slots(); i++ {
-		p.wg.Add(1)
-		go p.slotLoop()
-	}
-	if joined := tr.Joined(); joined != nil {
-		p.wg.Add(1)
-		go p.joinLoop(joined)
-	}
+	tr.feed(p)
 	return p
+}
+
+// start runs f on a goroutine Close waits for.
+func (p *Pool) start(f func()) {
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		f()
+	}()
 }
 
 // Close shuts the pool down: worker connections are closed via the orderly
@@ -213,7 +204,9 @@ func (p *Pool) Drain() {
 	p.drainOnce.Do(func() { close(p.drainCh) })
 }
 
-// LiveWorkers reports the currently connected worker count.
+// LiveWorkers reports how many connections are in the lifecycle: every
+// connected TCP worker, and every pipe slot not backing off (its process
+// may not have started yet).
 func (p *Pool) LiveWorkers() int { return int(p.live.Load()) }
 
 // noteLeave records a departed connection and, when it failed, the reason —
@@ -259,9 +252,6 @@ func (p *Pool) RunAll(specs []*Spec, cells [][]int, emit func(i int, g *Grid) er
 	if p.closed {
 		return nil, fmt.Errorf("runner: RunAll on a closed pool")
 	}
-	if pt, ok := p.tr.(*PipeTransport); ok && pt.Command == nil {
-		return nil, fmt.Errorf("runner: pool without a worker command")
-	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("runner: RunAll without specs")
 	}
@@ -270,10 +260,9 @@ func (p *Pool) RunAll(specs []*Spec, cells [][]int, emit func(i int, g *Grid) er
 	} else if len(cells) != len(specs) {
 		return nil, fmt.Errorf("runner: RunAll with %d cell lists for %d specs", len(cells), len(specs))
 	}
-	type queued struct{ specIdx, idx, attempt int }
 	grids := make([]*Grid, len(specs))
 	remaining := make([]int, len(specs))
-	var pending []queued
+	var pending []cellTry
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, err
@@ -288,13 +277,13 @@ func (p *Pool) RunAll(specs []*Spec, cells [][]int, emit func(i int, g *Grid) er
 		grids[i] = NewGrid(s)
 		remaining[i] = len(idxs)
 		for _, c := range idxs {
-			pending = append(pending, queued{i, c, 0})
+			pending = append(pending, cellTry{i, c, 0})
 		}
 	}
 	// Capacity covers every possible attempt, so a worker finishing an
 	// abandoned cell after a drain can always deposit its result without
 	// blocking.
-	done := make(chan poolDone, len(pending)*(p.cfg.Retries+1))
+	done := make(chan poolDone, len(pending)*(p.cfg.retries+1))
 	next := 0     // head of the pending queue (requeues are appended)
 	inflight := 0 // tasks handed to workers and not yet answered
 	emitted := 0  // specs whose grids have been emitted, in order
@@ -317,17 +306,12 @@ func (p *Pool) RunAll(specs []*Spec, cells [][]int, emit func(i int, g *Grid) er
 		}
 	}()
 
-	// Zero-membership detection for worker-driven transports: when every
-	// worker has left (after at least one had joined) and work remains,
-	// the run fails after RejoinGrace names the last failure — instead of
-	// hanging forever on a queue nobody serves.
-	workerDriven := p.tr.Slots() == 0
-	var memTickC <-chan time.Time
-	if workerDriven {
-		memTick := time.NewTicker(50 * time.Millisecond)
-		defer memTick.Stop()
-		memTickC = memTick.C
-	}
+	// Zero-membership detection: when every worker has left (after at
+	// least one had joined) and work remains, the run fails after
+	// rejoinGrace naming the last failure — instead of hanging forever on
+	// a queue nobody serves.
+	memTick := time.NewTicker(50 * time.Millisecond)
+	defer memTick.Stop()
 	var zeroSince time.Time
 
 	maybeEmit := func() {
@@ -355,7 +339,7 @@ func (p *Pool) RunAll(specs []*Spec, cells [][]int, emit func(i int, g *Grid) er
 		if failure == nil && !draining && next < len(pending) {
 			q := pending[next]
 			sendCh = p.taskCh
-			t = poolTask{spec: specs[q.specIdx], specIdx: q.specIdx, idx: q.idx, attempt: q.attempt, done: done}
+			t = poolTask{cellTry: q, spec: specs[q.specIdx], done: done}
 		}
 		select {
 		case sendCh <- t:
@@ -370,12 +354,12 @@ func (p *Pool) RunAll(specs []*Spec, cells [][]int, emit func(i int, g *Grid) er
 				if draining {
 					continue // not feeding; the cell stays unevaluated
 				}
-				if d.attempt >= p.cfg.Retries {
+				if d.attempt >= p.cfg.retries {
 					failure = fmt.Errorf("runner: spec %s cell %d failed after %d attempts: %w",
 						specs[d.specIdx].Name, d.idx, d.attempt+1, d.err)
 					continue
 				}
-				pending = append(pending, queued{d.specIdx, d.idx, d.attempt + 1})
+				pending = append(pending, cellTry{d.specIdx, d.idx, d.attempt + 1})
 				continue
 			}
 			if err := grids[d.specIdx].SetTimed(d.idx, d.values, d.nanos); err != nil {
@@ -388,12 +372,12 @@ func (p *Pool) RunAll(specs []*Spec, cells [][]int, emit func(i int, g *Grid) er
 			startDrain()
 		case <-drainTimeout:
 			abandoned = true
-		case <-memTickC:
+		case <-memTick.C:
 			if failure == nil && !draining && p.everJoined.Load() && p.live.Load() == 0 &&
 				(next < len(pending) || inflight > 0) {
 				if zeroSince.IsZero() {
 					zeroSince = time.Now() //repcheck:allow-wallclock rejoin grace is a real-time liveness window
-				} else if time.Since(zeroSince) >= p.cfg.RejoinGrace { //repcheck:allow-wallclock rejoin grace is a real-time liveness window
+				} else if time.Since(zeroSince) >= p.cfg.rejoinGrace { //repcheck:allow-wallclock rejoin grace is a real-time liveness window
 					last := p.lastFailure()
 					if last == nil {
 						last = errors.New("workers disconnected without reporting a failure")
@@ -419,115 +403,68 @@ func (p *Pool) RunAll(specs []*Spec, cells [][]int, emit func(i int, g *Grid) er
 	return grids, nil
 }
 
-// joinLoop serves worker-driven transports: every connection a worker
-// establishes becomes a serving goroutine fed from the shared task queue —
-// elastic membership, workers joining whenever they dial in.
-func (p *Pool) joinLoop(joined <-chan Conn) {
-	defer p.wg.Done()
+// slotLoop is a pool-driven connection source (a PipeTransport slot): it
+// dials a connection, hands it to the lifecycle, and re-dials after an
+// exponential-backoff penalty once it fails — so a crash-looping worker
+// binary cannot spin the coordinator. The streak resets once a connection
+// has served a cell: a binary that did real work before dying is not a
+// crash loop.
+func (p *Pool) slotLoop(dial func() Conn) {
+	bo := newBackoff(p.cfg.backoff, p.cfg.uniform)
 	for {
-		select {
-		case c, ok := <-joined:
-			if !ok {
-				return
-			}
-			p.wg.Add(1)
-			go p.connLoop(c)
-		case <-p.stopCh:
+		served, closed := p.serve(dial())
+		if closed {
 			return
 		}
-	}
-}
-
-// connLoop serves one worker-driven connection until it fails or the pool
-// closes. There is no respawn here: a remote worker that wants back in
-// dials again (its own backoff), and the fresh connection gets a fresh
-// connLoop.
-func (p *Pool) connLoop(c Conn) {
-	defer p.wg.Done()
-	lc := newLiveConn(c)
-	p.live.Add(1)
-	p.everJoined.Store(true)
-	orderly, err := p.serveConn(lc, nil, p.cfg.HeartbeatTimeout)
-	if orderly {
-		p.noteLeave(nil)
-		lc.shutdown()
-		return
-	}
-	p.noteLeave(err)
-	lc.retire()
-}
-
-// slotLoop owns one pool-driven worker slot: it lazily connects (spawning
-// a subprocess) when a task arrives, serves tasks until the connection
-// fails, and reconnects for the next task after an exponential-backoff
-// penalty — so a crash-looping worker binary cannot spin the coordinator.
-// A spawn failure charges the waiting task one attempt, exactly like any
-// other worker failure.
-func (p *Pool) slotLoop() {
-	defer p.wg.Done()
-	bo := newBackoff(p.cfg.Backoff, p.cfg.uniform)
-	for {
-		var t poolTask
-		select {
-		case tt, ok := <-p.taskCh:
-			if !ok {
-				return
-			}
-			t = tt
-		case <-p.stopCh:
-			return
-		}
-		c, err := p.tr.Connect()
-		if err != nil {
-			t.done <- poolDone{t.specIdx, t.idx, t.attempt, nil, 0, fmt.Errorf("runner: spawning worker: %w", err)}
-			p.cfg.sleep(bo.Next(), p.stopCh)
-			continue
-		}
-		lc := newLiveConn(c)
-		p.live.Add(1)
-		p.everJoined.Store(true)
-		orderly, serveErr := p.serveConn(lc, &t, 0)
-		if orderly {
-			p.noteLeave(nil)
-			lc.shutdown()
-			return
-		}
-		p.noteLeave(serveErr)
-		lc.retire()
-		if lc.served.Load() > 0 {
-			// The binary did real work before dying: not a crash loop.
+		if served {
 			bo.Reset()
 		}
 		p.cfg.sleep(bo.Next(), p.stopCh)
 	}
 }
 
-// serveConn serves tasks on one connection until the pool closes (orderly
-// == true; the caller shuts the connection down) or the connection fails
-// (orderly == false with the reason; the caller retires it). first, if
-// non-nil, is a task already pulled by the caller. idleTimeout, when
-// positive, retires the connection if nothing — not even a heartbeat —
-// arrives for that long while no cell is in flight.
-func (p *Pool) serveConn(lc *liveConn, first *poolTask, idleTimeout time.Duration) (orderly bool, reason error) {
+// joinLoop is a worker-driven connection source (ListenTransport): every
+// connection a worker establishes gets its own lifecycle, fed from the
+// shared task queue. There is no re-dial here: a remote worker that wants
+// back in dials again with its own backoff.
+func (p *Pool) joinLoop(joined <-chan Conn) {
+	for {
+		select {
+		case c, ok := <-joined:
+			if !ok {
+				return
+			}
+			p.start(func() { p.serve(c) })
+		case <-p.stopCh:
+			return
+		}
+	}
+}
+
+// serve is the one connection lifecycle: the connection joins the
+// membership, serves tasks from the shared queue until the pool closes
+// (then it is shut down the orderly way) or it fails (then it is retired,
+// its in-flight cell already requeued, and the failure recorded for the
+// zero-membership error), and leaves. It reports whether the connection
+// completed a cell and whether it ended because the pool closed.
+func (p *Pool) serve(c Conn) (served, closed bool) {
+	lc := newLiveConn(c)
+	p.live.Add(1)
+	p.everJoined.Store(true)
+	closed, err := p.serveConn(lc)
+	p.noteLeave(err)
+	if closed {
+		lc.shutdown()
+	} else {
+		lc.retire()
+	}
+	return lc.served > 0, closed
+}
+
+// serveConn serves tasks on one connection until the pool closes (closed
+// == true) or the connection fails (closed == false, with the reason).
+func (p *Pool) serveConn(lc *liveConn) (closed bool, reason error) {
 	spec := "" // name announced with the last SPEC line
-	if first != nil {
-		switch st, err := p.runTask(lc, &spec, *first); st {
-		case taskConnDead:
-			return false, err
-		case taskPoolStopped:
-			return true, nil
-		}
-	}
-	var idleTickC <-chan time.Time
-	if idleTimeout > 0 {
-		interval := idleTimeout / 4
-		if interval < 10*time.Millisecond {
-			interval = 10 * time.Millisecond
-		}
-		idleTick := time.NewTicker(interval)
-		defer idleTick.Stop()
-		idleTickC = idleTick.C
-	}
 	for {
 		select {
 		case t, ok := <-p.taskCh:
@@ -550,11 +487,6 @@ func (p *Pool) serveConn(lc *liveConn, first *poolTask, idleTimeout time.Duratio
 				continue
 			}
 			return false, fmt.Errorf("runner: %s: unexpected response %q on an idle connection", lc.conn.Name(), r.raw)
-		case <-idleTickC:
-			if idle := time.Since(time.Unix(0, lc.lastRecv.Load())); idle > idleTimeout { //repcheck:allow-wallclock dead-peer detection is a real-time concern
-				return false, fmt.Errorf("runner: %s: silent for %v on an idle connection (dead peer?)",
-					lc.conn.Name(), idle.Round(time.Millisecond))
-			}
 		case <-p.stopCh:
 			return true, nil
 		}
@@ -575,19 +507,19 @@ const (
 // deadline. Every path reports the task's outcome to the coordinator
 // before returning.
 func (p *Pool) runTask(lc *liveConn, spec *string, t poolTask) (taskStatus, error) {
-	fail := func(err error) {
-		t.done <- poolDone{t.specIdx, t.idx, t.attempt, nil, 0, err}
+	fail := func(err error) { t.done <- poolDone{cellTry: t.cellTry, err: err} }
+	dead := func(err error) (taskStatus, error) {
+		fail(err)
+		return taskConnDead, err
 	}
 	if *spec != t.spec.Name {
 		if err := lc.conn.WriteLine("SPEC " + t.spec.Name); err != nil {
-			fail(err)
-			return taskConnDead, err
+			return dead(err)
 		}
 		*spec = t.spec.Name
 	}
 	if err := lc.conn.WriteLine(strconv.Itoa(t.idx)); err != nil {
-		fail(err)
-		return taskConnDead, err
+		return dead(err)
 	}
 	deadline := p.track.Current()
 	timer := time.NewTimer(deadline)
@@ -597,18 +529,14 @@ func (p *Pool) runTask(lc *liveConn, spec *string, t poolTask) (taskStatus, erro
 		select {
 		case r := <-lc.respCh:
 			if r.err != nil {
-				err := fmt.Errorf("runner: worker died on cell %d: %w", t.idx, r.err)
-				fail(err)
-				return taskConnDead, err
+				return dead(fmt.Errorf("runner: worker died on cell %d: %w", t.idx, r.err))
 			}
 			if r.msg.Hb {
 				continue // heartbeats may interleave with a slow cell
 			}
 			msg := r.msg
 			if msg.Idx != t.idx {
-				err := fmt.Errorf("runner: %s answered cell %d for cell %d", lc.conn.Name(), msg.Idx, t.idx)
-				fail(err)
-				return taskConnDead, err
+				return dead(fmt.Errorf("runner: %s answered cell %d for cell %d", lc.conn.Name(), msg.Idx, t.idx))
 			}
 			if msg.Err != "" {
 				// The worker is healthy; the cell itself failed. Keep the
@@ -617,19 +545,15 @@ func (p *Pool) runTask(lc *liveConn, spec *string, t poolTask) (taskStatus, erro
 				return taskServed, nil
 			}
 			if msg.Values == nil {
-				err := fmt.Errorf("runner: empty worker result for cell %d", t.idx)
-				fail(err)
-				return taskConnDead, err
+				return dead(fmt.Errorf("runner: empty worker result for cell %d", t.idx))
 			}
 			p.track.Observe(time.Since(start)) //repcheck:allow-wallclock feeds the adaptive deadline tracker, never cell values
-			lc.served.Add(1)
-			t.done <- poolDone{t.specIdx, t.idx, t.attempt, msg.Values, msg.Nanos, nil}
+			lc.served++
+			t.done <- poolDone{cellTry: t.cellTry, values: msg.Values, nanos: msg.Nanos}
 			return taskServed, nil
 		case <-timer.C:
-			err := fmt.Errorf("runner: %s: no response for spec %s cell %d within the %v deadline (wedged worker?)",
-				lc.conn.Name(), t.spec.Name, t.idx, deadline.Round(time.Millisecond))
-			fail(err)
-			return taskConnDead, err
+			return dead(fmt.Errorf("runner: %s: no response for spec %s cell %d within the %v deadline (wedged worker?)",
+				lc.conn.Name(), t.spec.Name, t.idx, deadline.Round(time.Millisecond)))
 		case <-p.stopCh:
 			fail(fmt.Errorf("runner: pool closed with cell %d in flight", t.idx))
 			return taskPoolStopped, nil
@@ -647,20 +571,17 @@ type connResp struct {
 
 // liveConn couples a Conn with the reader goroutine that turns its line
 // stream into parsed responses — the shape that lets the serving goroutine
-// select over responses, deadlines, heartbeat staleness, and pool shutdown
-// at once.
+// select over responses, deadlines and pool shutdown at once.
 type liveConn struct {
 	conn     Conn
 	respCh   chan connResp
 	dead     chan struct{}
 	deadOnce sync.Once
-	lastRecv atomic.Int64 // unix nanos of the last received line
-	served   atomic.Int64 // successfully served cells (backoff reset signal)
+	served   int // cells completed; read by the slot's backoff after serve
 }
 
 func newLiveConn(c Conn) *liveConn {
 	lc := &liveConn{conn: c, respCh: make(chan connResp, 4), dead: make(chan struct{})}
-	lc.lastRecv.Store(time.Now().UnixNano()) //repcheck:allow-wallclock liveness timestamp for dead-peer detection
 	go lc.readLoop()
 	return lc
 }
@@ -675,7 +596,6 @@ func (lc *liveConn) readLoop() {
 			lc.deliver(connResp{err: err})
 			return
 		}
-		lc.lastRecv.Store(time.Now().UnixNano()) //repcheck:allow-wallclock liveness timestamp for dead-peer detection
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue

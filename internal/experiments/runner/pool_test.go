@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -193,6 +196,33 @@ func TestPoolRetriesSpawnFailure(t *testing.T) {
 	}
 	if err := g.Complete(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPoolCommandThatNeverStarts: a worker command that cannot spawn fails
+// every attempt of the cell waiting for it, and the run fails with an error
+// that names the spawn cause — a missing binary, or no command at all.
+func TestPoolCommandThatNeverStarts(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-worker")
+	for _, tc := range []struct {
+		command func() (*exec.Cmd, error)
+		cause   string
+	}{
+		{func() (*exec.Cmd, error) { return exec.Command(missing), nil }, missing},
+		{nil, "no worker command"},
+	} {
+		pool := NewPool(&PipeTransport{N: 1, Command: tc.command},
+			Config{sleep: func(time.Duration, <-chan struct{}) {}})
+		_, err := pool.Run(namedSpec(t, "grid-2x1x1"))
+		pool.Close()
+		if err == nil {
+			t.Fatal("run succeeded without a worker")
+		}
+		for _, want := range []string{"cell 0", "3 attempts", "spawning worker", tc.cause} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not mention %q", err, want)
+			}
+		}
 	}
 }
 

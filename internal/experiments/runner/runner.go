@@ -19,8 +19,11 @@
 //   - Pool shares one set of workers across a whole multi-spec selection —
 //     subprocesses over pipes (PipeTransport, cmd/figures -worker) or
 //     remote workers over TCP (ListenTransport) — streaming cell
-//     assignments; a crashed or wedged worker is retired and its in-flight
-//     cell requeued. Pool.RunAll takes the same optional cell lists.
+//     assignments. The transports differ only in where connections come
+//     from (pipe slots re-dial with backoff, TCP workers dial in); every
+//     connection then goes through one lifecycle: join, serve cells from
+//     the shared queue, and on failure retire with the in-flight cell
+//     requeued. Pool.RunAll takes the same optional cell lists.
 //
 // ServePool is the worker half of the pool's line protocol.
 package runner

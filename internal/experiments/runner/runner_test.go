@@ -55,6 +55,7 @@ func testSpec(xs, variants, runs int) *Spec {
 //	grid-XxVxR           a coordinate-encoding grid of the given dimensions
 //	failcell-XxVxR       like grid-, but every cell with xi == 1 errors
 //	work-XxVxR-K         like grid-, plus K iterations of float work per cell
+//	nap-XxVxR-MS         like grid-, but every cell sleeps MS milliseconds
 func buildTestSpec(name string) (*Spec, error) {
 	if name == "runner-test" {
 		var xs, variants, runs int
@@ -91,6 +92,17 @@ func buildTestSpec(name string) (*Spec, error) {
 				x = x*1.0000001 + float64(k%7)
 			}
 			_ = x
+			return inner(xi, vi, run)
+		}
+		return s, nil
+	}
+	var ms int
+	if _, err := fmt.Sscanf(name, "nap-%dx%dx%d-%d", &xs, &variants, &runs, &ms); err == nil {
+		s := testSpec(xs, variants, runs)
+		s.Name = name
+		inner := s.Cell
+		s.Cell = func(xi, vi, run int) ([]float64, error) {
+			time.Sleep(time.Duration(ms) * time.Millisecond)
 			return inner(xi, vi, run)
 		}
 		return s, nil

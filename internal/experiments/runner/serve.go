@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -18,9 +17,9 @@ import (
 // which on a network transport may also be a dropped connection).
 const protoBye = "BYE"
 
-// heartbeatLine is the worker's idle keep-alive: a cellMsg carrying only
-// hb, so the coordinator can tell an idle-but-healthy peer from a dead one
-// on transports where peer death is otherwise silent (TCP half-open).
+// heartbeatLine is the worker's keep-alive: a cellMsg carrying only hb, so
+// the coordinator can tell a live peer from a dead one on transports where
+// peer death is otherwise silent (TCP half-open).
 const heartbeatLine = `{"hb":true}`
 
 // ErrBye reports that the coordinator ended the session with a BYE line.
@@ -36,22 +35,23 @@ type cellMsg struct {
 	Values []float64 `json:"v,omitempty"`
 	Nanos  int64     `json:"ns,omitempty"`
 	Err    string    `json:"err,omitempty"`
-	// Hb marks an idle-connection heartbeat rather than a cell result; the
-	// coordinator uses it for dead-peer detection on networked transports.
+	// Hb marks a heartbeat rather than a cell result; the coordinator uses
+	// it for dead-peer detection on networked transports.
 	Hb bool `json:"hb,omitempty"`
 }
 
 // ServeOptions tunes the worker half of the pool protocol.
 type ServeOptions struct {
-	// Heartbeat, when positive, emits a heartbeat line at this interval
-	// while no cell is being evaluated. Remote (TCP) workers enable it;
-	// subprocess workers don't need it — a dead subprocess is visible to
-	// the coordinator as pipe EOF immediately.
-	Heartbeat time.Duration
 	// Fault optionally injects one failure mode into the session — the
 	// fault matrix behind `figures -faultinject` and the runner's
 	// robustness tests.
 	Fault *Fault
+
+	// heartbeat, when positive, emits a heartbeat line at this interval
+	// for the whole session, idle or mid-cell. ConnectWorker sets it
+	// (workerHeartbeat); subprocess workers don't need it — a dead
+	// subprocess is visible to the coordinator as pipe EOF immediately.
+	heartbeat time.Duration
 }
 
 // lineWriter serialises protocol writes from the serve loop and the
@@ -84,21 +84,17 @@ func ServePool(build func(name string) (*Spec, error), r io.Reader, w io.Writer,
 	var cur *Spec
 	lw := &lineWriter{bw: bufio.NewWriter(w)}
 
-	var busy atomic.Bool
-	if opts.Heartbeat > 0 {
+	if opts.heartbeat > 0 {
 		stop := make(chan struct{})
 		defer close(stop)
 		go func() {
-			tick := time.NewTicker(opts.Heartbeat)
+			tick := time.NewTicker(opts.heartbeat)
 			defer tick.Stop()
 			for {
 				select {
 				case <-stop:
 					return
 				case <-tick.C:
-					if busy.Load() {
-						continue
-					}
 					if lw.writeLine(heartbeatLine) != nil {
 						return // transport gone; the serve loop will notice
 					}
@@ -134,10 +130,7 @@ func ServePool(build func(name string) (*Spec, error), r io.Reader, w io.Writer,
 		if cur == nil {
 			return fmt.Errorf("runner: cell assignment %q before any SPEC line", line)
 		}
-		busy.Store(true)
-		err := serveAssignment(cur, line, lw, opts.Fault)
-		busy.Store(false)
-		if err != nil {
+		if err := serveAssignment(cur, line, lw, opts.Fault); err != nil {
 			return err
 		}
 	}

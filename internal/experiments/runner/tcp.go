@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -16,23 +17,42 @@ import (
 // workers may join mid-run and are fed from the shared queue, and workers
 // may leave without failing the run as long as at least one remains.
 type ListenTransport struct {
-	ln     net.Listener
-	joined chan Conn
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	ln      net.Listener
+	silence time.Duration // dead-peer limit handed to every accepted conn
+	joined  chan Conn
+	stop    chan struct{}
+	wg      sync.WaitGroup
 
-	mu     sync.Mutex
-	closed bool
+	closeOnce sync.Once
 }
+
+// The networked transport's liveness constants.
+const (
+	// heartbeatTimeout retires a connection that has sent nothing, not
+	// even a heartbeat, for this long: the dead-peer detector for
+	// half-open TCP connections.
+	heartbeatTimeout = 15 * time.Second
+	// workerHeartbeat is the interval at which a remote worker sends
+	// heartbeats, well inside heartbeatTimeout.
+	workerHeartbeat = 2 * time.Second
+	// workerMaxAttempts is how many failed connection attempts and broken
+	// sessions, in all, a remote worker tolerates before giving up.
+	workerMaxAttempts = 8
+)
 
 // Listen starts the coordinator half of the TCP transport on addr (for
 // example ":9131", or "127.0.0.1:0" to pick a free port — see Addr).
 func Listen(addr string) (*ListenTransport, error) {
+	return listen(addr, heartbeatTimeout)
+}
+
+// listen is Listen with the dead-peer limit as a parameter (tests shorten it).
+func listen(addr string, silence time.Duration) (*ListenTransport, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("runner: listen %s: %w", addr, err)
 	}
-	t := &ListenTransport{ln: ln, joined: make(chan Conn), stop: make(chan struct{})}
+	t := &ListenTransport{ln: ln, silence: silence, joined: make(chan Conn), stop: make(chan struct{})}
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -49,7 +69,7 @@ func (t *ListenTransport) acceptLoop() {
 			close(t.joined)
 			return
 		}
-		conn := &tcpConn{c: c, rd: bufio.NewReader(c)}
+		conn := &tcpConn{c: c, rd: bufio.NewReader(c), silence: t.silence}
 		select {
 		case t.joined <- conn:
 		case <-t.stop:
@@ -60,38 +80,28 @@ func (t *ListenTransport) acceptLoop() {
 	}
 }
 
-// Slots implements Transport: membership is worker-driven.
-func (t *ListenTransport) Slots() int { return 0 }
-
-// Connect implements Transport; never used on a worker-driven transport.
-func (t *ListenTransport) Connect() (Conn, error) {
-	return nil, fmt.Errorf("runner: listen transport cannot initiate connections")
+func (t *ListenTransport) feed(p *Pool) {
+	p.start(func() { p.joinLoop(t.joined) })
 }
-
-// Joined implements Transport.
-func (t *ListenTransport) Joined() <-chan Conn { return t.joined }
 
 // Close implements Transport: the listener stops accepting; connections
 // already handed to the pool are closed by the pool.
 func (t *ListenTransport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	t.mu.Unlock()
-	close(t.stop)
-	err := t.ln.Close()
-	t.wg.Wait()
+	var err error
+	t.closeOnce.Do(func() {
+		close(t.stop)
+		err = t.ln.Close()
+		t.wg.Wait()
+	})
 	return err
 }
 
 // tcpConn adapts one accepted socket to the Conn interface.
 type tcpConn struct {
-	c    net.Conn
-	rd   *bufio.Reader
-	once sync.Once
+	c       net.Conn
+	rd      *bufio.Reader
+	silence time.Duration
+	once    sync.Once
 }
 
 func (c *tcpConn) WriteLine(line string) error {
@@ -101,8 +111,17 @@ func (c *tcpConn) WriteLine(line string) error {
 	return nil
 }
 
+// ReadLine fails once the peer has been silent for the connection's
+// heartbeatTimeout: a remote worker heartbeats throughout a session, idle
+// or busy, so only a dead peer or a half-open connection goes quiet that
+// long. A slow cell is left to the per-cell response deadline.
 func (c *tcpConn) ReadLine() (string, error) {
-	return c.rd.ReadString('\n')
+	c.c.SetReadDeadline(time.Now().Add(c.silence)) //repcheck:allow-wallclock dead-peer detection is a real-time concern
+	line, err := c.rd.ReadString('\n')
+	if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+		return "", fmt.Errorf("runner: %s: silent for %v (dead peer?)", c.Name(), c.silence)
+	}
+	return line, err
 }
 
 // Abort implements the error-path close: the socket is dropped without BYE,
@@ -130,19 +149,18 @@ func (c *tcpConn) Name() string {
 
 // WorkerOptions tunes the remote-worker loop (`figures -worker -connect`).
 type WorkerOptions struct {
-	// Heartbeat is the idle-connection heartbeat interval; 0 selects 2s,
-	// negative disables heartbeats.
-	Heartbeat time.Duration
-	// Backoff paces reconnect attempts.
-	Backoff BackoffConfig
-	// MaxAttempts is how many consecutive failed connection attempts or
-	// broken sessions the worker tolerates before giving up; 0 selects 8.
-	MaxAttempts int
 	// Fault optionally injects one failure mode into the first session
 	// (`figures -faultinject` on the worker side).
 	Fault *Fault
 	// Logf reports connection lifecycle; nil discards.
 	Logf func(format string, args ...any)
+
+	// Test hooks, zero in production: heartbeat, backoff and maxAttempts
+	// override workerHeartbeat, the reconnect schedule and
+	// workerMaxAttempts.
+	heartbeat   time.Duration
+	backoff     backoffConfig
+	maxAttempts int
 }
 
 // ConnectWorker dials the coordinator at addr and serves the pool protocol
@@ -151,32 +169,23 @@ type WorkerOptions struct {
 // coordinator is not up yet or the connection breaks mid-run (elastic
 // membership: a rejoin is just a fresh connection fed from the shared
 // queue). It returns nil once the coordinator ends a session with BYE, and
-// an error after MaxAttempts consecutive failures. A bare EOF without BYE
-// is ambiguous — a crashed coordinator or a network drop — and is treated
-// as retryable.
+// an error after workerMaxAttempts failures. A bare EOF without BYE is
+// ambiguous — a crashed coordinator or a network drop — and is treated as
+// retryable.
 func ConnectWorker(addr string, build func(name string) (*Spec, error), opts WorkerOptions) error {
-	hb := opts.Heartbeat
-	if hb == 0 {
-		hb = 2 * time.Second
-	} else if hb < 0 {
-		hb = 0
-	}
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 8
-	}
+	hb := cmp.Or(opts.heartbeat, workerHeartbeat)
+	maxAttempts := cmp.Or(opts.maxAttempts, workerMaxAttempts)
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	bo := newBackoff(opts.Backoff, nil)
+	bo := newBackoff(opts.backoff, nil)
 	fails := 0
-	var lastErr error
 	for {
 		c, err := net.Dial("tcp", addr)
 		if err == nil {
 			logf("connected to coordinator %s", addr)
-			err = ServePool(build, c, c, ServeOptions{Heartbeat: hb, Fault: opts.Fault})
+			err = ServePool(build, c, c, ServeOptions{Fault: opts.Fault, heartbeat: hb})
 			c.Close()
 			if errors.Is(err, ErrBye) {
 				logf("coordinator ended the session")
@@ -187,9 +196,8 @@ func ConnectWorker(addr string, build func(name string) (*Spec, error), opts Wor
 			}
 		}
 		fails++
-		lastErr = err
 		if fails >= maxAttempts {
-			return fmt.Errorf("runner: giving up on coordinator %s after %d attempts: %w", addr, fails, lastErr)
+			return fmt.Errorf("runner: giving up on coordinator %s after %d attempts: %w", addr, fails, err)
 		}
 		d := bo.Next()
 		logf("session with %s: %v; retrying in %v", addr, err, d.Round(time.Millisecond))

@@ -8,11 +8,12 @@ import (
 	"time"
 )
 
-// startTCPPool boots a coordinator on a loopback port and returns the pool
-// plus the address workers should dial.
-func startTCPPool(t testing.TB, cfg Config) (*Pool, string) {
+// startTCPPool boots a coordinator on a loopback port, retiring a worker
+// silent for silence, and returns the pool plus the address workers should
+// dial.
+func startTCPPool(t testing.TB, cfg Config, silence time.Duration) (*Pool, string) {
 	t.Helper()
-	tr, err := Listen("127.0.0.1:0")
+	tr, err := listen("127.0.0.1:0", silence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,21 +32,23 @@ func startTCPWorker(t testing.TB, addr string, opts WorkerOptions) <-chan error 
 }
 
 // tcpTestCfg keeps networked tests fast and deterministic: fixed deadline
-// (no 10-minute bootstrap), millisecond backoff, tight membership windows.
+// (no 10-minute bootstrap), millisecond backoff, a tight membership
+// window. tcpTestSilence is the matching dead-peer limit.
 func tcpTestCfg() Config {
 	return Config{
-		Deadline:         DeadlineConfig{Fixed: 5 * time.Second},
-		Backoff:          BackoffConfig{Base: time.Millisecond, Max: 10 * time.Millisecond, Jitter: -1},
-		HeartbeatTimeout: 2 * time.Second,
-		RejoinGrace:      300 * time.Millisecond,
+		Deadline:    5 * time.Second,
+		backoff:     backoffConfig{base: time.Millisecond, max: 10 * time.Millisecond},
+		rejoinGrace: 300 * time.Millisecond,
 	}
 }
+
+const tcpTestSilence = 2 * time.Second
 
 // workerTestOpts mirrors tcpTestCfg on the worker side.
 func workerTestOpts() WorkerOptions {
 	return WorkerOptions{
-		Heartbeat: 50 * time.Millisecond,
-		Backoff:   BackoffConfig{Base: time.Millisecond, Max: 10 * time.Millisecond, Jitter: -1},
+		heartbeat: 50 * time.Millisecond,
+		backoff:   backoffConfig{base: time.Millisecond, max: 10 * time.Millisecond},
 	}
 }
 
@@ -53,7 +56,7 @@ func workerTestOpts() WorkerOptions {
 // table as the in-process backend — placement cannot leak into results.
 func TestTCPPoolMatchesLocal(t *testing.T) {
 	s := namedSpec(t, "grid-3x2x2")
-	pool, addr := startTCPPool(t, tcpTestCfg())
+	pool, addr := startTCPPool(t, tcpTestCfg(), tcpTestSilence)
 	w1 := startTCPWorker(t, addr, workerTestOpts())
 	w2 := startTCPWorker(t, addr, workerTestOpts())
 	g, err := pool.Run(s)
@@ -84,8 +87,8 @@ func TestTCPPoolMatchesLocal(t *testing.T) {
 func TestTCPWorkerJoinsMidRun(t *testing.T) {
 	s := namedSpec(t, "grid-3x2x1")
 	cfg := tcpTestCfg()
-	cfg.RejoinGrace = 10 * time.Second // no workers yet ≠ all workers gone
-	pool, addr := startTCPPool(t, cfg)
+	cfg.rejoinGrace = 10 * time.Second // no workers yet ≠ all workers gone
+	pool, addr := startTCPPool(t, cfg, tcpTestSilence)
 	type result struct {
 		g   *Grid
 		err error
@@ -114,10 +117,10 @@ func TestTCPWorkerJoinsMidRun(t *testing.T) {
 // the survivor finishes the grid, results intact.
 func TestTCPWorkerLeavesRunContinues(t *testing.T) {
 	s := namedSpec(t, "grid-4x2x2") // 16 cells
-	pool, addr := startTCPPool(t, tcpTestCfg())
+	pool, addr := startTCPPool(t, tcpTestCfg(), tcpTestSilence)
 	leaver := workerTestOpts()
 	leaver.Fault = &Fault{Kind: "disconnect", After: 1}
-	leaver.MaxAttempts = 1 // no rejoin: the worker truly leaves
+	leaver.maxAttempts = 1 // no rejoin: the worker truly leaves
 	w1 := startTCPWorker(t, addr, leaver)
 	startTCPWorker(t, addr, workerTestOpts())
 	g, err := pool.Run(s)
@@ -148,10 +151,10 @@ func TestTCPWorkerLeavesRunContinues(t *testing.T) {
 // worker failure instead of hanging on an unserved queue.
 func TestTCPZeroMembershipFails(t *testing.T) {
 	s := namedSpec(t, "work-8x2x2-2000000") // enough cells+work to outlive the worker
-	pool, addr := startTCPPool(t, tcpTestCfg())
+	pool, addr := startTCPPool(t, tcpTestCfg(), tcpTestSilence)
 	leaver := workerTestOpts()
 	leaver.Fault = &Fault{Kind: "disconnect", After: 2}
-	leaver.MaxAttempts = 1
+	leaver.maxAttempts = 1
 	startTCPWorker(t, addr, leaver)
 	_, err := pool.Run(s)
 	if err == nil {
@@ -169,12 +172,12 @@ func TestTCPZeroMembershipFails(t *testing.T) {
 func TestTCPWedgedWorkerConvertedByDeadline(t *testing.T) {
 	s := namedSpec(t, "grid-3x2x1")
 	cfg := tcpTestCfg()
-	cfg.Deadline = DeadlineConfig{Fixed: 150 * time.Millisecond}
+	cfg.Deadline = 150 * time.Millisecond
 	// The lone worker stays wedged (and disconnected) for most of its 1s
 	// sleep; the rejoin grace must span that, or zero-membership fires
 	// first — the correct outcome for a worker that never comes back.
-	cfg.RejoinGrace = 10 * time.Second
-	pool, addr := startTCPPool(t, cfg)
+	cfg.rejoinGrace = 10 * time.Second
+	pool, addr := startTCPPool(t, cfg, tcpTestSilence)
 	opts := workerTestOpts()
 	opts.Fault = &Fault{Kind: "wedge", After: 1, Delay: time.Second}
 	startTCPWorker(t, addr, opts)
@@ -200,11 +203,10 @@ func TestTCPWedgedWorkerConvertedByDeadline(t *testing.T) {
 }
 
 // TestTCPHeartbeatLifecycle: a mute connection (no heartbeats) is retired
-// by the idle staleness check, while a heartbeating idle worker is kept.
+// by the staleness check, while a heartbeating worker is kept, idle or busy
+// with a cell longer than the window.
 func TestTCPHeartbeatLifecycle(t *testing.T) {
-	cfg := tcpTestCfg()
-	cfg.HeartbeatTimeout = 200 * time.Millisecond
-	pool, addr := startTCPPool(t, cfg)
+	pool, addr := startTCPPool(t, tcpTestCfg(), 200*time.Millisecond)
 
 	// A raw socket that joins and never says anything — the half-open-
 	// connection stand-in.
@@ -234,11 +236,17 @@ func TestTCPHeartbeatLifecycle(t *testing.T) {
 	if got := pool.LiveWorkers(); got != 1 {
 		t.Fatalf("heartbeating idle worker was retired: live=%d", got)
 	}
+
+	// Cells that outlast the staleness window still complete: the worker
+	// heartbeats mid-cell too, so only a dead peer goes silent.
+	if _, err := pool.Run(namedSpec(t, "nap-2x1x1-400")); err != nil {
+		t.Fatalf("cells slower than the staleness window: %v", err)
+	}
 }
 
 // BenchmarkPoolTCPLoopback is BenchmarkPoolPipelined over loopback TCP
 // instead of pipes: same specs, two in-process remote workers, measuring
-// the transport's added overhead (see PERFORMANCE.md).
+// the transport's added overhead.
 func BenchmarkPoolTCPLoopback(b *testing.B) {
 	specs := benchPoolSpecs(b)
 	b.ResetTimer()
@@ -247,7 +255,7 @@ func BenchmarkPoolTCPLoopback(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pool := NewPool(tr, Config{Deadline: DeadlineConfig{Fixed: time.Minute}})
+		pool := NewPool(tr, Config{Deadline: time.Minute})
 		w1 := startTCPWorker(b, tr.Addr(), workerTestOpts())
 		w2 := startTCPWorker(b, tr.Addr(), workerTestOpts())
 		if _, err := pool.RunAll(specs, nil, nil); err != nil {

@@ -2,9 +2,11 @@ package runner
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os/exec"
+	"sync"
 )
 
 // Conn is one live worker connection speaking the line-oriented SPEC/cell
@@ -31,26 +33,20 @@ type Conn interface {
 	Name() string
 }
 
-// Transport supplies the pool's worker connections. Two shapes exist:
+// Transport supplies the pool's worker connections. However a connection
+// arrives, it goes through the pool's one lifecycle: it joins the
+// membership, serves cells from the shared queue until the pool closes (an
+// orderly Shutdown) or it fails (Abort, with its in-flight cell requeued),
+// and leaves. The transports differ only in where connections come from:
 //
-//   - Pool-driven (PipeTransport): the pool owns a fixed number of
-//     connection slots and establishes each connection itself via Connect —
-//     spawning a worker subprocess wired to pipes. Slots reports the slot
-//     count and Joined returns nil.
-//   - Worker-driven (ListenTransport): workers establish the connections by
-//     dialing the coordinator; membership is elastic — workers may join
-//     mid-run and leave without failing the run. Slots reports 0 and
-//     Connect is never called; connections arrive on Joined.
+//   - PipeTransport runs N slots; each dials a worker subprocess and
+//     re-dials it with exponential backoff after it fails.
+//   - ListenTransport accepts connections from workers that dial the
+//     coordinator; membership is elastic, and a worker that leaves
+//     re-dials with its own backoff.
 type Transport interface {
-	// Slots is the number of pool-driven connection slots; 0 means the
-	// transport is worker-driven.
-	Slots() int
-	// Connect establishes one pool-driven connection. Only called when
-	// Slots() > 0.
-	Connect() (Conn, error)
-	// Joined delivers worker-initiated connections until the transport is
-	// closed; nil for pool-driven transports.
-	Joined() <-chan Conn
+	// feed starts the transport's connection sources on p.
+	feed(p *Pool)
 	// Close releases transport resources (listeners, unclaimed
 	// connections). Connections already handed to the pool are closed by
 	// the pool, not the transport.
@@ -66,53 +62,68 @@ type PipeTransport struct {
 	// Command prepares one worker process. Stdin/Stdout must be left unset —
 	// the transport wires them to pipes.
 	Command func() (*exec.Cmd, error)
+
+	dial func() Conn // test hook: scripted connections in place of subprocesses
 }
 
-// Slots implements Transport.
-func (t *PipeTransport) Slots() int {
-	if t.N < 1 {
-		return 1
+func (t *PipeTransport) feed(p *Pool) {
+	dial := t.dial
+	if dial == nil {
+		dial = func() Conn { return &pipeConn{command: t.Command, ready: make(chan struct{})} }
 	}
-	return t.N
+	for range max(t.N, 1) {
+		p.start(func() { p.slotLoop(dial) })
+	}
 }
-
-// Connect implements Transport: it spawns one worker subprocess.
-func (t *PipeTransport) Connect() (Conn, error) {
-	if t.Command == nil {
-		return nil, fmt.Errorf("runner: pipe transport without a worker command")
-	}
-	cmd, err := t.Command()
-	if err != nil {
-		return nil, err
-	}
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return nil, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	return &pipeConn{cmd: cmd, stdin: stdin, rd: bufio.NewReader(stdout)}, nil
-}
-
-// Joined implements Transport (pool-driven: nil).
-func (t *PipeTransport) Joined() <-chan Conn { return nil }
 
 // Close implements Transport.
 func (t *PipeTransport) Close() error { return nil }
 
-// pipeConn is one live worker subprocess.
+// pipeConn is one worker subprocess, started by the connection's first
+// WriteLine: a slot dials before any cell is assigned, so no process runs
+// until a cell is, and a spawn error — or a binary that dies at start-up —
+// fails that cell's attempt like any other worker failure.
 type pipeConn struct {
-	cmd   *exec.Cmd
-	stdin io.WriteCloser
-	rd    *bufio.Reader
+	command func() (*exec.Cmd, error)
+	cmd     *exec.Cmd
+	stdin   io.WriteCloser
+	rd      *bufio.Reader
+	// ready is closed once the process is up, or when the connection is
+	// closed before it ever started; ReadLine waits for it.
+	ready     chan struct{}
+	readyOnce sync.Once
+}
+
+func (c *pipeConn) start() error {
+	if c.command == nil {
+		return errors.New("no worker command")
+	}
+	cmd, err := c.command()
+	if err != nil {
+		return err
+	}
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		return err
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return err
+	}
+	if err := cmd.Start(); err != nil {
+		return err
+	}
+	c.cmd, c.stdin, c.rd = cmd, stdin, bufio.NewReader(stdout)
+	c.readyOnce.Do(func() { close(c.ready) })
+	return nil
 }
 
 func (c *pipeConn) WriteLine(line string) error {
+	if c.cmd == nil {
+		if err := c.start(); err != nil {
+			return fmt.Errorf("runner: spawning worker: %w", err)
+		}
+	}
 	if _, err := fmt.Fprintf(c.stdin, "%s\n", line); err != nil {
 		return fmt.Errorf("runner: worker write: %w", err)
 	}
@@ -120,13 +131,21 @@ func (c *pipeConn) WriteLine(line string) error {
 }
 
 func (c *pipeConn) ReadLine() (string, error) {
+	<-c.ready
+	if c.rd == nil {
+		return "", io.EOF // closed before the process started
+	}
 	return c.rd.ReadString('\n')
 }
 
 // Abort tears down a failed worker: the process is killed and reaped so the
-// slot can respawn. Wait runs exactly once per process — here on the error
+// slot can re-dial. Wait runs exactly once per process — here on the error
 // path, or in Shutdown on the orderly path.
 func (c *pipeConn) Abort() {
+	c.readyOnce.Do(func() { close(c.ready) })
+	if c.cmd == nil {
+		return
+	}
 	c.stdin.Close()
 	c.cmd.Process.Kill()
 	c.cmd.Wait()
@@ -136,12 +155,16 @@ func (c *pipeConn) Abort() {
 // subprocess to exit, then one Wait reaps it. The process is not killed —
 // Kill is reserved for Abort.
 func (c *pipeConn) Shutdown() error {
+	c.readyOnce.Do(func() { close(c.ready) })
+	if c.cmd == nil {
+		return nil
+	}
 	c.stdin.Close()
 	return c.cmd.Wait()
 }
 
 func (c *pipeConn) Name() string {
-	if c.cmd.Process != nil {
+	if c.cmd != nil {
 		return fmt.Sprintf("worker pid %d", c.cmd.Process.Pid)
 	}
 	return "worker subprocess"

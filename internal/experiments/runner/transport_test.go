@@ -19,11 +19,12 @@ import (
 // precisely controlled ways (garbage lines, truncated output, wrong cell
 // ids) without subprocesses or sockets.
 type fakeConn struct {
-	in      chan string // coordinator → worker assignment lines
-	out     chan string // worker → coordinator response lines
-	closed  chan struct{}
-	once    sync.Once
-	outOnce sync.Once
+	in       chan string // coordinator → worker assignment lines
+	out      chan string // worker → coordinator response lines
+	closed   chan struct{}
+	once     sync.Once
+	outOnce  sync.Once
+	writeErr error // fails every write, as a worker that cannot spawn does
 }
 
 func newFakeConn() *fakeConn {
@@ -35,6 +36,9 @@ func newFakeConn() *fakeConn {
 }
 
 func (c *fakeConn) WriteLine(l string) error {
+	if c.writeErr != nil {
+		return c.writeErr
+	}
 	select {
 	case c.in <- l:
 		return nil
@@ -107,45 +111,47 @@ func scriptedConn(s *Spec, mangle func(n int, line string) (string, bool)) *fake
 	return c
 }
 
-// fakeTransport is a pool-driven transport whose Connect returns scripted
-// conns: the queued ones first, then fresh healthy ones.
+// fakeTransport is a PipeTransport whose slots dial scripted conns: first
+// `fails` conns that cannot start — every write fails, as a pipeConn's
+// does when its spawn fails — then the queued ones, then fresh healthy
+// ones.
 type fakeTransport struct {
-	n    int
-	spec *Spec
+	n     int
+	spec  *Spec
+	fails int
 
 	mu     sync.Mutex
 	queue  []func() *fakeConn
 	dialed int
 }
 
-func (t *fakeTransport) Slots() int {
-	if t.n < 1 {
-		return 1
-	}
-	return t.n
-}
+func (t *fakeTransport) feed(p *Pool) { (&PipeTransport{N: t.n, dial: t.connect}).feed(p) }
+func (t *fakeTransport) Close() error { return nil }
 
-func (t *fakeTransport) Connect() (Conn, error) {
+func (t *fakeTransport) connect() Conn {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.dialed++
+	if t.fails > 0 {
+		t.fails--
+		c := newFakeConn()
+		c.writeErr = fmt.Errorf("runner: spawning worker: simulated spawn failure")
+		return c
+	}
 	if len(t.queue) > 0 {
 		f := t.queue[0]
 		t.queue = t.queue[1:]
-		return f(), nil
+		return f()
 	}
-	return scriptedConn(t.spec, nil), nil
+	return scriptedConn(t.spec, nil)
 }
-
-func (t *fakeTransport) Joined() <-chan Conn { return nil }
-func (t *fakeTransport) Close() error        { return nil }
 
 // fastCfg keeps robustness tests quick: no real backoff sleeps, a firm
 // fixed deadline instead of the 10-minute bootstrap.
 func fastCfg() Config {
 	return Config{
-		Deadline: DeadlineConfig{Fixed: 5 * time.Second},
-		Backoff:  BackoffConfig{Base: time.Millisecond, Max: time.Millisecond, Jitter: -1},
+		Deadline: 5 * time.Second,
+		backoff:  backoffConfig{base: time.Millisecond, max: time.Millisecond},
 	}
 }
 
@@ -256,7 +262,7 @@ func TestPoolDeadlineConvertsWedgedConn(t *testing.T) {
 		return c
 	}
 	cfg := fastCfg()
-	cfg.Deadline = DeadlineConfig{Fixed: 50 * time.Millisecond}
+	cfg.Deadline = 50 * time.Millisecond
 	tr := &fakeTransport{n: 1, spec: s, queue: []func() *fakeConn{wedged}}
 	pool := NewPool(tr, cfg)
 	defer pool.Close()
@@ -289,9 +295,9 @@ func TestPoolRespawnBackoffSchedule(t *testing.T) {
 	var mu sync.Mutex
 	var slept []time.Duration
 	cfg := Config{
-		Retries:  3,
-		Deadline: DeadlineConfig{Fixed: 5 * time.Second},
-		Backoff:  BackoffConfig{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: -1},
+		retries:  3,
+		Deadline: 5 * time.Second,
+		backoff:  backoffConfig{base: 10 * time.Millisecond, max: 80 * time.Millisecond},
 		sleep: func(d time.Duration, cancel <-chan struct{}) {
 			mu.Lock()
 			slept = append(slept, d)
@@ -299,9 +305,9 @@ func TestPoolRespawnBackoffSchedule(t *testing.T) {
 		},
 	}
 	dead := func() *fakeConn {
-		c := newFakeConn()
-		c.closeOut() // EOF on first read; never serves a cell
-		return c
+		// Like a subprocess that crashes at start-up: it reads its first
+		// assignment and exits without a byte of response.
+		return scriptedConn(s, func(int, string) (string, bool) { return "", false })
 	}
 	tr := &fakeTransport{n: 1, spec: s, queue: []func() *fakeConn{dead, dead, dead, dead}}
 	pool := NewPool(tr, cfg)
@@ -326,8 +332,8 @@ func TestPoolBackoffResetsAfterHealthyCell(t *testing.T) {
 	var mu sync.Mutex
 	var slept []time.Duration
 	cfg := Config{
-		Deadline: DeadlineConfig{Fixed: 5 * time.Second},
-		Backoff:  BackoffConfig{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: -1},
+		Deadline: 5 * time.Second,
+		backoff:  backoffConfig{base: 10 * time.Millisecond, max: 80 * time.Millisecond},
 		sleep: func(d time.Duration, cancel <-chan struct{}) {
 			mu.Lock()
 			slept = append(slept, d)
@@ -358,24 +364,6 @@ func TestPoolBackoffResetsAfterHealthyCell(t *testing.T) {
 	}
 }
 
-// errConnTransport fails Connect itself a fixed number of times before
-// handing out healthy conns.
-type errConnTransport struct {
-	fakeTransport
-	fails int
-}
-
-func (t *errConnTransport) Connect() (Conn, error) {
-	t.mu.Lock()
-	if t.fails > 0 {
-		t.fails--
-		t.mu.Unlock()
-		return nil, fmt.Errorf("simulated spawn failure")
-	}
-	t.mu.Unlock()
-	return t.fakeTransport.Connect()
-}
-
 // TestPoolSpawnFailureBacksOff: failing to establish the connection at all
 // (spawn failure) charges the waiting cell an attempt and paces the retry.
 func TestPoolSpawnFailureBacksOff(t *testing.T) {
@@ -383,13 +371,13 @@ func TestPoolSpawnFailureBacksOff(t *testing.T) {
 	var mu sync.Mutex
 	var slept []time.Duration
 	cfg := fastCfg()
-	cfg.Backoff = BackoffConfig{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: -1}
+	cfg.backoff = backoffConfig{base: 10 * time.Millisecond, max: 80 * time.Millisecond}
 	cfg.sleep = func(d time.Duration, cancel <-chan struct{}) {
 		mu.Lock()
 		slept = append(slept, d)
 		mu.Unlock()
 	}
-	tr := &errConnTransport{fakeTransport: fakeTransport{n: 1, spec: s}, fails: 2}
+	tr := &fakeTransport{n: 1, spec: s, fails: 2}
 	pool := NewPool(tr, cfg)
 	defer pool.Close()
 	if _, err := pool.Run(s); err != nil {

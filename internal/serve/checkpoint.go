@@ -90,8 +90,13 @@ func snapshotter(alg sim.Algorithm) (sim.StateSnapshotter, error) {
 
 // restore reinstalls the checkpoint into a freshly built engine, then
 // validates the result against the checkpoint's own fields, so an
-// inconsistent snapshot is rejected instead of silently diverging.
+// inconsistent snapshot is rejected instead of silently diverging. The
+// envelope is checked first (checkEnvelope), so a corrupt file fails
+// naming the field instead of panicking recovery.
 func (c *Checkpoint) restore(e *Engine) error {
+	if err := c.checkEnvelope(e); err != nil {
+		return err
+	}
 	snap, err := snapshotter(e.stream.Algorithm())
 	if err != nil {
 		return err
@@ -109,6 +114,37 @@ func (c *Checkpoint) restore(e *Engine) error {
 	e.lastQuar = nil
 	if err := c.matches(e); err != nil {
 		return fmt.Errorf("serve: restored state diverges from its own checkpoint: %w", err)
+	}
+	return nil
+}
+
+// checkEnvelope checks the fields restore installs directly: the counters
+// are non-negative, and the open window holds nodes of the engine's network
+// in strictly increasing order, each with at least one request, fewer in
+// total than the window size (a full window would have closed). Writing a
+// checkpoint never runs it; only recovery reads untrusted bytes.
+func (c *Checkpoint) checkEnvelope(e *Engine) error {
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"cursor", c.Cursor}, {"round", c.Round}, {"quarantined", c.Quarantined}} {
+		if f.value < 0 {
+			return fmt.Errorf("checkpoint field %s is negative (%d)", f.name, f.value)
+		}
+	}
+	n, total := e.stream.Env().Graph.N(), 0
+	for i, p := range c.Window {
+		switch {
+		case p.Node < 0 || p.Node >= n:
+			return fmt.Errorf("checkpoint field window: node %d outside the network's %d nodes", p.Node, n)
+		case p.Count < 1:
+			return fmt.Errorf("checkpoint field window: node %d has %d requests, want at least 1", p.Node, p.Count)
+		case i > 0 && p.Node <= c.Window[i-1].Node:
+			return fmt.Errorf("checkpoint field window: node %d follows node %d, want strictly increasing nodes", p.Node, c.Window[i-1].Node)
+		case p.Count >= e.windowSize-total:
+			return fmt.Errorf("checkpoint field window: node %d's %d requests fill the %d-request window, which would have closed", p.Node, p.Count, e.windowSize)
+		}
+		total += p.Count
 	}
 	return nil
 }

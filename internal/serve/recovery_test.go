@@ -17,7 +17,7 @@ import (
 // recoveryConfig is the shared serving configuration of the crash-recovery
 // matrix: persistent state in dir, tick-closed rounds only (huge window),
 // aggressive checkpointing so the fault window is interesting.
-func recoveryConfig(t *testing.T, dir string, fault Fault) Config {
+func recoveryConfig(t testing.TB, dir string, fault Fault) Config {
 	t.Helper()
 	return Config{
 		NewStream:       testFactory(t),
@@ -32,7 +32,7 @@ func recoveryConfig(t *testing.T, dir string, fault Fault) Config {
 }
 
 // waitCursor polls until the consumer has applied `target` WAL entries.
-func waitCursor(t *testing.T, s *Server, target int) {
+func waitCursor(t testing.TB, s *Server, target int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -54,7 +54,7 @@ func waitCursor(t *testing.T, s *Server, target int) {
 // close a round (the window is huge), so once the cursor catches up the
 // consumer is provably past its last checkpoint write — abandoning the
 // server then cannot race a checkpoint against the restarted one.
-func feedPhase(t *testing.T, s *Server, rounds, base int) {
+func feedPhase(t testing.TB, s *Server, rounds, base int) {
 	t.Helper()
 	n := s.n()
 	classes := Classes()
@@ -401,6 +401,51 @@ func replayMatches(t *testing.T, cfg Config, ckpts ...*Checkpoint) {
 	}
 }
 
+// drainedStateDir serves four rounds into a fresh state directory and
+// drains, leaving a WAL and a checkpoint; it returns the configuration and
+// the checkpoint decoded as a generic JSON object, for tests to edit.
+func drainedStateDir(t testing.TB) (Config, map[string]any) {
+	t.Helper()
+	cfg := recoveryConfig(t, t.TempDir(), Fault{})
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	feedPhase(t, s, 4, 0)
+	waitCursor(t, s, s.wal.Count())
+	s.Drain()
+	data, err := os.ReadFile(filepath.Join(cfg.Dir, CheckpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return cfg, m
+}
+
+// refusedNaming writes the edited checkpoint back and requires New and
+// Replay to fail with an error naming the file and containing want.
+func refusedNaming(t *testing.T, cfg Config, m map[string]any, want string) {
+	t.Helper()
+	path := filepath.Join(cfg.Dir, CheckpointName)
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("New returned %v, want an error naming %s and %q", err, path, want)
+	}
+	if _, err := Replay(cfg); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Replay returned %v, want an error naming %s and %q", err, path, want)
+	}
+}
+
 // TestParentCheckpointRefused: a checkpoint.json from before the state
 // codec — its alg_state a JSON object, or absent — fails recovery and
 // replay loudly, naming the file, instead of panicking or starting over.
@@ -414,39 +459,82 @@ func TestParentCheckpointRefused(t *testing.T) {
 	}
 	for _, tc := range edits {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := recoveryConfig(t, dir, Fault{})
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Start()
-			feedPhase(t, s, 4, 0)
-			waitCursor(t, s, s.wal.Count())
-			s.Drain()
-
-			path := filepath.Join(dir, CheckpointName)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var m map[string]any
-			if err := json.Unmarshal(data, &m); err != nil {
-				t.Fatal(err)
-			}
+			cfg, m := drainedStateDir(t)
 			tc.edit(m)
-			if data, err = json.Marshal(m); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), path) {
-				t.Fatalf("New returned %v, want an error naming %s", err, path)
-			}
-			if _, err := Replay(cfg); err == nil || !strings.Contains(err.Error(), path) {
-				t.Fatalf("Replay returned %v, want an error naming %s", err, path)
-			}
+			refusedNaming(t, cfg, m, "")
 		})
 	}
+}
+
+// TestCheckpointEnvelopeRefused: a checkpoint whose window or counters
+// cannot describe this engine fails recovery naming the file and the
+// field. A window node outside the network used to panic recovery (index
+// out of range in cost.Accumulator.Add).
+func TestCheckpointEnvelopeRefused(t *testing.T) {
+	pair := func(node, count int) map[string]any { return map[string]any{"Node": node, "Count": count} }
+	edits := []struct {
+		name, field string
+		edit        func(map[string]any)
+	}{
+		{"node beyond the network", "window", func(m map[string]any) { m["window"] = []any{pair(1000000, 1)} }},
+		{"negative node", "window", func(m map[string]any) { m["window"] = []any{pair(-1, 1)} }},
+		{"zero count", "window", func(m map[string]any) { m["window"] = []any{pair(3, 0)} }},
+		{"unsorted nodes", "window", func(m map[string]any) { m["window"] = []any{pair(5, 1), pair(2, 1)} }},
+		{"repeated node", "window", func(m map[string]any) { m["window"] = []any{pair(2, 1), pair(2, 1)} }},
+		{"full window", "window", func(m map[string]any) { m["window"] = []any{pair(1, 1), pair(2, 1<<20-1)} }},
+		{"negative round", "round", func(m map[string]any) { m["round"] = -1 }},
+		{"negative quarantined", "quarantined", func(m map[string]any) { m["quarantined"] = -2 }},
+	}
+	for _, tc := range edits {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, m := drainedStateDir(t)
+			tc.edit(m)
+			refusedNaming(t, cfg, m, "checkpoint field "+tc.field)
+		})
+	}
+}
+
+// FuzzCheckpointFile puts arbitrary bytes in a drained state directory's
+// checkpoint.json and recovers through New: it must fail or recover, never
+// panic.
+func FuzzCheckpointFile(f *testing.F) {
+	cfg, m := drainedStateDir(f)
+	valid, err := json.Marshal(m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, window := range []string{`[{"Node":1000000,"Count":1}]`, `[{"Node":3,"Count":-4}]`, `[{"Node":5,"Count":1},{"Node":2,"Count":1}]`} {
+		m["window"] = json.RawMessage(window)
+		edited, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(edited)
+	}
+	f.Add([]byte(`{"fingerprint":"recovery-test","cursor":-1}`))
+	f.Add([]byte("{truncated"))
+	wal, err := filepath.Glob(filepath.Join(cfg.Dir, "wal-*"))
+	if err != nil || len(wal) == 0 {
+		f.Fatalf("no WAL segments in %s (%v)", cfg.Dir, err)
+	}
+	f.Fuzz(func(t *testing.T, checkpoint []byte) {
+		c := cfg
+		c.Dir = t.TempDir()
+		for _, seg := range wal {
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(c.Dir, filepath.Base(seg)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(c.Dir, CheckpointName), checkpoint, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := New(c); err == nil {
+			s.wal.Close()
+		}
+	})
 }
