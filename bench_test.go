@@ -297,8 +297,8 @@ func BenchmarkScorerApplyMove(b *testing.B) {
 }
 
 // BenchmarkBestResponse measures one full epoch sweep (moves,
-// deactivations, additions over all nodes) through the parallel
-// shape-priced candidate scan.
+// deactivations, additions over all nodes) through the shape-priced,
+// bound-pruned candidate scan.
 func BenchmarkBestResponse(b *testing.B) {
 	env := benchGraph(b, 300)
 	rng := rand.New(rand.NewSource(6))
@@ -309,6 +309,27 @@ func BenchmarkBestResponse(b *testing.B) {
 	agg := cost.DemandFromList(list)
 	pool := env.NewPool()
 	pool.Bootstrap(core.NewPlacement(10, 50, 100, 150, 200))
+	moves := online.SearchMoves{Move: true, Deactivate: true, Add: true}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		online.BestResponse(env, pool, agg, 12, moves)
+	}
+}
+
+// BenchmarkBestResponseWide is the sweep shape that does the most work in
+// the quick figures: k = 14 servers, 150 nodes, 60 distinct access
+// points.
+func BenchmarkBestResponseWide(b *testing.B) {
+	env := benchGraph(b, 150)
+	rng := rand.New(rand.NewSource(7))
+	spots := rng.Perm(150)
+	list := make([]int, 240)
+	for i := range list {
+		list[i] = spots[i%60]
+	}
+	agg := cost.DemandFromList(list)
+	pool := env.NewPool()
+	pool.Bootstrap(core.NewPlacement(spots[60:74]...))
 	moves := online.SearchMoves{Move: true, Deactivate: true, Add: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

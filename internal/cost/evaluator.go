@@ -235,15 +235,7 @@ func (e *Evaluator) BestAddition(servers []int, d Demand) (int, AccessCost, bool
 	}
 	bestNode, found := -1, false
 	if sc, ok := NewScorer(e, servers, d); ok {
-		bestScore := math.MaxFloat64
-		for v := 0; v < e.g.N(); v++ {
-			if ws.occ[v] {
-				continue
-			}
-			if score := sc.Add(v); !found || score < bestScore {
-				bestNode, bestScore, found = v, score, true
-			}
-		}
+		bestNode, found = sc.BestAdd(ws.occ)
 		sc.Release()
 	} else {
 		bestScore := math.MaxFloat64

@@ -272,9 +272,14 @@ func comparePairScorers(t *testing.T, label string, sc *Scorer, ref *naiveScorer
 	if !same(sc.Base(), ref.baseTotal) {
 		t.Fatalf("%s: Base = %v, naive = %v", label, sc.Base(), ref.baseTotal)
 	}
+	adds := make([]float64, n)
+	sc.Adds(nil, 0, n, adds)
 	for v := 0; v < n; v++ {
 		if got, want := sc.Add(v), ref.add(v); !same(got, want) {
 			t.Fatalf("%s: Add(%d) = %v, naive = %v", label, v, got, want)
+		}
+		if !same(adds[v], ref.add(v)) {
+			t.Fatalf("%s: Adds[%d] = %v, naive = %v", label, v, adds[v], ref.add(v))
 		}
 	}
 	for i := range ref.servers {
@@ -477,6 +482,17 @@ func TestHotPathAllocationFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, func() { sc.Add(2) }); avg != 0 {
 		t.Errorf("Scorer.Add: %v allocs/op, want 0", avg)
+	}
+	adds, targets := make([]float64, g.N()), []int{2, 0, 2, 1}
+	if avg := testing.AllocsPerRun(200, func() { sc.Adds(nil, 0, g.N(), adds) }); avg != 0 {
+		t.Errorf("Scorer.Adds (every node): %v allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() { sc.Adds(targets, 1, 4, adds) }); avg != 0 {
+		t.Errorf("Scorer.Adds (targets): %v allocs/op, want 0", avg)
+	}
+	occ := make([]bool, g.N())
+	if avg := testing.AllocsPerRun(200, func() { sc.BestAdd(occ) }); avg != 0 {
+		t.Errorf("Scorer.BestAdd: %v allocs/op, want 0", avg)
 	}
 	free := 0
 	for v := 0; v < g.N(); v++ {

@@ -23,8 +23,8 @@ import (
 // sweeps that accept one change at a time) maintain the per-access-point
 // best1/best2 structure incrementally instead of rebuilding it.
 //
-// A scorer is safe for concurrent *reads* (Add/Remove/Move/Base); the
-// Apply* commits and Release are not.
+// A scorer is safe for concurrent *reads* (Add/Adds/BestAdd/Remove/Move/
+// Base); the Apply* commits and Release are not.
 type Scorer struct {
 	e       *Evaluator
 	servers []int
@@ -155,6 +155,61 @@ func (s *Scorer) Add(v int) float64 {
 		total += float64(p.Count) * c
 	}
 	return total
+}
+
+// Adds writes Add(v) to dst[j-lo] for every target ordinal j in [lo, hi),
+// where v = targets[j], or v = j when targets is nil. The loop runs over
+// access points outside and targets inside, so each pinned row is read as
+// one stream, and every entry is built by Add's expression, comparison
+// and access-point summation order: the bits are Add's. Concurrent calls
+// into disjoint dst slices are safe.
+func (s *Scorer) Adds(targets []int, lo, hi int, dst []float64) {
+	dst = dst[:hi-lo]
+	clear(dst)
+	for pi, p := range s.pairs {
+		row, b, cnt := s.rows[pi], s.best1[pi], float64(p.Count)
+		if targets == nil {
+			row, off := row[lo:hi], s.offNode[lo:hi]
+			for j, d := range row {
+				c := d + off[j]
+				if b < c {
+					c = b
+				}
+				dst[j] += cnt * c
+			}
+			continue
+		}
+		for j, v := range targets[lo:hi] {
+			c := row[v] + s.offNode[v]
+			if b < c {
+				c = b
+			}
+			dst[j] += cnt * c
+		}
+	}
+}
+
+// addBlock is how many nodes BestAdd prices per Adds call, so its buffer
+// stays a few kilobytes on the stack however large the network.
+const addBlock = 512
+
+// BestAdd returns the node v with occ[v] false that minimises Add(v): the
+// first free node in ascending order, replaced only on strict improvement.
+// It reports false when every node is occupied. Adds prices the nodes a
+// block at a time; occ must have one entry per node.
+func (s *Scorer) BestAdd(occ []bool) (int, bool) {
+	var buf [addBlock]float64
+	best, bestScore := -1, 0.0
+	for lo := 0; lo < len(occ); lo += addBlock {
+		hi := min(lo+addBlock, len(occ))
+		s.Adds(nil, lo, hi, buf[:])
+		for j, score := range buf[:hi-lo] {
+			if !occ[lo+j] && (best < 0 || score < bestScore) {
+				best, bestScore = lo+j, score
+			}
+		}
+	}
+	return best, best >= 0
 }
 
 // Remove returns the access score with servers[i] removed. It returns +Inf

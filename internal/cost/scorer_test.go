@@ -277,3 +277,107 @@ func TestScorerPinsOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestScorerAddsMatchesAdd pins the batch addition kernel to Add by exact
+// bits: every node and random target lists (repeats included) over random
+// [lo, hi) windows written into the matching window of a larger slice, on integer latencies and strengths (exact ties), on
+// two components (unreachable access points overflow to +Inf), and through
+// the linearised scorer. BestAdd must pick the first free node of minimal
+// Add, as the per-node scan does.
+func TestScorerAddsMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	infs := 0
+	for trial := 0; trial < 60; trial++ {
+		n := 4 + rng.Intn(30)
+		integer, split := trial%2 == 1, n
+		if trial%3 == 2 {
+			split = 1 + rng.Intn(n-1)
+		}
+		latency := func() float64 { return 0.25 + 4*rng.Float64() }
+		if integer {
+			latency = func() float64 { return float64(1 + rng.Intn(3)) }
+		}
+		g := graph.New(n)
+		for v := 1; v < n; v++ {
+			if v != split {
+				lo := 0
+				if v > split {
+					lo = split
+				}
+				g.MustAddEdge(lo+rng.Intn(v-lo), v, latency(), 1)
+			}
+		}
+		for v := 0; v < n; v++ {
+			if integer {
+				g.SetStrength(v, float64(int(1)<<rng.Intn(3)))
+			} else {
+				g.SetStrength(v, 0.25+3*rng.Float64())
+			}
+		}
+		servers := rng.Perm(n)[:1+rng.Intn(n/2+1)]
+		list := make([]int, 1+rng.Intn(40))
+		for i := range list {
+			list[i] = rng.Intn(n)
+		}
+		d := DemandFromList(list)
+		var sc *Scorer
+		if trial%4 == 3 {
+			sc = NewScorerApprox(NewEvaluator(g, g.AllPairs(), Quadratic{}, AssignMinCost), servers, d, 1+5*rng.Float64())
+		} else {
+			sc, _ = NewScorer(NewEvaluator(g, g.AllPairs(), Linear{}, AssignMinCost), servers, d)
+		}
+		targets := make([]int, rng.Intn(2*n))
+		for j := range targets {
+			targets[j] = rng.Intn(n)
+		}
+		for _, tg := range [][]int{nil, targets} {
+			nt := n
+			if tg != nil {
+				nt = len(tg)
+			}
+			lo := rng.Intn(nt + 1)
+			hi := lo + rng.Intn(nt-lo+1)
+			dst := make([]float64, nt)
+			for j := range dst {
+				dst[j] = math.NaN() // outside [lo, hi) must stay untouched
+			}
+			sc.Adds(tg, lo, hi, dst[lo:hi])
+			for j := range dst {
+				v := j
+				if tg != nil {
+					v = tg[j]
+				}
+				if j < lo || j >= hi {
+					if !math.IsNaN(dst[j]) {
+						t.Fatalf("trial %d: Adds wrote dst[%d] outside [%d, %d)", trial, j, lo, hi)
+					}
+					continue
+				}
+				if want := sc.Add(v); !same(dst[j], want) {
+					t.Fatalf("trial %d: Adds[%d] (node %d) = %v, Add = %v", trial, j, v, dst[j], want)
+				}
+				if math.IsInf(dst[j], 1) {
+					infs++
+				}
+			}
+		}
+		occ := make([]bool, n)
+		for _, v := range servers {
+			occ[v] = true
+		}
+		want, wantOK := -1, false
+		for v := 0; v < n; v++ {
+			if !occ[v] && (!wantOK || sc.Add(v) < sc.Add(want)) {
+				want, wantOK = v, true
+			}
+		}
+		if got, ok := sc.BestAdd(occ); got != want || ok != wantOK {
+			t.Fatalf("trial %d: BestAdd = %d, %v; per-node scan = %d, %v", trial, got, ok, want, wantOK)
+		}
+		sc.Release()
+	}
+	if infs == 0 {
+		t.Fatal("no +Inf addition price; the disconnected draws do not reach the overflow")
+	}
+}

@@ -205,9 +205,9 @@ func ParallelChunks(n int, parallel bool, fn func(lo, hi int)) {
 // ParallelChunksWorkers is ParallelChunks with an explicit worker bound and
 // a minimum chunk grain: fn covers [0, n) on at most `workers` goroutines
 // (non-positive selects GOMAXPROCS), each spanning at least `grain`
-// indexes. The OPT solver and the candidate scans route their fan-outs
-// through this so forced serial-vs-parallel parity runs stay expressible
-// and all chunking lives in one place.
+// indexes. The work-function kernel (and through it the OPT solver)
+// routes its fan-outs through this so forced serial-vs-parallel parity
+// runs stay expressible and all chunking lives in one place.
 func ParallelChunksWorkers(n, workers, grain int, fn func(lo, hi int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

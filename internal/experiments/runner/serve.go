@@ -81,6 +81,12 @@ func (w *lineWriter) writeLine(line string) error {
 // assignments by measured cost. It returns nil on EOF, ErrBye when the
 // coordinator sent BYE, and any other error on a broken session.
 func ServePool(build func(name string) (*Spec, error), r io.Reader, w io.Writer, opts ServeOptions) error {
+	_, err := servePool(build, r, w, opts)
+	return err
+}
+
+// servePool is ServePool that also counts the cells the session answered.
+func servePool(build func(name string) (*Spec, error), r io.Reader, w io.Writer, opts ServeOptions) (served int, err error) {
 	var cur *Spec
 	lw := &lineWriter{bw: bufio.NewWriter(w)}
 
@@ -110,7 +116,7 @@ func ServePool(build func(name string) (*Spec, error), r io.Reader, w io.Writer,
 			continue
 		}
 		if line == protoBye {
-			return ErrBye
+			return served, ErrBye
 		}
 		if name, ok := strings.CutPrefix(line, "SPEC "); ok {
 			name = strings.TrimSpace(name)
@@ -119,22 +125,23 @@ func ServePool(build func(name string) (*Spec, error), r io.Reader, w io.Writer,
 			}
 			s, err := build(name)
 			if err != nil {
-				return err
+				return served, err
 			}
 			if err := s.Validate(); err != nil {
-				return err
+				return served, err
 			}
 			cur = s
 			continue
 		}
 		if cur == nil {
-			return fmt.Errorf("runner: cell assignment %q before any SPEC line", line)
+			return served, fmt.Errorf("runner: cell assignment %q before any SPEC line", line)
 		}
 		if err := serveAssignment(cur, line, lw, opts.Fault); err != nil {
-			return err
+			return served, err
 		}
+		served++
 	}
-	return sc.Err()
+	return served, sc.Err()
 }
 
 // serveAssignment evaluates one cell assignment and writes the response,

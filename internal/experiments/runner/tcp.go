@@ -155,12 +155,13 @@ type WorkerOptions struct {
 	// Logf reports connection lifecycle; nil discards.
 	Logf func(format string, args ...any)
 
-	// Test hooks, zero in production: heartbeat, backoff and maxAttempts
-	// override workerHeartbeat, the reconnect schedule and
-	// workerMaxAttempts.
+	// Test hooks, zero in production: heartbeat, backoff, maxAttempts and
+	// sleep override workerHeartbeat, the reconnect schedule,
+	// workerMaxAttempts and time.Sleep between attempts.
 	heartbeat   time.Duration
 	backoff     backoffConfig
 	maxAttempts int
+	sleep       func(time.Duration)
 }
 
 // ConnectWorker dials the coordinator at addr and serves the pool protocol
@@ -169,9 +170,10 @@ type WorkerOptions struct {
 // coordinator is not up yet or the connection breaks mid-run (elastic
 // membership: a rejoin is just a fresh connection fed from the shared
 // queue). It returns nil once the coordinator ends a session with BYE, and
-// an error after workerMaxAttempts failures. A bare EOF without BYE is
-// ambiguous — a crashed coordinator or a network drop — and is treated as
-// retryable.
+// an error after workerMaxAttempts failures in a row. A bare EOF without
+// BYE is ambiguous — a crashed coordinator or a network drop — and is
+// treated as retryable. A session that served a cell ends the failure
+// streak, as a pool slot's does: both the count and the backoff restart.
 func ConnectWorker(addr string, build func(name string) (*Spec, error), opts WorkerOptions) error {
 	hb := cmp.Or(opts.heartbeat, workerHeartbeat)
 	maxAttempts := cmp.Or(opts.maxAttempts, workerMaxAttempts)
@@ -179,13 +181,18 @@ func ConnectWorker(addr string, build func(name string) (*Spec, error), opts Wor
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	sleep := opts.sleep
+	if sleep == nil {
+		sleep = time.Sleep
+	}
 	bo := newBackoff(opts.backoff, nil)
 	fails := 0
 	for {
 		c, err := net.Dial("tcp", addr)
 		if err == nil {
 			logf("connected to coordinator %s", addr)
-			err = ServePool(build, c, c, ServeOptions{Fault: opts.Fault, heartbeat: hb})
+			var served int
+			served, err = servePool(build, c, c, ServeOptions{Fault: opts.Fault, heartbeat: hb})
 			c.Close()
 			if errors.Is(err, ErrBye) {
 				logf("coordinator ended the session")
@@ -194,6 +201,10 @@ func ConnectWorker(addr string, build func(name string) (*Spec, error), opts Wor
 			if err == nil {
 				err = fmt.Errorf("session ended without BYE")
 			}
+			if served > 0 {
+				fails = 0
+				bo.Reset()
+			}
 		}
 		fails++
 		if fails >= maxAttempts {
@@ -201,6 +212,6 @@ func ConnectWorker(addr string, build func(name string) (*Spec, error), opts Wor
 		}
 		d := bo.Next()
 		logf("session with %s: %v; retrying in %v", addr, err, d.Round(time.Millisecond))
-		time.Sleep(d)
+		sleep(d)
 	}
 }

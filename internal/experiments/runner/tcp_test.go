@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"bufio"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -264,5 +266,55 @@ func BenchmarkPoolTCPLoopback(b *testing.B) {
 		pool.Close()
 		<-w1
 		<-w2
+	}
+}
+
+// TestConnectWorkerServedSessionEndsStreak: a coordinator that hands the
+// worker one cell and then drops the connection, workerMaxAttempts+1
+// times in a row, must not wear out a long-lived worker — a session that
+// served a cell ends the failure streak — and the BYE that follows ends
+// it with nil. Every retry after such a session waits the schedule's
+// base delay, not a doubled one.
+func TestConnectWorkerServedSessionEndsStreak(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	drops := workerMaxAttempts + 1
+	go func() {
+		for i := 0; ; i++ {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if i == drops {
+				fmt.Fprintf(c, "%s\n", protoBye)
+				c.Close()
+				return
+			}
+			fmt.Fprintf(c, "SPEC grid-1x1x1\n0\n")
+			sc := bufio.NewScanner(c)
+			for sc.Scan() && strings.Contains(sc.Text(), `"hb"`) {
+			}
+			c.Close() // the cell's response is in; drop without BYE
+		}
+	}()
+	base := time.Millisecond
+	var sleeps []time.Duration
+	opts := WorkerOptions{
+		backoff: backoffConfig{base: base, max: time.Second},
+		sleep:   func(d time.Duration) { sleeps = append(sleeps, d) },
+	}
+	if err := ConnectWorker(ln.Addr().String(), buildTestSpec, opts); err != nil {
+		t.Fatalf("ConnectWorker after %d served-then-dropped sessions: %v", drops, err)
+	}
+	if len(sleeps) != drops {
+		t.Fatalf("%d retries, want %d", len(sleeps), drops)
+	}
+	for i, d := range sleeps {
+		if d != base {
+			t.Fatalf("retry %d waited %v, want the base delay %v", i, d, base)
+		}
 	}
 }

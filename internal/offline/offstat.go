@@ -93,7 +93,7 @@ func (o *OFFSTAT) Reset(env *sim.Env) error {
 		var v int
 		var ok bool
 		if sc != nil {
-			v, ok = bestAddViaScorer(sc, occ)
+			v, ok = sc.BestAdd(occ)
 		} else {
 			v, _, ok = env.Eval.BestAddition(cur, agg)
 		}
@@ -122,24 +122,6 @@ func (o *OFFSTAT) Reset(env *sim.Env) error {
 	o.placement = best
 	o.kopt = best.Len()
 	return nil
-}
-
-// bestAddViaScorer returns the free node whose addition minimises the
-// scorer's access score, mirroring Evaluator.BestAddition's selection
-// (ascending node order, strict improvement) on the incrementally
-// maintained scorer.
-func bestAddViaScorer(sc *cost.Scorer, occ []bool) (int, bool) {
-	bestNode, found := -1, false
-	bestScore := math.Inf(1)
-	for v := range occ {
-		if occ[v] {
-			continue
-		}
-		if score := sc.Add(v); !found || score < bestScore {
-			bestNode, bestScore, found = v, score, true
-		}
-	}
-	return bestNode, found
 }
 
 // Prepare implements sim.Algorithm: the static configuration is installed

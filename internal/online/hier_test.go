@@ -263,46 +263,68 @@ func TestWFADisconnectedLargeSpaceParity(t *testing.T) {
 	}
 }
 
-// TestWorkKernelMatchesBruteForce pins the kernel to a scan over every
-// source set: the value must be bit-identical and, with an order, the
-// source the first minimiser in that order. Inputs mix in ∅ (size-0
+// TestWorkKernelMatchesBruteForce runs the FuzzWorkKernel generator over
+// 64 draws: 60 small ones cycling through the two cost regimes with and
+// without ∅, then one large draw (where four workers fan out) in each of
+// those four combinations.
+func TestWorkKernelMatchesBruteForce(t *testing.T) {
+	for trial := 0; trial < 64; trial++ {
+		shape := uint8(trial % 4)
+		if trial >= 60 {
+			shape |= 4
+		}
+		checkWorkKernelCase(t, 97+int64(trial), shape)
+	}
+}
+
+// FuzzWorkKernel pins the kernel WFA, ONCONF and OPT share to a scan over
+// every source set: the value must be bit-identical and, with an order,
+// the source the first minimiser in that order. Inputs mix in ∅ (size-0
 // sources and destinations), +Inf sources, sources drawn from a few values
 // (exact ties broken by the order), and both cost regimes, with one worker
-// and with four; the last two inputs are large enough for four to fan out.
-func TestWorkKernelMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	for trial := 0; trial < 62; trial++ {
-		n := 1 + rng.Intn(7)
-		k := 1 + rng.Intn(n)
-		if trial >= 60 {
-			n, k = 13, 4 // 1093 classes: the parallel scatter and fold run
+// and with four. The bits of shape select
+//
+//	1: the fractional cost regime (integer costs, so exact ties, otherwise)
+//	2: ∅ neither source nor destination
+//	4: n = 13, k = 4 (1093 classes), where the parallel scatter and fold run
+func FuzzWorkKernel(f *testing.F) {
+	f.Fuzz(checkWorkKernelCase)
+}
+
+// checkWorkKernelCase draws one kernel instance and checks it with one
+// worker and with four, under a random order and under class order.
+func checkWorkKernelCase(t *testing.T, seed int64, shape uint8) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 1 + rng.Intn(7)
+	k := 1 + rng.Intn(n)
+	if shape&4 != 0 {
+		n, k = 13, 4
+	}
+	p := cost.Params{Beta: float64(1 + rng.Intn(20)), Create: float64(1 + rng.Intn(20))}
+	if shape&1 != 0 {
+		p = cost.Params{Beta: 0.1 + rng.Float64(), Create: 0.1 + rng.Float64()}
+	}
+	configs := core.EnumeratePlacements(n, k)
+	sets := append(append([]core.Placement(nil), configs...), core.Placement{})
+	if shape&2 != 0 {
+		sets = sets[:len(configs)] // ∅ neither source nor destination
+	}
+	values := []float64{0, 1, 2.5, 7, 1e3 * rng.Float64(), math.Inf(1)}
+	src := make([]float64, len(sets))
+	for i := range src {
+		src[i] = values[rng.Intn(len(values))]
+	}
+	order := make([]int32, len(sets))
+	for i, c := range rng.Perm(len(sets)) {
+		order[i] = int32(c)
+	}
+	for _, workers := range []int{1, 4} {
+		kn, err := NewWorkKernel(p, configs, n, k, workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		p := cost.Params{Beta: float64(1 + rng.Intn(20)), Create: float64(1 + rng.Intn(20))}
-		if trial%3 == 0 {
-			p = cost.Params{Beta: 0.1 + rng.Float64(), Create: 0.1 + rng.Float64()}
-		}
-		configs := core.EnumeratePlacements(n, k)
-		sets := append(append([]core.Placement(nil), configs...), core.Placement{})
-		if trial%2 == 1 {
-			sets = sets[:len(configs)] // ∅ neither source nor destination
-		}
-		values := []float64{0, 1, 2.5, 7, 1e3 * rng.Float64(), math.Inf(1)}
-		src := make([]float64, len(sets))
-		for i := range src {
-			src[i] = values[rng.Intn(len(values))]
-		}
-		order := make([]int32, len(sets))
-		for i, c := range rng.Perm(len(sets)) {
-			order[i] = int32(c)
-		}
-		for _, workers := range []int{1, 4} {
-			kn, err := NewWorkKernel(p, configs, n, k, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkWorkKernel(t, kn, p, sets, src, order)
-			checkWorkKernel(t, kn, p, sets, src, nil)
-		}
+		checkWorkKernel(t, kn, p, sets, src, order)
+		checkWorkKernel(t, kn, p, sets, src, nil)
 	}
 }
 
@@ -356,7 +378,7 @@ func checkWorkKernel(t *testing.T, kn *WorkKernel, p cost.Params, sets []core.Pl
 				best, arg = v, i
 			}
 		}
-		if dst[j] != best {
+		if math.Float64bits(dst[j]) != math.Float64bits(best) {
 			t.Fatalf("dst[%v] = %v, brute force %v", to, dst[j], best)
 		}
 		if order != nil && from[j] != arg {

@@ -11,6 +11,7 @@ package online
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -45,25 +46,28 @@ func EpochScorer(env *sim.Env, servers core.Placement, agg cost.Demand, rounds i
 	return cost.NewScorerApprox(env.Eval, servers, agg, hint)
 }
 
-// parallelScanThreshold is the candidate-count × access-point work below
-// which the sweep stays on one goroutine (fan-out overhead would dominate).
-const parallelScanThreshold = 1 << 15
-
 // candidateScan scores the single-change candidates of one best-response
-// sweep. Candidates are addressed by a dense ordinal so the sweep can be
-// chunked across workers while preserving the sequential semantics
-// exactly: the winner is the candidate of minimal score, ties broken
-// toward the smallest ordinal (= the order the sequential loop visited).
+// sweep. Candidates are addressed by a dense ordinal (moves, then
+// deactivations, then additions): the winner is the candidate of minimal
+// score, ties broken toward the smallest ordinal.
+//
+// One Scorer.Adds pass prices every addition up front, and that price
+// bounds every move onto the same node from below (see score), so the
+// scan calls Move only for the few moves that can still win. It runs on
+// one goroutine: with the moves pruned, a sweep of the quick figures'
+// largest shape took longer split over two cores than on one. Scans are
+// pooled: adds, occ and cached keep their capacity across sweeps, and occ
+// and cached go back to the pool all false.
 type candidateScan struct {
 	sc      *cost.Scorer
 	cur     core.Placement
 	targets []int // nil means the identity over all n nodes
 	n       int
-	work    int // per-candidate work estimate (distinct access points)
+	adds    []float64 // adds[j] = Scorer.Add(target(j))
 	occ     []bool
 	cached  []bool
 
-	moves, deacts, adds bool
+	moves, deacts, addOK bool
 
 	// Score constants per candidate kind: score = (access + sw) + run,
 	// evaluated in exactly that association order. Indexed by whether the
@@ -71,7 +75,10 @@ type candidateScan struct {
 	moveSw, moveRun   [2]float64
 	deactSw, deactRun float64
 	addSw, addRun     [2]float64
+	keepScore         float64 // the kept placement's score; a winner must beat it
 }
+
+var scanPool = sync.Pool{New: func() any { return new(candidateScan) }}
 
 // numTargets returns the size of the move/add target space.
 func (c *candidateScan) numTargets() int {
@@ -99,23 +106,34 @@ func (c *candidateScan) total() int {
 	if c.deacts {
 		total += len(c.cur)
 	}
-	if c.adds {
+	if c.addOK {
 		total += nt
 	}
 	return total
 }
 
-// score evaluates one candidate ordinal; +Inf marks inadmissible ones.
-func (c *candidateScan) score(ord int) float64 {
+// score evaluates one candidate ordinal; +Inf marks inadmissible ones and
+// moves that cannot win. A move's per-access-point term is
+// count·min(c_i, cv) with c_i ∈ {best1, best2} and best2 ≥ best1, the
+// addition's is count·min(best1, cv), and rounded + and ×count are
+// monotone, so Move(i, v) ≥ Add(v): priced with Add(v), a move that does
+// not beat the kept placement or best (the lower-ordinal running minimum,
+// which wins ties) is not scored. A NaN bound compares false and is
+// scored.
+func (c *candidateScan) score(ord int, best float64) float64 {
 	nt := c.numTargets()
 	if c.moves {
 		if ord < len(c.cur)*nt {
-			i, v := ord/nt, c.target(ord%nt)
+			j := ord % nt
+			v := c.target(j)
 			if c.occ[v] {
 				return math.Inf(1)
 			}
 			b := b2i(c.cached[v])
-			return (c.sc.Move(i, v) + c.moveSw[b]) + c.moveRun[b]
+			if bound := (c.adds[j] + c.moveSw[b]) + c.moveRun[b]; bound >= c.keepScore || bound >= best {
+				return math.Inf(1)
+			}
+			return (c.sc.Move(ord/nt, v) + c.moveSw[b]) + c.moveRun[b]
 		}
 		ord -= len(c.cur) * nt
 	}
@@ -134,7 +152,7 @@ func (c *candidateScan) score(ord int) float64 {
 		return math.Inf(1)
 	}
 	b := b2i(c.cached[v])
-	return (c.sc.Add(v) + c.addSw[b]) + c.addRun[b]
+	return (c.adds[ord] + c.addSw[b]) + c.addRun[b]
 }
 
 // materialize builds the placement of a winning ordinal.
@@ -163,42 +181,14 @@ func b2i(b bool) int {
 	return 0
 }
 
-// run scans all candidates — in parallel for large sweeps — and returns
-// the minimal score and its ordinal (-1 when no admissible candidate
-// exists). The result is independent of the worker count: each chunk
-// reduces to its own (score, ordinal) minimum, and the cross-chunk merge
-// is the lexicographic minimum over (score, ordinal), so the winner is the
-// candidate of minimal score with ties broken toward the smallest ordinal
-// — exactly the sequential scan's answer.
+// run prices the additions, then scans all candidates in ordinal order
+// and returns the minimal score and its ordinal (-1 when no admissible
+// candidate exists).
 func (c *candidateScan) run() (float64, int) {
-	total := c.total()
-	if total*c.work < parallelScanThreshold {
-		// Small sweeps skip the fan-out entirely: no reduction closure,
-		// no mutex — the per-round hot loops of ONBR/ONTH stay
-		// allocation-free here.
-		return c.scanRange(0, total)
-	}
+	c.sc.Adds(c.targets, 0, c.numTargets(), c.adds)
 	best, bestOrd := math.Inf(1), -1
-	var mu sync.Mutex
-	cost.ParallelChunks(total, true, func(lo, hi int) {
-		s, o := c.scanRange(lo, hi)
-		if o < 0 {
-			return
-		}
-		mu.Lock()
-		if s < best || (s == best && o < bestOrd) {
-			best, bestOrd = s, o
-		}
-		mu.Unlock()
-	})
-	return best, bestOrd
-}
-
-// scanRange is the sequential kernel of run over [lo, hi).
-func (c *candidateScan) scanRange(lo, hi int) (float64, int) {
-	best, bestOrd := math.Inf(1), -1
-	for ord := lo; ord < hi; ord++ {
-		if s := c.score(ord); s < best {
+	for ord, total := 0, c.total(); ord < total; ord++ {
+		if s := c.score(ord, best); s < best {
 			best, bestOrd = s, ord
 		}
 	}
@@ -214,8 +204,9 @@ func (c *candidateScan) scanRange(lo, hi int) (float64, int) {
 //
 // matching ONBR's "cheapest configuration w.r.t. the passed epoch including
 // access, migration, running, and creation cost". Candidates are priced by
-// shape (PredictShape) and scanned in parallel; the chosen target is
-// identical to the sequential sweep's.
+// shape (PredictShape), and a move runs Move only when its addition bound
+// can still win; the chosen target is the one scoring every candidate
+// would pick.
 func BestResponse(env *sim.Env, pool *core.Pool, agg cost.Demand, rounds int, moves SearchMoves) core.Placement {
 	cur := pool.Active()
 	if len(cur) == 0 {
@@ -225,24 +216,38 @@ func BestResponse(env *sim.Env, pool *core.Pool, agg cost.Demand, rounds int, mo
 	defer sc.Release()
 
 	n := env.Graph.N()
-	scan := candidateScan{
+	scan := scanPool.Get().(*candidateScan)
+	*scan = candidateScan{
 		sc:      sc,
 		cur:     cur,
 		targets: moves.Targets,
 		n:       n,
-		work:    agg.Distinct() + 1,
-		occ:     make([]bool, n),
-		cached:  make([]bool, n),
+		adds:    scan.adds[:0],
+		occ:     slices.Grow(scan.occ[:0], n)[:n],
+		cached:  slices.Grow(scan.cached[:0], n)[:n],
 		moves:   moves.Move,
 		deacts:  moves.Deactivate && len(cur) > 1,
-		adds:    moves.Add && (env.Pool.MaxServers <= 0 || len(cur) < env.Pool.MaxServers),
+		addOK:   moves.Add && (env.Pool.MaxServers <= 0 || len(cur) < env.Pool.MaxServers),
 	}
+	nt := scan.numTargets()
+	scan.adds = slices.Grow(scan.adds, nt)[:nt]
+	inactive := pool.InactiveNodes()
 	for _, s := range cur {
 		scan.occ[s] = true
 	}
-	for _, v := range pool.InactiveNodes() {
+	for _, v := range inactive {
 		scan.cached[v] = true
 	}
+	defer func() { // back to the pool with occ and cached all false
+		for _, s := range cur {
+			scan.occ[s] = false
+		}
+		for _, v := range inactive {
+			scan.cached[v] = false
+		}
+		scan.sc, scan.cur, scan.targets = nil, nil, nil
+		scanPool.Put(scan)
+	}()
 	rf := float64(rounds)
 	for b := 0; b < 2; b++ {
 		d, inact := pool.PredictShape(1, 1, b)
@@ -260,10 +265,10 @@ func BestResponse(env *sim.Env, pool *core.Pool, agg cost.Demand, rounds int, mo
 
 	// Baseline: keep the configuration. A candidate must beat it strictly.
 	_, keepInact := pool.PredictShape(0, 0, 0)
-	keepScore := sc.Base() + rf*env.Costs.Run(len(cur), keepInact)
+	scan.keepScore = sc.Base() + rf*env.Costs.Run(len(cur), keepInact)
 
 	best, bestOrd := scan.run()
-	if bestOrd < 0 || best >= keepScore {
+	if bestOrd < 0 || best >= scan.keepScore {
 		return cur
 	}
 	return scan.materialize(bestOrd)
