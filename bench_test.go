@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -182,6 +183,44 @@ func BenchmarkSmallWorldConstruct100k(b *testing.B) {
 		if _, err := gen.SmallWorld(100000, 25000, gen.DefaultOptions(), rand.New(rand.NewSource(1))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkShortestFromSmallWorld100k measures one cold distance row of
+// the huge-sparse substrate (gen.SmallWorld(100000, 25000)): the work every
+// fresh access point of that workload costs.
+func BenchmarkShortestFromSmallWorld100k(b *testing.B) {
+	g, err := gen.SmallWorld(100000, 25000, gen.DefaultOptions(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.ShortestFrom(i % 64)
+	}
+}
+
+// BenchmarkShortestFromWideRatio pins the shortest-path kernel's worst
+// case: latencies log-uniform over six decades, far more than the kernel's
+// 1024 bucket widths per heaviest arc, so half the arcs are lighter than a
+// bucket (their heads are rescanned when a label drops) and long runs of
+// empty buckets separate the heavy ones.
+func BenchmarkShortestFromWideRatio(b *testing.B) {
+	const n = 20000
+	rng := rand.New(rand.NewSource(1))
+	lat := func() float64 { return math.Pow(10, 6*rng.Float64()) }
+	g := graph.New(n)
+	for v := 0; v < n; v++ {
+		g.MustAddEdge(v, (v+1)%n, lat(), 1)
+	}
+	for i := 0; i < n/4; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v && !g.HasEdge(u, v) {
+			g.MustAddEdge(u, v, lat(), 1)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.ShortestFrom(i % 64)
 	}
 }
 

@@ -189,19 +189,20 @@ func (s *Scorer) Adds(targets []int, lo, hi int, dst []float64) {
 	}
 }
 
-// addBlock is how many nodes BestAdd prices per Adds call, so its buffer
-// stays a few kilobytes on the stack however large the network.
-const addBlock = 512
+// AddBlock is how many targets BestAdd and the best-response scan price
+// per Adds call, so their buffers stay a few kilobytes on the stack
+// however large the network.
+const AddBlock = 512
 
 // BestAdd returns the node v with occ[v] false that minimises Add(v): the
 // first free node in ascending order, replaced only on strict improvement.
 // It reports false when every node is occupied. Adds prices the nodes a
 // block at a time; occ must have one entry per node.
 func (s *Scorer) BestAdd(occ []bool) (int, bool) {
-	var buf [addBlock]float64
+	var buf [AddBlock]float64
 	best, bestScore := -1, 0.0
-	for lo := 0; lo < len(occ); lo += addBlock {
-		hi := min(lo+addBlock, len(occ))
+	for lo := 0; lo < len(occ); lo += AddBlock {
+		hi := min(lo+AddBlock, len(occ))
 		s.Adds(nil, lo, hi, buf[:])
 		for j, score := range buf[:hi-lo] {
 			if !occ[lo+j] && (best < 0 || score < bestScore) {

@@ -10,15 +10,17 @@ import (
 const Infinity = math.MaxFloat64
 
 // adjacency is a flat (CSR) copy of the adjacency lists, the layout the
-// Dijkstra kernel relaxes edges from: the edges leaving u are
+// shortest-path kernel relaxes edges from: the edges leaving u are
 // to[off[u]:off[u+1]] with latencies lat[off[u]:off[u+1]], in adjacency-
 // list order. It costs 12 bytes per directed edge plus 4 per node, and is
-// built once per graph version (see Graph.flat).
+// built once per graph version (see Graph.flat), together with the kernel's
+// bucket width delta.
 type adjacency struct {
 	version uint64
 	off     []int32
 	to      []int32
 	lat     []float64
+	delta   float64
 }
 
 // flat returns the CSR adjacency of the current graph version, building
@@ -40,89 +42,78 @@ func (g *Graph) flat() *adjacency {
 		to:      make([]int32, 0, arcs),
 		lat:     make([]float64, 0, arcs),
 	}
+	lo, hi := Infinity, 0.0
 	for u, es := range g.adj {
 		for _, e := range es {
 			a.to = append(a.to, int32(e.To))
 			a.lat = append(a.lat, e.Latency)
+			lo, hi = min(lo, e.Latency), max(hi, e.Latency)
 		}
 		a.off[u+1] = int32(len(a.to))
+	}
+	if len(a.lat) > 0 {
+		a.delta = max(lo, hi/bucketSpan)
 	}
 	g.csr.Store(a)
 	return a
 }
 
-// heapArity is the branching factor of the frontier heap: a 4-ary heap is
-// half as deep as a binary one, and a node's children are adjacent in
-// memory, so a pop touches fewer cache lines.
-const heapArity = 4
+// bucketSpan is the number of bucket widths the heaviest arc spans, unless
+// the lightest arc is wider: delta = max(min λ, max λ / bucketSpan). A
+// relaxation from bucket cur then lands at most bucketSpan+1 buckets
+// ahead, so bucketSpan+2 cyclic slots hold every live entry.
+const bucketSpan = 1024
 
-// entry is a node with a tentative distance in the Dijkstra frontier.
+// entry is a node with a tentative distance, linked into one bucket's list
+// or the free list.
 type entry struct {
 	dist float64
 	node int32
+	next int32 // index of the next entry in the same list; -1 ends it
 }
 
-// frontier is a heapArity-ary min-heap of entries keyed by tentative
-// distance.
-type frontier struct{ h []entry }
-
-// frontierPool recycles frontier backing arrays, so a steady-state
-// Dijkstra allocates nothing beyond its caller's output.
-var frontierPool = sync.Pool{New: func() any { return new(frontier) }}
-
-// push adds e to the frontier.
-func (f *frontier) push(e entry) {
-	f.h = append(f.h, e)
-	h := f.h
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if h[p].dist <= e.dist {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = e
+// buckets is the kernel's cyclic bucket queue: head[s] starts slot s's
+// list of entries, all stored in ents, and popped entries are recycled
+// through the free list. ents grows to the most entries ever live at once
+// and the pool keeps it, so a steady-state row allocates nothing beyond
+// its caller's output.
+type buckets struct {
+	head [bucketSpan + 2]int32
+	ents []entry
+	free int32
 }
 
-// pop removes and returns an entry of least distance. The frontier must
-// not be empty.
-func (f *frontier) pop() entry {
-	h := f.h
-	top := h[0]
-	last := h[len(h)-1]
-	h = h[:len(h)-1]
-	f.h = h
-	if len(h) == 0 {
-		return top
+var bucketPool = sync.Pool{New: func() any {
+	q := &buckets{free: -1}
+	for s := range q.head {
+		q.head[s] = -1
 	}
-	i := 0
-	for {
-		c := heapArity*i + 1
-		if c >= len(h) {
-			break
-		}
-		m := c
-		for j := c + 1; j < min(c+heapArity, len(h)); j++ {
-			if h[j].dist < h[m].dist {
-				m = j
-			}
-		}
-		if h[m].dist >= last.dist {
-			break
-		}
-		h[i] = h[m]
-		i = m
+	return q
+}}
+
+// push files {d, v} in slot s.
+func (q *buckets) push(s int, d float64, v int32) {
+	e := entry{dist: d, node: v, next: q.head[s]}
+	if i := q.free; i >= 0 {
+		q.free, q.ents[i], q.head[s] = q.ents[i].next, e, i
+		return
 	}
-	h[i] = last
-	return top
+	q.head[s] = int32(len(q.ents))
+	q.ents = append(q.ents, e)
 }
 
-// ShortestFrom runs Dijkstra's algorithm from src and returns the latency of
-// the shortest path to every node. Unreachable nodes get Infinity. The
-// request access cost of Section II-B assumes requests travel along such
-// shortest (latency) paths.
+// pop removes and returns the first entry of slot s, which must not be
+// empty.
+func (q *buckets) pop(s int) entry {
+	i := q.head[s]
+	e := q.ents[i]
+	q.head[s], q.ents[i].next, q.free = e.next, q.free, i
+	return e
+}
+
+// ShortestFrom returns the latency of the shortest path from src to every
+// node. Unreachable nodes get Infinity. The request access cost of Section
+// II-B assumes requests travel along such shortest (latency) paths.
 func (g *Graph) ShortestFrom(src int) []float64 {
 	dist := make([]float64, g.N())
 	g.shortestFromInto(src, dist)
@@ -133,7 +124,7 @@ func (g *Graph) ShortestFrom(src int) []float64 {
 // which lets the all-pairs computation reuse one row per goroutine without
 // per-source allocation of the result.
 func (g *Graph) shortestFromInto(src int, dist []float64) {
-	g.dijkstra(src, -1, dist, nil)
+	g.dijkstra(src, dist, nil)
 }
 
 // ShortestPath returns one latency-shortest path from src to dst as a node
@@ -143,7 +134,7 @@ func (g *Graph) ShortestPath(src, dst int) ([]int, float64, bool) {
 	n := g.N()
 	dist := make([]float64, n)
 	prev := make([]int, n)
-	g.dijkstra(src, dst, dist, prev)
+	g.dijkstra(src, dist, prev)
 	if dist[dst] == Infinity {
 		return nil, Infinity, false
 	}
@@ -158,16 +149,24 @@ func (g *Graph) ShortestPath(src, dst int) ([]int, float64, bool) {
 	return path, dist[dst], true
 }
 
-// dijkstra is the one shortest-path kernel. It fills dist with the
-// latencies from src and, when prev is non-nil, prev with each node's
-// predecessor on the path found (-1 for src and unreached nodes). It stops
-// once dst is settled; dst = -1 settles every reachable node.
+// dijkstra is the one shortest-path kernel, a label-correcting scan over a
+// cyclic bucket queue of width delta (Dial's buckets, Δ-stepping when arcs
+// are lighter than delta). It fills dist with the latencies from src and,
+// when prev is non-nil, prev with each node's predecessor on the path
+// found (-1 for src and unreached nodes).
 //
-// dist[v] ends as the smallest left-to-right float sum of latencies over
-// the src→v paths. Latencies are positive and float addition is monotone,
-// so fl(d+λ) ≥ d and every pop order among equal keys yields that same
-// minimum: the row does not depend on the heap's tie-breaking.
-func (g *Graph) dijkstra(src, dst int, dist []float64, prev []int) {
+// A relaxation that lowers dist[v] to nd files {nd, v} in bucket
+// max(⌊nd/delta⌋, cur), where cur is the bucket being scanned; an entry
+// whose dist no longer equals dist[v] is stale and skipped, and a node is
+// scanned again whenever its label drops. The row is exact whatever delta
+// is. Labels start at Infinity and change only on a strict nd < dist[v],
+// so every label is the left-to-right float sum of some walk from src. At
+// the end every arc u→v satisfies dist[v] ≤ fl(dist[u]+λ); rounded + is
+// monotone, so by induction along any path dist[v] is at most that path's
+// float sum. Dropping a cycle from a walk never raises its sum, so each
+// label is exactly the minimum of the float sums over the src→v paths,
+// which no scan order changes.
+func (g *Graph) dijkstra(src int, dist []float64, prev []int) {
 	a := g.flat()
 	for i := range dist {
 		dist[i] = Infinity
@@ -176,30 +175,42 @@ func (g *Graph) dijkstra(src, dst int, dist []float64, prev []int) {
 		prev[i] = -1
 	}
 	dist[src] = 0
-	f := frontierPool.Get().(*frontier)
-	f.push(entry{node: int32(src)})
-	for len(f.h) > 0 {
-		cur := f.pop()
-		if cur.dist > dist[cur.node] {
-			continue // stale entry
+	q := bucketPool.Get().(*buckets)
+	q.push(0, 0, int32(src))
+	// slot is cur's index in q.head; live counts the entries filed in q.
+	for cur, slot, live := 0, 0, 1; live > 0; cur, slot = cur+1, slot+1 {
+		if slot == len(q.head) {
+			slot = 0
 		}
-		if int(cur.node) == dst {
-			break
-		}
-		lo, hi := a.off[cur.node], a.off[cur.node+1]
-		to, lat := a.to[lo:hi], a.lat[lo:hi]
-		for i, v := range to {
-			if nd := cur.dist + lat[i]; nd < dist[v] {
+		for ; q.head[slot] >= 0; live-- {
+			e := q.pop(slot)
+			if e.dist != dist[e.node] {
+				continue // stale entry
+			}
+			lo, hi := a.off[e.node], a.off[e.node+1]
+			to, lat := a.to[lo:hi], a.lat[lo:hi]
+			for j, v := range to {
+				nd := e.dist + lat[j]
+				if nd >= dist[v] {
+					continue
+				}
 				dist[v] = nd
 				if prev != nil {
-					prev[v] = int(cur.node)
+					prev[v] = int(e.node)
 				}
-				f.push(entry{dist: nd, node: v})
+				// Only rounding of nd/delta can reach past bucketSpan+1
+				// ahead; any bucket from cur on keeps the row exact.
+				s := slot + min(max(int(nd/a.delta)-cur, 0), bucketSpan+1)
+				if s >= len(q.head) {
+					s -= len(q.head)
+				}
+				q.push(s, nd, v)
+				live++
 			}
 		}
 	}
-	f.h = f.h[:0]
-	frontierPool.Put(f)
+	q.ents, q.free = q.ents[:0], -1
+	bucketPool.Put(q)
 }
 
 // Eccentricity returns the largest finite shortest-path latency from v, or

@@ -3,6 +3,10 @@ package graph
 import (
 	"container/heap"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -106,37 +110,106 @@ func checkRowsAgainstNaive(t *testing.T, g *Graph) {
 	}
 }
 
-// FuzzShortestFrom pins the Dijkstra kernel bit for bit to the reference
-// on small graphs decoded from the input: byte 0 picks n ≤ 64, every
+// fuzzGraph decodes a fuzz input into a graph: byte 0 picks n ≤ 64, every
 // following byte triple is an edge (u, v, latency class); invalid edges
-// are skipped, so sparse inputs give disconnected graphs. The first half
-// of the edges is queried before the rest is added, so the second check
-// runs after AddEdge dropped the cached adjacency.
+// are skipped, so sparse inputs give disconnected graphs. halfway, if not
+// nil, sees the graph once the first half of the edges is in.
+func fuzzGraph(data []byte, halfway func(*Graph)) *Graph {
+	n := 1
+	if len(data) > 0 {
+		n += int(data[0]) % 64
+		data = data[1:]
+	}
+	g := New(n)
+	edges := len(data) / 3
+	for i := 0; i < edges; i++ {
+		if i == (edges+1)/2 && halfway != nil {
+			halfway(g)
+		}
+		b := data[3*i : 3*i+3]
+		_ = g.AddEdge(int(b[0])%n, int(b[1])%n, fuzzLatency(b[2]), 1)
+	}
+	return g
+}
+
+// checkShortestFromInput decodes a FuzzShortestFrom input (see fuzzGraph)
+// and checks the graph against the reference twice: with the first half of
+// the edges, and with all of them, after AddEdge dropped the cached
+// adjacency. It returns the graph.
+func checkShortestFromInput(t *testing.T, data []byte) *Graph {
+	t.Helper()
+	g := fuzzGraph(data, func(g *Graph) { checkRowsAgainstNaive(t, g) })
+	checkRowsAgainstNaive(t, g)
+	return g
+}
+
+// FuzzShortestFrom pins the shortest-path kernel bit for bit to the
+// reference on small graphs decoded from the input (see
+// checkShortestFromInput).
 func FuzzShortestFrom(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 1, 0, 1, 2, 0, 2, 3, 0, 0, 3, 0})
 	f.Add([]byte{5, 0, 1, 130, 1, 2, 200, 2, 3, 255, 3, 4, 129, 0, 4, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		n := 1
-		if len(data) > 0 {
-			n += int(data[0]) % 64
-			data = data[1:]
+	f.Fuzz(func(t *testing.T, data []byte) { checkShortestFromInput(t, data) })
+}
+
+// readCorpusEntry returns the []byte value of a committed seed-corpus
+// entry, testdata/fuzz/<target>/<name>.
+func readCorpusEntry(t *testing.T, target, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	lit, ok := strings.CutPrefix(value, "[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")")
+	data, err := strconv.Unquote(lit)
+	if header != "go test fuzz v1" || !ok || !ok2 || err != nil {
+		t.Fatalf("corpus entry %s/%s is not a single []byte value", target, name)
+	}
+	return []byte(data)
+}
+
+// TestShortestFromBucketEdgeCases runs the bucket queue's edge cases, the
+// FuzzShortestFrom corpus entries of the same names, against the
+// reference and pins one distance of each:
+//
+//   - bucket_boundaries: unit latencies, so delta = 1 and every label is
+//     an integer, exactly on a bucket boundary;
+//   - vanishing_arc: a 2⁻⁶⁰ arc beside unit arcs, where fl(d+λ) = d;
+//   - wide_ratio_rescan: 2⁻⁶⁰ and 2⁻⁵⁴ arcs beside a unit arc, so delta =
+//     2⁻¹⁰ is far above the lightest arc and both gadgets sit in bucket 0.
+//     From node 4, node 5 is scanned at 2⁻⁵⁴ before 4→6→5 lowers it to
+//     2⁻⁵⁹; only a rescan of 5 gives node 7 its 3·2⁻⁶⁰ (a kernel that
+//     settles a node on its first scan leaves 2⁻⁵⁴+2⁻⁶⁰). Node 0's gadget
+//     lists the same arcs in the other order, so either scan order within
+//     a bucket meets one of them;
+//   - isolated_node, single_node, one_arc: the smallest graphs.
+func TestShortestFromBucketEdgeCases(t *testing.T) {
+	tiny := math.Ldexp(1, -60)
+	for _, c := range []struct {
+		name   string
+		src, v int
+		want   float64
+	}{
+		{"bucket_boundaries", 1, 5, 3},
+		{"vanishing_arc", 3, 0, 2},
+		{"wide_ratio_rescan", 4, 7, 3 * tiny},
+		{"wide_ratio_rescan", 0, 3, 3 * tiny},
+		{"isolated_node", 0, 2, Infinity},
+		{"single_node", 0, 0, 0},
+		{"one_arc", 1, 0, 1},
+	} {
+		g := checkShortestFromInput(t, readCorpusEntry(t, "FuzzShortestFrom", c.name))
+		if got := g.ShortestFrom(c.src)[c.v]; math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("%s: ShortestFrom(%d)[%d] = %v, want %v", c.name, c.src, c.v, got, c.want)
 		}
-		g := New(n)
-		edges := len(data) / 3
-		for i := 0; i < edges; i++ {
-			if i == (edges+1)/2 {
-				checkRowsAgainstNaive(t, g)
-			}
-			b := data[3*i : 3*i+3]
-			_ = g.AddEdge(int(b[0])%n, int(b[1])%n, fuzzLatency(b[2]), 1)
-		}
-		checkRowsAgainstNaive(t, g)
-	})
+	}
 }
 
 // TestShortestFromAllocationFree pins the kernel's steady state: once the
-// flat adjacency is built and the frontier pool is warm, a row into a
+// flat adjacency is built and the bucket pool is warm, a row into a
 // caller-owned slice allocates nothing.
 func TestShortestFromAllocationFree(t *testing.T) {
 	if raceEnabled {

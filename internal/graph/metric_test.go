@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -478,4 +479,72 @@ func TestNewMetricSpecs(t *testing.T) {
 			t.Fatalf("NewMetric(%q) accepted an invalid spec", spec)
 		}
 	}
+}
+
+// FuzzNewMetric builds a backend from an arbitrary -metric spec over a
+// small graph decoded from the input (see fuzzGraph). NewMetric must
+// either return an error or a backend whose every Row, Dist and Pin agrees
+// with the reference Dijkstra: bit for bit for dense, sparse and
+// exact-mode landmark, and for approximate landmark never below it beyond
+// float rounding. A landmark half is summed from the landmark, so the
+// float sums of the two halves associate a path's latencies differently
+// than the row from u does; each of the at most n+1 roundings costs a
+// relative 2⁻⁵³, in either sum. Building the backend must not allocate
+// in proportion to the spec's numeric argument.
+func FuzzNewMetric(f *testing.F) {
+	ring := []byte{5, 0, 1, 0, 1, 2, 0, 2, 3, 130, 3, 4, 0, 4, 5, 255, 5, 0, 0, 1, 4, 0}
+	for _, spec := range []string{"", "dense", "sparse", "sparse:2", "landmark", "landmark:2", "landmark:6", "sparse:0", "landmark:99999999999", "dense:1", "bogus"} {
+		f.Add(spec, ring)
+	}
+	f.Fuzz(func(t *testing.T, spec string, data []byte) {
+		g := fuzzGraph(data, nil)
+		n := g.N()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := NewMetric(g, spec)
+		if err != nil {
+			if m != nil {
+				t.Fatalf("NewMetric(%q) returned a backend with error %v", spec, err)
+			}
+			return
+		}
+		m.Row(0) // builds the matrix or the landmark table
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("NewMetric(%q) on %d nodes allocated %d bytes", spec, n, grew)
+		}
+		exact := true
+		if l, ok := m.(*Landmark); ok {
+			exact = l.Exact()
+		}
+		slack := float64(n+1) * 0x1p-52
+		nodes := make([]int, n)
+		for u := range nodes {
+			nodes[u] = (u * 5) % n
+		}
+		pinned := m.Pin(nil, nodes)
+		for u := 0; u < n; u++ {
+			want := naiveShortestFrom(g, u)
+			row := append([]float64(nil), m.Row(u)...)
+			for v, w := range want {
+				got := m.Dist(u, v)
+				if math.Float64bits(got) != math.Float64bits(row[v]) {
+					t.Fatalf("%q: Dist(%d,%d) = %v, Row value %v", spec, u, v, got, row[v])
+				}
+				switch {
+				case exact && math.Float64bits(got) != math.Float64bits(w):
+					t.Fatalf("%q: Dist(%d,%d) = %v, reference %v", spec, u, v, got, w)
+				case !exact && got < w-slack*w:
+					t.Fatalf("%q: landmark Dist(%d,%d) = %v below the reference %v", spec, u, v, got, w)
+				}
+			}
+		}
+		for i, u := range nodes {
+			for v := range pinned[i] {
+				if got := m.Dist(u, v); math.Float64bits(pinned[i][v]) != math.Float64bits(got) {
+					t.Fatalf("%q: Pin row %d value %d = %v, Dist %v", spec, u, v, pinned[i][v], got)
+				}
+			}
+		}
+	})
 }

@@ -12,7 +12,6 @@ package online
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -51,21 +50,18 @@ func EpochScorer(env *sim.Env, servers core.Placement, agg cost.Demand, rounds i
 // deactivations, then additions): the winner is the candidate of minimal
 // score, ties broken toward the smallest ordinal.
 //
-// One Scorer.Adds pass prices every addition up front, and that price
-// bounds every move onto the same node from below (see score), so the
-// scan calls Move only for the few moves that can still win. It runs on
-// one goroutine: with the moves pruned, a sweep of the quick figures'
-// largest shape took longer split over two cores than on one. Scans are
-// pooled: adds, occ and cached keep their capacity across sweeps, and occ
-// and cached go back to the pool all false.
+// The scan visits the targets a block of cost.AddBlock at a time, so its
+// scratch lives on the stack however large the network. Scorer.Adds
+// prices a block's additions, and that price bounds every move onto the
+// same node from below (see run), so Move runs only for the few moves that
+// can still win. Blocks and kinds are visited out of ordinal order, so the
+// winner is picked by an explicit (score, ordinal) comparison.
 type candidateScan struct {
-	sc      *cost.Scorer
-	cur     core.Placement
-	targets []int // nil means the identity over all n nodes
-	n       int
-	adds    []float64 // adds[j] = Scorer.Add(target(j))
-	occ     []bool
-	cached  []bool
+	sc       *cost.Scorer
+	cur      core.Placement
+	inactive []int // nodes caching an inactive server
+	targets  []int // nil means the identity over all n nodes
+	n        int
 
 	moves, deacts, addOK bool
 
@@ -77,8 +73,6 @@ type candidateScan struct {
 	addSw, addRun     [2]float64
 	keepScore         float64 // the kept placement's score; a winner must beat it
 }
-
-var scanPool = sync.Pool{New: func() any { return new(candidateScan) }}
 
 // numTargets returns the size of the move/add target space.
 func (c *candidateScan) numTargets() int {
@@ -94,65 +88,6 @@ func (c *candidateScan) target(j int) int {
 		return c.targets[j]
 	}
 	return j
-}
-
-// total returns the number of candidate ordinals.
-func (c *candidateScan) total() int {
-	nt := c.numTargets()
-	total := 0
-	if c.moves {
-		total += len(c.cur) * nt
-	}
-	if c.deacts {
-		total += len(c.cur)
-	}
-	if c.addOK {
-		total += nt
-	}
-	return total
-}
-
-// score evaluates one candidate ordinal; +Inf marks inadmissible ones and
-// moves that cannot win. A move's per-access-point term is
-// count·min(c_i, cv) with c_i ∈ {best1, best2} and best2 ≥ best1, the
-// addition's is count·min(best1, cv), and rounded + and ×count are
-// monotone, so Move(i, v) ≥ Add(v): priced with Add(v), a move that does
-// not beat the kept placement or best (the lower-ordinal running minimum,
-// which wins ties) is not scored. A NaN bound compares false and is
-// scored.
-func (c *candidateScan) score(ord int, best float64) float64 {
-	nt := c.numTargets()
-	if c.moves {
-		if ord < len(c.cur)*nt {
-			j := ord % nt
-			v := c.target(j)
-			if c.occ[v] {
-				return math.Inf(1)
-			}
-			b := b2i(c.cached[v])
-			if bound := (c.adds[j] + c.moveSw[b]) + c.moveRun[b]; bound >= c.keepScore || bound >= best {
-				return math.Inf(1)
-			}
-			return (c.sc.Move(ord/nt, v) + c.moveSw[b]) + c.moveRun[b]
-		}
-		ord -= len(c.cur) * nt
-	}
-	if c.deacts {
-		if ord < len(c.cur) {
-			access := c.sc.Remove(ord)
-			if math.IsInf(access, 1) {
-				return math.Inf(1)
-			}
-			return (access + c.deactSw) + c.deactRun
-		}
-		ord -= len(c.cur)
-	}
-	v := c.target(ord)
-	if c.occ[v] {
-		return math.Inf(1)
-	}
-	b := b2i(c.cached[v])
-	return (c.adds[ord] + c.addSw[b]) + c.addRun[b]
 }
 
 // materialize builds the placement of a winning ordinal.
@@ -174,22 +109,87 @@ func (c *candidateScan) materialize(ord int) core.Placement {
 	return c.cur.With(c.target(ord))
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
+// occupied marks a target that already hosts an active server; cached
+// and free targets index the per-kind score constants.
+const occupied = -1
 
-// run prices the additions, then scans all candidates in ordinal order
-// and returns the minimal score and its ordinal (-1 when no admissible
-// candidate exists).
+// run scores every admissible candidate and returns the minimal score and
+// its ordinal (-1 when no admissible candidate exists; +Inf and NaN
+// scores never win). Deactivations go first; then, per block of targets,
+// the additions and every server's moves onto the block.
+//
+// A move's per-access-point term is count·min(c_i, cv) with c_i ∈ {best1,
+// best2} and best2 ≥ best1, the addition's is count·min(best1, cv), and
+// rounded + and ×count are monotone, so Move(i, v) ≥ Add(v). Priced with
+// Add(v), a move is not scored when it could not beat the kept placement,
+// or not beat (best, bestOrd) in the (score, ordinal) order. A NaN bound
+// compares false and is scored.
 func (c *candidateScan) run() (float64, int) {
-	c.sc.Adds(c.targets, 0, c.numTargets(), c.adds)
 	best, bestOrd := math.Inf(1), -1
-	for ord, total := 0, c.total(); ord < total; ord++ {
-		if s := c.score(ord, best); s < best {
-			best, bestOrd = s, ord
+	nt := c.numTargets()
+	moveOrds := 0
+	if c.moves {
+		moveOrds = len(c.cur) * nt
+	}
+	if c.deacts {
+		for i := range c.cur {
+			if access := c.sc.Remove(i); !math.IsInf(access, 1) {
+				if s, ord := (access+c.deactSw)+c.deactRun, moveOrds+i; s < best || s == best && ord < bestOrd {
+					best, bestOrd = s, ord
+				}
+			}
+		}
+	}
+	if !c.moves && !c.addOK {
+		return best, bestOrd
+	}
+	addOrds := moveOrds
+	if c.deacts {
+		addOrds += len(c.cur)
+	}
+	var adds [cost.AddBlock]float64
+	var kind [cost.AddBlock]int8
+	for lo := 0; lo < nt; lo += cost.AddBlock {
+		hi := min(lo+cost.AddBlock, nt)
+		c.sc.Adds(c.targets, lo, hi, adds[:])
+		for j := lo; j < hi; j++ {
+			switch v := c.target(j); {
+			case c.cur.Contains(v):
+				kind[j-lo] = occupied
+			case slices.Contains(c.inactive, v):
+				kind[j-lo] = 1
+			default:
+				kind[j-lo] = 0
+			}
+		}
+		if c.addOK {
+			for j := lo; j < hi; j++ {
+				b := kind[j-lo]
+				if b == occupied {
+					continue
+				}
+				if s, ord := (adds[j-lo]+c.addSw[b])+c.addRun[b], addOrds+j; s < best || s == best && ord < bestOrd {
+					best, bestOrd = s, ord
+				}
+			}
+		}
+		if !c.moves {
+			continue
+		}
+		for i := range c.cur {
+			for j := lo; j < hi; j++ {
+				b := kind[j-lo]
+				if b == occupied {
+					continue
+				}
+				ord := i*nt + j
+				if bound := (adds[j-lo] + c.moveSw[b]) + c.moveRun[b]; bound >= c.keepScore || bound > best || bound == best && ord > bestOrd {
+					continue
+				}
+				if s := (c.sc.Move(i, c.target(j)) + c.moveSw[b]) + c.moveRun[b]; s < best || s == best && ord < bestOrd {
+					best, bestOrd = s, ord
+				}
+			}
 		}
 	}
 	return best, bestOrd
@@ -215,39 +215,16 @@ func BestResponse(env *sim.Env, pool *core.Pool, agg cost.Demand, rounds int, mo
 	sc := EpochScorer(env, cur, agg, rounds)
 	defer sc.Release()
 
-	n := env.Graph.N()
-	scan := scanPool.Get().(*candidateScan)
-	*scan = candidateScan{
-		sc:      sc,
-		cur:     cur,
-		targets: moves.Targets,
-		n:       n,
-		adds:    scan.adds[:0],
-		occ:     slices.Grow(scan.occ[:0], n)[:n],
-		cached:  slices.Grow(scan.cached[:0], n)[:n],
-		moves:   moves.Move,
-		deacts:  moves.Deactivate && len(cur) > 1,
-		addOK:   moves.Add && (env.Pool.MaxServers <= 0 || len(cur) < env.Pool.MaxServers),
+	scan := candidateScan{
+		sc:       sc,
+		cur:      cur,
+		inactive: pool.InactiveNodes(),
+		targets:  moves.Targets,
+		n:        env.Graph.N(),
+		moves:    moves.Move,
+		deacts:   moves.Deactivate && len(cur) > 1,
+		addOK:    moves.Add && (env.Pool.MaxServers <= 0 || len(cur) < env.Pool.MaxServers),
 	}
-	nt := scan.numTargets()
-	scan.adds = slices.Grow(scan.adds, nt)[:nt]
-	inactive := pool.InactiveNodes()
-	for _, s := range cur {
-		scan.occ[s] = true
-	}
-	for _, v := range inactive {
-		scan.cached[v] = true
-	}
-	defer func() { // back to the pool with occ and cached all false
-		for _, s := range cur {
-			scan.occ[s] = false
-		}
-		for _, v := range inactive {
-			scan.cached[v] = false
-		}
-		scan.sc, scan.cur, scan.targets = nil, nil, nil
-		scanPool.Put(scan)
-	}()
 	rf := float64(rounds)
 	for b := 0; b < 2; b++ {
 		d, inact := pool.PredictShape(1, 1, b)
