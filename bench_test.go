@@ -20,7 +20,6 @@ import (
 	"repro/internal/offline"
 	"repro/internal/online"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -28,10 +27,16 @@ func benchOpts() experiments.Options {
 	return experiments.Options{Quick: true, Seed: 1}
 }
 
-func benchFigure(b *testing.B, fn func(experiments.Options) (*trace.Table, error)) {
+// benchFigure builds the named spec and runs it on the in-process runner,
+// the path cmd/figures takes.
+func benchFigure(b *testing.B, name string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := fn(benchOpts()); err != nil {
+		spec, err := experiments.NewSpec(name, benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := runner.Run(spec, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,25 +44,25 @@ func benchFigure(b *testing.B, fn func(experiments.Options) (*trace.Table, error
 
 // One benchmark per figure of the paper's evaluation section.
 
-func BenchmarkFigure1(b *testing.B)  { benchFigure(b, experiments.Figure1) }
-func BenchmarkFigure2(b *testing.B)  { benchFigure(b, experiments.Figure2) }
-func BenchmarkFigure3(b *testing.B)  { benchFigure(b, experiments.Figure3) }
-func BenchmarkFigure4(b *testing.B)  { benchFigure(b, experiments.Figure4) }
-func BenchmarkFigure5(b *testing.B)  { benchFigure(b, experiments.Figure5) }
-func BenchmarkFigure6(b *testing.B)  { benchFigure(b, experiments.Figure6) }
-func BenchmarkFigure7(b *testing.B)  { benchFigure(b, experiments.Figure7) }
-func BenchmarkFigure8(b *testing.B)  { benchFigure(b, experiments.Figure8) }
-func BenchmarkFigure9(b *testing.B)  { benchFigure(b, experiments.Figure9) }
-func BenchmarkFigure10(b *testing.B) { benchFigure(b, experiments.Figure10) }
-func BenchmarkFigure11(b *testing.B) { benchFigure(b, experiments.Figure11) }
-func BenchmarkFigure12(b *testing.B) { benchFigure(b, experiments.Figure12) }
-func BenchmarkFigure13(b *testing.B) { benchFigure(b, experiments.Figure13) }
-func BenchmarkFigure14(b *testing.B) { benchFigure(b, experiments.Figure14) }
-func BenchmarkFigure15(b *testing.B) { benchFigure(b, experiments.Figure15) }
-func BenchmarkFigure16(b *testing.B) { benchFigure(b, experiments.Figure16) }
-func BenchmarkFigure17(b *testing.B) { benchFigure(b, experiments.Figure17) }
-func BenchmarkFigure18(b *testing.B) { benchFigure(b, experiments.Figure18) }
-func BenchmarkFigure19(b *testing.B) { benchFigure(b, experiments.Figure19) }
+func BenchmarkFigure1(b *testing.B)  { benchFigure(b, "1") }
+func BenchmarkFigure2(b *testing.B)  { benchFigure(b, "2") }
+func BenchmarkFigure3(b *testing.B)  { benchFigure(b, "3") }
+func BenchmarkFigure4(b *testing.B)  { benchFigure(b, "4") }
+func BenchmarkFigure5(b *testing.B)  { benchFigure(b, "5") }
+func BenchmarkFigure6(b *testing.B)  { benchFigure(b, "6") }
+func BenchmarkFigure7(b *testing.B)  { benchFigure(b, "7") }
+func BenchmarkFigure8(b *testing.B)  { benchFigure(b, "8") }
+func BenchmarkFigure9(b *testing.B)  { benchFigure(b, "9") }
+func BenchmarkFigure10(b *testing.B) { benchFigure(b, "10") }
+func BenchmarkFigure11(b *testing.B) { benchFigure(b, "11") }
+func BenchmarkFigure12(b *testing.B) { benchFigure(b, "12") }
+func BenchmarkFigure13(b *testing.B) { benchFigure(b, "13") }
+func BenchmarkFigure14(b *testing.B) { benchFigure(b, "14") }
+func BenchmarkFigure15(b *testing.B) { benchFigure(b, "15") }
+func BenchmarkFigure16(b *testing.B) { benchFigure(b, "16") }
+func BenchmarkFigure17(b *testing.B) { benchFigure(b, "17") }
+func BenchmarkFigure18(b *testing.B) { benchFigure(b, "18") }
+func BenchmarkFigure19(b *testing.B) { benchFigure(b, "19") }
 
 // BenchmarkTableRocketfuel regenerates the Section V closing experiment on
 // the AS-7018-like topology.
@@ -71,17 +76,17 @@ func BenchmarkTableRocketfuel(b *testing.B) {
 
 // Ablation benches for the design choices DESIGN.md calls out.
 
-func BenchmarkAblationQueue(b *testing.B)  { benchFigure(b, experiments.AblationQueue) }
-func BenchmarkAblationExpiry(b *testing.B) { benchFigure(b, experiments.AblationExpiry) }
-func BenchmarkAblationY(b *testing.B)      { benchFigure(b, experiments.AblationY) }
-func BenchmarkAblationTheta(b *testing.B)  { benchFigure(b, experiments.AblationTheta) }
-func BenchmarkAblationLoad(b *testing.B)   { benchFigure(b, experiments.AblationLoad) }
-func BenchmarkAblationAssign(b *testing.B) { benchFigure(b, experiments.AblationAssign) }
+func BenchmarkAblationQueue(b *testing.B)  { benchFigure(b, "ablation-queue") }
+func BenchmarkAblationExpiry(b *testing.B) { benchFigure(b, "ablation-expiry") }
+func BenchmarkAblationY(b *testing.B)      { benchFigure(b, "ablation-y") }
+func BenchmarkAblationTheta(b *testing.B)  { benchFigure(b, "ablation-theta") }
+func BenchmarkAblationLoad(b *testing.B)   { benchFigure(b, "ablation-load") }
+func BenchmarkAblationAssign(b *testing.B) { benchFigure(b, "ablation-assign") }
 
 // BenchmarkCompareOnlineVariants pits every online strategy (including the
 // sampling, clustering and work-function variants) against OPT.
 func BenchmarkCompareOnlineVariants(b *testing.B) {
-	benchFigure(b, experiments.CompareOnlineVariants)
+	benchFigure(b, "variants")
 }
 
 // BenchmarkFigureRunnerLocal builds one figure spec and executes its full
@@ -310,28 +315,6 @@ func BenchmarkScorerSweepReuse(b *testing.B) {
 			}
 		}
 		sc.Release()
-	}
-}
-
-// BenchmarkScorerApplyMove measures the incremental commit operation the
-// greedy loops use instead of rebuilding the scorer.
-func BenchmarkScorerApplyMove(b *testing.B) {
-	env := benchGraph(b, 300)
-	rng := rand.New(rand.NewSource(5))
-	list := make([]int, 128)
-	for i := range list {
-		list[i] = rng.Intn(300)
-	}
-	d := cost.DemandFromList(list)
-	sc, ok := cost.NewScorer(env.Eval, []int{10, 50, 100, 150, 200}, d)
-	if !ok {
-		b.Fatal("no scorer")
-	}
-	defer sc.Release()
-	spots := []int{20, 60, 110, 160, 210, 10, 50, 100, 150, 200}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.ApplyMove(i%5, spots[i%len(spots)])
 	}
 }
 

@@ -90,10 +90,7 @@ func TestParseShard(t *testing.T) {
 func TestWriteCSVEmission(t *testing.T) {
 	dir := t.TempDir()
 	o := experiments.Options{Quick: true, Seed: 7}
-	tab, err := experiments.Figure12(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := localTable(t, "12", o)
 	if err := writeCSV(dir, "12", tab); err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +134,7 @@ func TestWorkerModeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.Figure13(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := localTable(t, "13", o)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("worker-mode table differs from in-process run:\n got %+v\nwant %+v", got, want)
 	}
@@ -177,10 +171,7 @@ func TestWorkerModeFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.Figure13(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := localTable(t, "13", o)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("fault-injected table differs from in-process run")
 	}
@@ -228,10 +219,7 @@ func TestPlannedShardMergeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.Figure13(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := localTable(t, "13", o)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("planned shard+merge table differs from in-process run")
 	}
@@ -293,10 +281,7 @@ func TestShardMergeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.Figure13(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := localTable(t, "13", o)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("shard+merge table differs from in-process run")
 	}
@@ -360,10 +345,7 @@ func TestResumeFillsMissingCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.Figure13(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := localTable(t, "13", o)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("resumed merge differs from in-process run")
 	}
@@ -390,10 +372,7 @@ func TestWorkerModeFaultMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.Figure13(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := localTable(t, "13", o)
 	for _, mode := range []string{"exit:2", "garbage:2", "disconnect:2", "slow:1:50ms", "wedge:2:2s"} {
 		t.Run(mode, func(t *testing.T) {
 			fault, err := runner.ParseFault(mode)
@@ -493,6 +472,21 @@ func TestRunShardOnPoolMatchesLocal(t *testing.T) {
 // testWorkerCmd re-invokes this test binary as a quick-mode pool worker
 // (via the TestMain hook); fault, if non-empty, is passed in FIGURES_FAULT
 // exactly as workerCommand passes -faultinject.
+// localTable runs the named figure on the in-process runner, the
+// reference every worker, pool and shard path must reproduce.
+func localTable(t *testing.T, name string, o experiments.Options) *trace.Table {
+	t.Helper()
+	sp, err := experiments.NewSpec(name, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := runner.Run(sp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
 func testWorkerCmd(t *testing.T, seed int64, fault string) func() (*exec.Cmd, error) {
 	t.Helper()
 	exe, err := os.Executable()

@@ -174,11 +174,9 @@ func (c cmdConfig) buildEnv() (*sim.Env, error) {
 	default:
 		return nil, fmt.Errorf("unknown load function %q", c.load)
 	}
-	var m graph.Metric
-	if c.metric != "" && c.metric != "dense" {
-		if m, err = graph.NewMetric(g, c.metric); err != nil {
-			return nil, err
-		}
+	m, err := graph.NewMetric(g, c.metric)
+	if err != nil {
+		return nil, err
 	}
 	var startPlacement core.Placement
 	switch c.start {

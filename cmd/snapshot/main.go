@@ -14,6 +14,7 @@ import (
 	"strconv"
 
 	"repro/internal/experiments"
+	"repro/internal/experiments/runner"
 	"repro/internal/trace"
 )
 
@@ -32,41 +33,36 @@ func main() {
 		metric = os.Args[2]
 	}
 	o := experiments.Options{Quick: true, Seed: seed, Metric: metric}
-	figs := []struct {
-		name string
-		fn   func(experiments.Options) (*trace.Table, error)
-	}{
-		{"Figure1", experiments.Figure1}, {"Figure2", experiments.Figure2},
-		{"Figure3", experiments.Figure3}, {"Figure4", experiments.Figure4},
-		{"Figure5", experiments.Figure5}, {"Figure6", experiments.Figure6},
-		{"Figure7", experiments.Figure7}, {"Figure8", experiments.Figure8},
-		{"Figure9", experiments.Figure9}, {"Figure10", experiments.Figure10},
-		{"Figure11", experiments.Figure11}, {"Figure12", experiments.Figure12},
-		{"Figure13", experiments.Figure13}, {"Figure14", experiments.Figure14},
-		{"Figure15", experiments.Figure15}, {"Figure16", experiments.Figure16},
-		{"Figure17", experiments.Figure17}, {"Figure18", experiments.Figure18},
-		{"Figure19", experiments.Figure19},
-		{"AblationQueue", experiments.AblationQueue},
-		{"AblationExpiry", experiments.AblationExpiry},
-		{"AblationY", experiments.AblationY},
-		{"AblationTheta", experiments.AblationTheta},
-		{"AblationLoad", experiments.AblationLoad},
-		{"AblationAssign", experiments.AblationAssign},
-		{"CompareOnlineVariants", experiments.CompareOnlineVariants},
+	// Each figure prints under its historical label, so snapshots of
+	// different revisions diff line for line.
+	figs := []struct{ label, spec string }{
+		{"Figure1", "1"}, {"Figure2", "2"}, {"Figure3", "3"}, {"Figure4", "4"},
+		{"Figure5", "5"}, {"Figure6", "6"}, {"Figure7", "7"}, {"Figure8", "8"},
+		{"Figure9", "9"}, {"Figure10", "10"}, {"Figure11", "11"},
+		{"Figure12", "12"}, {"Figure13", "13"}, {"Figure14", "14"},
+		{"Figure15", "15"}, {"Figure16", "16"}, {"Figure17", "17"},
+		{"Figure18", "18"}, {"Figure19", "19"},
+		{"AblationQueue", "ablation-queue"},
+		{"AblationExpiry", "ablation-expiry"},
+		{"AblationY", "ablation-y"},
+		{"AblationTheta", "ablation-theta"},
+		{"AblationLoad", "ablation-load"},
+		{"AblationAssign", "ablation-assign"},
+		{"CompareOnlineVariants", "variants"},
 		// The composable scenario sweeps are appended after the paper
 		// figures so optimisation diffs against older snapshots stay
 		// aligned on the shared prefix.
-		{"CompareScenarios", experiments.CompareScenarios},
-		{"ScenarioFlashCrowd", experiments.ScenarioFlashCrowd},
-		{"ScenarioDiurnal", experiments.ScenarioDiurnal},
+		{"CompareScenarios", "compare-scenarios"},
+		{"ScenarioFlashCrowd", "scenario-flash-crowd"},
+		{"ScenarioDiurnal", "scenario-diurnal"},
 	}
 	for _, f := range figs {
-		tab, err := f.fn(o)
+		tab, err := run(f.spec, o)
 		if err != nil {
-			fmt.Printf("%s: ERROR %v\n", f.name, err)
+			fmt.Printf("%s: ERROR %v\n", f.label, err)
 			continue
 		}
-		fmt.Printf("== %s: %s\n", f.name, tab.Title)
+		fmt.Printf("== %s: %s\n", f.label, tab.Title)
 		for _, x := range tab.X {
 			fmt.Printf("x %.17g\n", x)
 		}
@@ -84,4 +80,14 @@ func main() {
 		return
 	}
 	fmt.Printf("== TableRocketfuel\n%+v\n", rf)
+}
+
+// run builds one experiment's spec and executes it on the in-process
+// runner.
+func run(name string, o experiments.Options) (*trace.Table, error) {
+	spec, err := experiments.NewSpec(name, o)
+	if err != nil {
+		return nil, err
+	}
+	return runner.Run(spec, nil)
 }

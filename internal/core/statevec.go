@@ -94,25 +94,6 @@ func (v Vector) OccupiedMask() uint64 {
 	return m
 }
 
-// Encode packs the vector into a base-3 integer for use as a map key.
-func (v Vector) Encode() uint64 {
-	var e uint64
-	for i := len(v) - 1; i >= 0; i-- {
-		e = e*3 + uint64(v[i])
-	}
-	return e
-}
-
-// DecodeVector reverses Encode for a vector of n nodes.
-func DecodeVector(e uint64, n int) Vector {
-	v := NewVector(n)
-	for i := 0; i < n; i++ {
-		v[i] = ServerState(e % 3)
-		e /= 3
-	}
-	return v
-}
-
 // RunCost returns Costrun(γ) for one round.
 func (v Vector) RunCost(p cost.Params) float64 {
 	a, i := v.Counts()

@@ -299,9 +299,9 @@ func comparePairScorers(t *testing.T, label string, sc *Scorer, ref *naiveScorer
 // draws a random instance; backend picks the metric (dense, a two-row
 // sparse cache, exact or approximate landmark) and, in bit 2, the load
 // (linear through NewScorer, or quadratic linearised through
-// NewScorerApprox); each byte of ops commits one ApplyAdd, ApplyRemove
-// or ApplyMove, after which every answer is compared with a naive scorer
-// built from scratch on the committed servers.
+// NewScorerApprox); each byte of ops commits one ApplyAdd of a free node
+// until every node hosts a server, after which every answer is compared
+// with a naive scorer built from scratch on the committed servers.
 func FuzzScorer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, backend uint8, ops []byte) {
 		rng := rand.New(rand.NewSource(seed))
@@ -344,33 +344,19 @@ func FuzzScorer(f *testing.F) {
 			ops = ops[:64]
 		}
 		for step, op := range ops {
-			k, arg := len(sc.Servers()), int(op>>2)
-			switch op & 3 {
-			case 0:
-				if k == n {
-					continue
-				}
-				sc.ApplyAdd(free(arg))
-			case 1:
-				if k == 1 {
-					continue
-				}
-				sc.ApplyRemove(arg % k)
-			default:
-				if k == n {
-					continue
-				}
-				sc.ApplyMove(arg%k, free(arg/k))
+			if len(sc.Servers()) == n {
+				break
 			}
+			sc.ApplyAdd(free(int(op)))
 			comparePairScorers(t, fmt.Sprintf("after op %d (%#x)", step, op), sc, newNaiveScorer(e, sc.Servers(), d, offsetAt), n, 1)
 		}
 	})
 }
 
-// TestScorerIncrementalCommits drives a random sequence of ApplyAdd /
-// ApplyMove / ApplyRemove commits and checks after each one that the
-// incrementally maintained scorer is indistinguishable from a scorer
-// built from scratch on the same server list.
+// TestScorerIncrementalCommits drives a random sequence of ApplyAdd
+// commits and checks after each one that the incrementally maintained
+// scorer is indistinguishable from a scorer built from scratch on the
+// same server list.
 func TestScorerIncrementalCommits(t *testing.T) {
 	rng := rand.New(rand.NewSource(331))
 	for trial := 0; trial < 25; trial++ {
@@ -401,26 +387,12 @@ func checkIncrementalCommits(t *testing.T, label string, rng *rand.Rand, e *Eval
 		}
 		return false
 	}
-	for step := 0; step < 30; step++ {
-		switch op := rng.Intn(3); {
-		case op == 0 && len(sc.Servers()) < n:
-			v := rng.Intn(n)
-			for occupied(v) {
-				v = rng.Intn(n)
-			}
-			sc.ApplyAdd(v)
-		case op == 1 && len(sc.Servers()) > 1:
-			sc.ApplyRemove(rng.Intn(len(sc.Servers())))
-		default:
-			if len(sc.Servers()) == n {
-				continue
-			}
-			v := rng.Intn(n)
-			for occupied(v) {
-				v = rng.Intn(n)
-			}
-			sc.ApplyMove(rng.Intn(len(sc.Servers())), v)
+	for step := 0; step < 30 && len(sc.Servers()) < n; step++ {
+		v := rng.Intn(n)
+		for occupied(v) {
+			v = rng.Intn(n)
 		}
+		sc.ApplyAdd(v)
 		fresh, ok := NewScorer(e, sc.Servers(), d)
 		if !ok {
 			t.Fatal("fresh scorer unavailable")
@@ -493,22 +465,6 @@ func TestHotPathAllocationFree(t *testing.T) {
 	occ := make([]bool, g.N())
 	if avg := testing.AllocsPerRun(200, func() { sc.BestAdd(occ) }); avg != 0 {
 		t.Errorf("Scorer.BestAdd: %v allocs/op, want 0", avg)
-	}
-	free := 0
-	for v := 0; v < g.N(); v++ {
-		taken := false
-		for _, s := range sc.Servers() {
-			if s == v {
-				taken = true
-			}
-		}
-		if !taken {
-			free = v
-			break
-		}
-	}
-	if avg := testing.AllocsPerRun(200, func() { sc.ApplyMove(0, free) }); avg != 0 {
-		t.Errorf("Scorer.ApplyMove: %v allocs/op, want 0", avg)
 	}
 	sc.Release()
 

@@ -18,13 +18,13 @@ import (
 // candidates whose final cost the caller re-evaluates exactly.
 //
 // Scorers are pooled: Release returns one to the pool, making steady-state
-// construction allocation-free. The Apply* operations commit an accepted
-// change in place, so greedy loops (OFFSTAT's placement curve, epoch
-// sweeps that accept one change at a time) maintain the per-access-point
-// best1/best2 structure incrementally instead of rebuilding it.
+// construction allocation-free. ApplyAdd commits an accepted addition in
+// place, so a greedy loop (OFFSTAT's placement curve) maintains the
+// per-access-point best1/best2 structure incrementally instead of
+// rebuilding it.
 //
 // A scorer is safe for concurrent *reads* (Add/Adds/BestAdd/Remove/Move/
-// Base); the Apply* commits and Release are not.
+// Base); ApplyAdd and Release are not.
 type Scorer struct {
 	e       *Evaluator
 	servers []int
@@ -127,7 +127,7 @@ func (s *Scorer) rescanPair(pi int) {
 }
 
 // resum recomputes the base total from best1, in access-point order, so
-// incremental commits yield bit-identical totals to a fresh build.
+// ApplyAdd yields bit-identical totals to a fresh build.
 func (s *Scorer) resum() {
 	total := 0.0
 	for pi, p := range s.pairs {
@@ -140,7 +140,7 @@ func (s *Scorer) resum() {
 func (s *Scorer) Base() float64 { return s.baseTotal }
 
 // Servers returns the scorer's current server nodes. The slice is owned by
-// the scorer; index i in Move/Remove/Apply* refers to Servers()[i].
+// the scorer; index i in Move/Remove refers to Servers()[i].
 func (s *Scorer) Servers() []int { return s.servers }
 
 // Add returns the access score with one extra server at node v.
@@ -259,52 +259,6 @@ func (s *Scorer) ApplyAdd(v int) {
 	s.servers = append(s.servers, v)
 	offV := s.offNode[v]
 	for pi := range s.pairs {
-		c := s.rows[pi][v] + offV
-		switch {
-		case c < s.best1[pi]:
-			s.best2[pi], s.arg2[pi] = s.best1[pi], s.arg1[pi]
-			s.best1[pi], s.arg1[pi] = c, i
-		case c < s.best2[pi]:
-			s.best2[pi], s.arg2[pi] = c, i
-		}
-	}
-	s.resum()
-}
-
-// ApplyRemove commits the removal of servers[i]. The last server is swapped
-// into slot i, so callers tracking indexes must re-read Servers(). Only
-// access points whose top-2 involved the removed server are rescanned.
-func (s *Scorer) ApplyRemove(i int) {
-	last := len(s.servers) - 1
-	s.servers[i] = s.servers[last]
-	s.servers = s.servers[:last]
-	for pi := range s.pairs {
-		a1, a2 := s.arg1[pi], s.arg2[pi]
-		if a1 == i || a2 == i {
-			s.rescanPair(pi)
-			continue
-		}
-		if a1 == last {
-			s.arg1[pi] = i
-		}
-		if a2 == last {
-			s.arg2[pi] = i
-		}
-	}
-	s.resum()
-}
-
-// ApplyMove commits the relocation of servers[i] to node v. Access points
-// whose top-2 involved the moved server are rescanned; all others only
-// compare the new position's effective distance against their top-2.
-func (s *Scorer) ApplyMove(i, v int) {
-	s.servers[i] = v
-	offV := s.offNode[v]
-	for pi := range s.pairs {
-		if s.arg1[pi] == i || s.arg2[pi] == i {
-			s.rescanPair(pi)
-			continue
-		}
 		c := s.rows[pi][v] + offV
 		switch {
 		case c < s.best1[pi]:

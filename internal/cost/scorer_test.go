@@ -258,9 +258,6 @@ func TestScorerPinsOnce(t *testing.T) {
 	if v := free(); v >= 0 {
 		sc.ApplyAdd(v)
 	}
-	if v := free(); v >= 0 {
-		sc.ApplyMove(0, v)
-	}
 	sc.Release()
 	if cm.rows != 0 || cm.dists != 0 || cm.pins != 1 || cm.pinned != d.Distinct() {
 		t.Fatalf("scorer made %d Row, %d Dist and %d Pin calls of %d nodes; want 0, 0 and 1 of %d",

@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph/gen"
 	"repro/internal/online"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -70,6 +69,7 @@ func defaultConfigure(int, *core.Params) (cost.LoadFunc, cost.Policy) {
 	return cost.Linear{}, cost.AssignMinCost
 }
 
+// ablationQueueSpec varies the inactive-cache capacity (the paper fixes 3).
 func ablationQueueSpec(o Options) *runner.Spec {
 	xs := []float64{0, 1, 3, 8}
 	return ablateSpec(o, "ablation-queue", "Ablation: ONTH vs inactive-queue capacity", "queue capacity", xs,
@@ -80,6 +80,7 @@ func ablationQueueSpec(o Options) *runner.Spec {
 		})
 }
 
+// ablationExpirySpec varies the inactive-server expiry x (the paper fixes 20).
 func ablationExpirySpec(o Options) *runner.Spec {
 	xs := []float64{1, 5, 20, 100}
 	return ablateSpec(o, "ablation-expiry", "Ablation: ONTH vs inactive-server expiry", "expiry (epochs)", xs,
@@ -90,6 +91,7 @@ func ablationExpirySpec(o Options) *runner.Spec {
 		})
 }
 
+// ablationYSpec varies ONTH's small-epoch factor y (threshold y·β; paper: 2).
 func ablationYSpec(o Options) *runner.Spec {
 	ys := []float64{1, 2, 4, 8}
 	return ablateSpec(o, "ablation-y", "Ablation: ONTH vs small-epoch factor y", "y", ys,
@@ -101,6 +103,7 @@ func ablationYSpec(o Options) *runner.Spec {
 		defaultConfigure)
 }
 
+// ablationThetaSpec varies ONBR's threshold factor (θ = factor·c; paper: 2).
 func ablationThetaSpec(o Options) *runner.Spec {
 	factors := []float64{0.5, 1, 2, 4, 8}
 	return ablateSpec(o, "ablation-theta", "Ablation: ONBR vs threshold factor", "theta/c", factors,
@@ -112,6 +115,8 @@ func ablationThetaSpec(o Options) *runner.Spec {
 		defaultConfigure)
 }
 
+// ablationLoadSpec compares load models under ONTH: linear, power(1.5),
+// quadratic.
 func ablationLoadSpec(o Options) *runner.Spec {
 	loads := []cost.LoadFunc{cost.Linear{}, cost.Power{P: 1.5}, cost.Quadratic{}}
 	return ablateSpec(o, "ablation-load", "Ablation: ONTH vs load function", "load exponent",
@@ -122,6 +127,9 @@ func ablationLoadSpec(o Options) *runner.Spec {
 		})
 }
 
+// ablationAssignSpec compares the min-cost request routing of Section II-B
+// against load-oblivious nearest-server routing, under quadratic load where
+// the difference matters.
 func ablationAssignSpec(o Options) *runner.Spec {
 	policies := []cost.Policy{cost.AssignMinCost, cost.AssignNearest}
 	return ablateSpec(o, "ablation-assign", "Ablation: routing policy under quadratic load (ONTH)",
@@ -131,24 +139,3 @@ func ablationAssignSpec(o Options) *runner.Spec {
 			return cost.Quadratic{}, policies[xi]
 		})
 }
-
-// AblationQueue varies the inactive-cache capacity (the paper fixes 3).
-func AblationQueue(o Options) (*trace.Table, error) { return local(ablationQueueSpec(o)) }
-
-// AblationExpiry varies the inactive-server expiry x (the paper fixes 20).
-func AblationExpiry(o Options) (*trace.Table, error) { return local(ablationExpirySpec(o)) }
-
-// AblationY varies ONTH's small-epoch factor y (threshold y·β; paper: 2).
-func AblationY(o Options) (*trace.Table, error) { return local(ablationYSpec(o)) }
-
-// AblationTheta varies ONBR's threshold factor (θ = factor·c; paper: 2).
-func AblationTheta(o Options) (*trace.Table, error) { return local(ablationThetaSpec(o)) }
-
-// AblationLoad compares load models under ONTH: linear, power(1.5),
-// quadratic.
-func AblationLoad(o Options) (*trace.Table, error) { return local(ablationLoadSpec(o)) }
-
-// AblationAssign compares the min-cost request routing of Section II-B
-// against load-oblivious nearest-server routing, under quadratic load where
-// the difference matters.
-func AblationAssign(o Options) (*trace.Table, error) { return local(ablationAssignSpec(o)) }

@@ -1,21 +1,21 @@
 // Package experiments regenerates every figure and table of the paper's
-// evaluation (Section V). Each FigureN function reproduces the set-up of
-// the corresponding figure — topology family, workload scenario, cost
-// parameters, runtime, and number of averaged runs — and returns the same
-// series the paper plots as a trace.Table.
+// evaluation (Section V). Each experiment is a declarative runner.Spec,
+// built by name with NewSpec: each figure's figureNSpec reproduces its
+// set-up — topology family, workload scenario, cost parameters, runtime,
+// and number of averaged runs — and its reduction returns the series the
+// paper plots as a trace.Table.
 //
 // Absolute numbers differ from the paper (the substrate topologies are
 // regenerated, not the authors' exact instances), but the comparative
 // shapes are preserved; EXPERIMENTS.md records paper-vs-measured for every
 // figure.
 //
-// Every experiment is expressed as a declarative runner.Spec: a grid of
-// independent cells (x-position × variant × run) whose randomness derives
-// only from the seed and the cell coordinates, plus a reduction into the
-// plotted table. The FigureN functions execute their spec on the in-process
-// Local backend; NewSpec exposes the same grids to cmd/figures for
-// multi-process (-procs) and multi-machine (-shard/-merge) execution, with
-// bit-identical results on every backend.
+// A spec is a grid of independent cells (x-position × variant × run) whose
+// randomness derives only from the seed and the cell coordinates, plus a
+// reduction into the plotted table. runner.Run executes it in process;
+// cmd/figures also runs the same grids across worker processes (-procs)
+// and machines (-shard/-merge), with bit-identical results on every
+// backend.
 package experiments
 
 import (
@@ -96,12 +96,8 @@ func erGraph(n int, seed int64) (*graph.Graph, error) {
 }
 
 // newMetricEnv builds an environment with the backend the metric spec
-// selects. The empty spec (and "dense") takes the unmodified sim.NewEnv
-// path, so default runs stay byte-identical to the pre-backend code.
+// selects (graph.NewMetric; the empty spec is the dense matrix).
 func newMetricEnv(g *graph.Graph, load cost.LoadFunc, policy cost.Policy, params cost.Params, pool core.Params, spec string) (*sim.Env, error) {
-	if spec == "" || spec == "dense" {
-		return sim.NewEnv(g, load, policy, params, pool)
-	}
 	m, err := graph.NewMetric(g, spec)
 	if err != nil {
 		return nil, err
@@ -152,13 +148,6 @@ func one(v float64, err error) ([]float64, error) {
 		return nil, err
 	}
 	return []float64{v}, nil
-}
-
-// local executes a spec on the default in-process backend — what the
-// exported FigureN functions do. The grid decomposition guarantees the same
-// table on every other backend.
-func local(s *runner.Spec) (*trace.Table, error) {
-	return runner.Run(s, nil)
 }
 
 // onlineContenders returns fresh instances of the three strategies the

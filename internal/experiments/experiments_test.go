@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/experiments/runner"
@@ -11,6 +10,16 @@ import (
 )
 
 func quick() Options { return Options{Quick: true, Seed: 7} }
+
+// run builds the named spec under quick() and runs it on the default
+// in-process runner, the one way a figure is run.
+func run(name string) (*trace.Table, error) {
+	spec, err := NewSpec(name, quick())
+	if err != nil {
+		return nil, err
+	}
+	return runner.Run(spec, nil)
+}
 
 func checkTable(t *testing.T, tab *trace.Table, err error, wantSeries int) {
 	t.Helper()
@@ -36,7 +45,7 @@ func checkTable(t *testing.T, tab *trace.Table, err error, wantSeries int) {
 }
 
 func TestFigure1QuadraticUsesMoreServers(t *testing.T) {
-	tab, err := Figure1(quick())
+	tab, err := run("1")
 	checkTable(t, tab, err, 2)
 	// Average active servers: the quadratic series must not trail linear.
 	mean := func(vs []float64) float64 {
@@ -53,7 +62,7 @@ func TestFigure1QuadraticUsesMoreServers(t *testing.T) {
 }
 
 func TestFigure2Converges(t *testing.T) {
-	tab, err := Figure2(quick())
+	tab, err := run("2")
 	checkTable(t, tab, err, 2)
 	// Static load: the server count in the last quarter should be stable
 	// (vary by at most 2 servers) for the linear series.
@@ -74,7 +83,7 @@ func TestFigure2Converges(t *testing.T) {
 }
 
 func TestFigure3ONTHWins(t *testing.T) {
-	tab, err := Figure3(quick())
+	tab, err := run("3")
 	checkTable(t, tab, err, 3)
 	// ONTH (series 2) must beat ONBR-fixed (series 0) on average — the
 	// paper's headline comparison.
@@ -89,7 +98,7 @@ func TestFigure3ONTHWins(t *testing.T) {
 }
 
 func TestFigure3CostGrowsWithSize(t *testing.T) {
-	tab, err := Figure3(quick())
+	tab, err := run("3")
 	checkTable(t, tab, err, 3)
 	first, last := tab.Series[2].Values[0], tab.Series[2].Values[len(tab.X)-1]
 	if last <= first {
@@ -98,17 +107,17 @@ func TestFigure3CostGrowsWithSize(t *testing.T) {
 }
 
 func TestFigure4Runs(t *testing.T) {
-	tab, err := Figure4(quick())
+	tab, err := run("4")
 	checkTable(t, tab, err, 3)
 }
 
 func TestFigure5Runs(t *testing.T) {
-	tab, err := Figure5(quick())
+	tab, err := run("5")
 	checkTable(t, tab, err, 3)
 }
 
 func TestFigure6NoMigrationWhenBetaExceedsC(t *testing.T) {
-	tab, err := Figure6(quick())
+	tab, err := run("6")
 	checkTable(t, tab, err, 4)
 	for i, v := range tab.Series[2].Values { // migration series
 		if v != 0 {
@@ -128,12 +137,12 @@ func TestFigure6NoMigrationWhenBetaExceedsC(t *testing.T) {
 }
 
 func TestFigure7Runs(t *testing.T) {
-	tab, err := Figure7(quick())
+	tab, err := run("7")
 	checkTable(t, tab, err, 3)
 }
 
 func TestFigure8ONTHFactorTwo(t *testing.T) {
-	tab, err := Figure8(quick())
+	tab, err := run("8")
 	checkTable(t, tab, err, 3)
 	// "ONTH is better by a factor of approximately two" at the paper's
 	// scale; the scaled-down quick instance must still show a clear
@@ -149,17 +158,17 @@ func TestFigure8ONTHFactorTwo(t *testing.T) {
 }
 
 func TestFigure9Runs(t *testing.T) {
-	tab, err := Figure9(quick())
+	tab, err := run("9")
 	checkTable(t, tab, err, 3)
 }
 
 func TestFigure10Runs(t *testing.T) {
-	tab, err := Figure10(quick())
+	tab, err := run("10")
 	checkTable(t, tab, err, 3)
 }
 
 func TestFigure11RatiosAtLeastOne(t *testing.T) {
-	tab, err := Figure11(quick())
+	tab, err := run("11")
 	checkTable(t, tab, err, 3)
 	for _, s := range tab.Series {
 		for i, v := range s.Values {
@@ -174,7 +183,7 @@ func TestFigure11RatiosAtLeastOne(t *testing.T) {
 }
 
 func TestFigure12CurveHasMinimum(t *testing.T) {
-	tab, err := Figure12(quick())
+	tab, err := run("12")
 	checkTable(t, tab, err, 1)
 	vals := tab.Series[0].Values
 	if len(vals) < 3 {
@@ -183,7 +192,7 @@ func TestFigure12CurveHasMinimum(t *testing.T) {
 }
 
 func TestFigure13OPTBelowOFFSTAT(t *testing.T) {
-	tab, err := Figure13(quick())
+	tab, err := run("13")
 	checkTable(t, tab, err, 2)
 	for i := range tab.X {
 		if tab.Series[1].Values[i] > tab.Series[0].Values[i]+1e-6 {
@@ -193,12 +202,12 @@ func TestFigure13OPTBelowOFFSTAT(t *testing.T) {
 }
 
 func TestFigure14Runs(t *testing.T) {
-	tab, err := Figure14(quick())
+	tab, err := run("14")
 	checkTable(t, tab, err, 2)
 }
 
 func TestFigure15RatiosAtLeastOne(t *testing.T) {
-	tab, err := Figure15(quick())
+	tab, err := run("15")
 	checkTable(t, tab, err, 2)
 	for _, s := range tab.Series {
 		for i, v := range s.Values {
@@ -210,22 +219,22 @@ func TestFigure15RatiosAtLeastOne(t *testing.T) {
 }
 
 func TestFigure16Runs(t *testing.T) {
-	tab, err := Figure16(quick())
+	tab, err := run("16")
 	checkTable(t, tab, err, 2)
 }
 
 func TestFigure17Runs(t *testing.T) {
-	tab, err := Figure17(quick())
+	tab, err := run("17")
 	checkTable(t, tab, err, 2)
 }
 
 func TestFigure18Runs(t *testing.T) {
-	tab, err := Figure18(quick())
+	tab, err := run("18")
 	checkTable(t, tab, err, 2)
 }
 
 func TestFigure19Runs(t *testing.T) {
-	tab, err := Figure19(quick())
+	tab, err := run("19")
 	checkTable(t, tab, err, 2)
 }
 
@@ -248,22 +257,8 @@ func TestTableRocketfuelOrdering(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
-	ablations := map[string]func(Options) (*trace.Table, error){
-		"queue":  AblationQueue,
-		"expiry": AblationExpiry,
-		"y":      AblationY,
-		"theta":  AblationTheta,
-		"load":   AblationLoad,
-		"assign": AblationAssign,
-	}
-	names := make([]string, 0, len(ablations))
-	for name := range ablations {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fn := ablations[name]
-		tab, err := fn(quick())
+	for _, name := range []string{"assign", "expiry", "load", "queue", "theta", "y"} {
+		tab, err := run("ablation-" + name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -281,7 +276,7 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestCompareOnlineVariants(t *testing.T) {
-	tab, err := CompareOnlineVariants(quick())
+	tab, err := run("variants")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +301,11 @@ func TestCompareOnlineVariants(t *testing.T) {
 }
 
 func TestOptionsDeterministic(t *testing.T) {
-	a, err := Figure13(quick())
+	a, err := run("13")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Figure13(quick())
+	b, err := run("13")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,9 +345,9 @@ func TestSpecRegistry(t *testing.T) {
 	}
 }
 
-// TestSpecMatchesFigureFunction pins the grid decomposition to the exported
-// figure functions: running the registered spec must reproduce the exact
-// same table.
+// TestSpecMatchesFigureFunction pins the grid decomposition to the worker
+// count: a figure run on three local workers must reproduce the default
+// run's table exactly.
 func TestSpecMatchesFigureFunction(t *testing.T) {
 	spec, err := NewSpec("13", quick())
 	if err != nil {
@@ -362,12 +357,12 @@ func TestSpecMatchesFigureFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Figure13(quick())
+	want, err := run("13")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("spec table differs from Figure13:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("3-worker table differs from the default run:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -51,11 +51,7 @@ func figureExecSpec(o Options, name, title string, kind scenarioKind, n, T, lamb
 			if sharedG, graphErr = erGraph(n, seed); graphErr != nil {
 				return
 			}
-			spec := o.Metric
-			if spec == "" {
-				spec = "dense"
-			}
-			sharedM, graphErr = graph.NewMetric(sharedG, spec)
+			sharedM, graphErr = graph.NewMetric(sharedG, o.Metric)
 		})
 		return sharedG, sharedM, graphErr
 	}
@@ -98,6 +94,10 @@ func figureExecSpec(o Options, name, title string, kind scenarioKind, n, T, lamb
 	}
 }
 
+// figure1Spec reproduces Figure 1: an exemplary execution of ONTH in the
+// commuter scenario with dynamic load (runtime 1000 rounds, T = 14, network
+// size 1000, λ = 20), showing that steeper load functions (quadratic vs
+// linear) make ONTH allocate more servers as demand fans out.
 func figure1Spec(o Options) *runner.Spec {
 	n := pick(o, 1000, 120)
 	rounds := pick(o, 1000, 280)
@@ -106,6 +106,11 @@ func figure1Spec(o Options) *runner.Spec {
 		n, T, 20, rounds)
 }
 
+// figure2Spec reproduces Figure 2: the same exemplary execution for the
+// commuter scenario with static load (runtime 1000 rounds, T = 12, network
+// size 500, λ = 20). The system converges quickly to a server count that is
+// largely independent of how many access points the fixed demand originates
+// from, with the quadratic load model requiring more servers.
 func figure2Spec(o Options) *runner.Spec {
 	n := pick(o, 500, 120)
 	rounds := pick(o, 1000, 280)
@@ -113,16 +118,3 @@ func figure2Spec(o Options) *runner.Spec {
 	return figureExecSpec(o, "2", "Figure 2: ONTH execution, commuter static load", commuterStatic,
 		n, T, 20, rounds)
 }
-
-// Figure1 reproduces Figure 1: an exemplary execution of ONTH in the
-// commuter scenario with dynamic load (runtime 1000 rounds, T = 14, network
-// size 1000, λ = 20), showing that steeper load functions (quadratic vs
-// linear) make ONTH allocate more servers as demand fans out.
-func Figure1(o Options) (*trace.Table, error) { return local(figure1Spec(o)) }
-
-// Figure2 reproduces Figure 2: the same exemplary execution for the
-// commuter scenario with static load (runtime 1000 rounds, T = 12, network
-// size 500, λ = 20). The system converges quickly to a server count that is
-// largely independent of how many access points the fixed demand originates
-// from, with the quadratic load model requiring more servers.
-func Figure2(o Options) (*trace.Table, error) { return local(figure2Spec(o)) }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/experiments/runner"
-	"repro/internal/trace"
 )
 
 // figureLambdaSpec is the shared grid of Figures 8–10: total cost of the
@@ -39,28 +38,22 @@ func figureLambdaSpec(o Options, name, title string, kind scenarioKind) *runner.
 	}
 }
 
+// figure8Spec reproduces Figure 8: cost as a function of λ in the commuter
+// scenario with dynamic load. The total cost is largely independent of λ,
+// with ONTH better by roughly a factor of two.
 func figure8Spec(o Options) *runner.Spec {
 	return figureLambdaSpec(o, "8", "Figure 8: cost vs lambda, commuter dynamic load", commuterDynamic)
 }
 
+// figure9Spec reproduces Figure 9: the same sweep for the static-load commuter
+// scenario.
 func figure9Spec(o Options) *runner.Spec {
 	return figureLambdaSpec(o, "9", "Figure 9: cost vs lambda, commuter static load", commuterStatic)
 }
 
+// figure10Spec reproduces Figure 10: the same sweep for the time-zone scenario
+// with p = 50%. The total cost decreases slightly with λ because fewer
+// migrations are needed when the hotspot moves less often.
 func figure10Spec(o Options) *runner.Spec {
 	return figureLambdaSpec(o, "10", "Figure 10: cost vs lambda, time zones (p=50%)", timeZones)
 }
-
-// Figure8 reproduces Figure 8: cost as a function of λ in the commuter
-// scenario with dynamic load. The total cost is largely independent of λ,
-// with ONTH better by roughly a factor of two.
-func Figure8(o Options) (*trace.Table, error) { return local(figure8Spec(o)) }
-
-// Figure9 reproduces Figure 9: the same sweep for the static-load commuter
-// scenario.
-func Figure9(o Options) (*trace.Table, error) { return local(figure9Spec(o)) }
-
-// Figure10 reproduces Figure 10: the same sweep for the time-zone scenario
-// with p = 50%. The total cost decreases slightly with λ because fewer
-// migrations are needed when the hotspot moves less often.
-func Figure10(o Options) (*trace.Table, error) { return local(figure10Spec(o)) }

@@ -46,6 +46,8 @@ func optParamSets() []struct {
 // cost divided by OPT's cost on the same sequence) as a function of λ, on
 // five-node networks over 200 rounds, averaged over 10 runs, for all three
 // scenarios.
+// Ratios stay fairly low everywhere; the static-load commuter scenario
+// peaks at intermediate λ.
 func figure11Spec(o Options) *runner.Spec {
 	n := 5
 	rounds := pick(o, 200, 60)
@@ -83,12 +85,11 @@ func figure11Spec(o Options) *runner.Spec {
 	}
 }
 
-// Figure11 reproduces Figure 11: ratios stay fairly low everywhere; the
-// static-load commuter scenario peaks at intermediate λ.
-func Figure11(o Options) (*trace.Table, error) { return local(figure11Spec(o)) }
-
 // figure12Spec is the grid of Figure 12: a single deterministic cell whose
 // values are OFFSTAT's whole cost curve over the server count.
+// The curve shows how OFFSTAT determines the best number of servers — the
+// total cost of the greedy static configuration as a function of the
+// server count i, whose minimum defines kopt.
 func figure12Spec(o Options) *runner.Spec {
 	n := pick(o, 100, 40)
 	rounds := pick(o, 300, 100)
@@ -132,11 +133,6 @@ func figure12Spec(o Options) *runner.Spec {
 		},
 	}
 }
-
-// Figure12 reproduces Figure 12: how OFFSTAT determines the best number of
-// servers — the total cost of the greedy static configuration as a function
-// of the server count i, whose minimum defines kopt.
-func Figure12(o Options) (*trace.Table, error) { return local(figure12Spec(o)) }
 
 // figureAbsoluteSpec is the shared grid of Figures 13 and 14: the absolute
 // total costs of OFFSTAT and OPT in the dynamic-load commuter scenario as a
@@ -186,21 +182,17 @@ func figureAbsoluteSpec(o Options, name, title string, params cost.Params) *runn
 	}
 }
 
+// figure13Spec reproduces Figure 13: in less dynamic systems (larger λ) the
+// absolute cost goes down, and the relative advantage of allocation and
+// migration flexibility declines.
 func figure13Spec(o Options) *runner.Spec {
 	return figureAbsoluteSpec(o, "13", "Figure 13: OFFSTAT vs OPT cost, commuter dynamic load (β<c)", cost.DefaultParams())
 }
 
+// figure14Spec reproduces Figure 14: the same comparison with β = 400 > c = 40.
 func figure14Spec(o Options) *runner.Spec {
 	return figureAbsoluteSpec(o, "14", "Figure 14: OFFSTAT vs OPT cost, commuter dynamic load (β>c)", cost.InvertedParams())
 }
-
-// Figure13 reproduces Figure 13: in less dynamic systems (larger λ) the
-// absolute cost goes down, and the relative advantage of allocation and
-// migration flexibility declines.
-func Figure13(o Options) (*trace.Table, error) { return local(figure13Spec(o)) }
-
-// Figure14 reproduces Figure 14: the same comparison with β = 400 > c = 40.
-func Figure14(o Options) (*trace.Table, error) { return local(figure14Spec(o)) }
 
 // figureRatioLambdaSpec is the shared grid of Figures 15–17: the ratio of
 // OFFSTAT's to OPT's total cost as a function of λ, for both the β < c and
@@ -238,36 +230,30 @@ func figureRatioLambdaSpec(o Options, name, title string, kind scenarioKind, req
 	}
 }
 
-func figure15Spec(o Options) *runner.Spec {
-	return figureRatioLambdaSpec(o, "15", "Figure 15: OFFSTAT/OPT ratio vs lambda, commuter dynamic load", commuterDynamic, 0)
-}
-
-func figure16Spec(o Options) *runner.Spec {
-	return figureRatioLambdaSpec(o, "16", "Figure 16: OFFSTAT/OPT ratio vs lambda, commuter static load", commuterStatic, 0)
-}
-
-func figure17Spec(o Options) *runner.Spec {
-	return figureRatioLambdaSpec(o, "17", "Figure 17: OFFSTAT/OPT ratio vs lambda, time zones (p=50%)", timeZones, 3)
-}
-
-// Figure15 reproduces Figure 15: the benefit of dynamic allocation in the
+// figure15Spec reproduces Figure 15: the benefit of dynamic allocation in the
 // dynamic-load commuter scenario. For very high and very low dynamics the
 // flexibility of OPT is of limited benefit; at moderate dynamics OPT
 // exploits the request pattern for up to a factor of two, and the benefit
 // is relatively larger when β > c.
-func Figure15(o Options) (*trace.Table, error) { return local(figure15Spec(o)) }
+func figure15Spec(o Options) *runner.Spec {
+	return figureRatioLambdaSpec(o, "15", "Figure 15: OFFSTAT/OPT ratio vs lambda, commuter dynamic load", commuterDynamic, 0)
+}
 
-// Figure16 reproduces Figure 16: the same ratio in the static-load commuter
+// figure16Spec reproduces Figure 16: the same ratio in the static-load commuter
 // scenario, fluctuating around a low constant for β < c and peaking near
 // two at intermediate λ for β > c.
-func Figure16(o Options) (*trace.Table, error) { return local(figure16Spec(o)) }
+func figure16Spec(o Options) *runner.Spec {
+	return figureRatioLambdaSpec(o, "16", "Figure 16: OFFSTAT/OPT ratio vs lambda, commuter static load", commuterStatic, 0)
+}
 
-// Figure17 reproduces Figure 17: the ratio in the time-zone scenario
+// figure17Spec reproduces Figure 17: the ratio in the time-zone scenario
 // (p = 50%, three requests per round). Because the requests move in a
 // highly correlated way, creating new servers and migrating existing ones
 // are nearly interchangeable, and the β < c and β > c curves come out
 // similar.
-func Figure17(o Options) (*trace.Table, error) { return local(figure17Spec(o)) }
+func figure17Spec(o Options) *runner.Spec {
+	return figureRatioLambdaSpec(o, "17", "Figure 17: OFFSTAT/OPT ratio vs lambda, time zones (p=50%)", timeZones, 3)
+}
 
 // figureRatioTSpec is the shared grid of Figures 18 and 19: the OFFSTAT/OPT
 // ratio as a function of T (200 rounds, λ = 10, five nodes, 10 runs).
@@ -304,18 +290,14 @@ func figureRatioTSpec(o Options, name, title string, kind scenarioKind) *runner.
 	}
 }
 
+// figure18Spec reproduces Figure 18: a larger T widens the request horizon, so
+// both absolute costs and the benefit of migration grow with T in the
+// dynamic-load commuter scenario, with β > c benefiting more.
 func figure18Spec(o Options) *runner.Spec {
 	return figureRatioTSpec(o, "18", "Figure 18: OFFSTAT/OPT ratio vs T, commuter dynamic load", commuterDynamic)
 }
 
+// figure19Spec reproduces Figure 19: the same sweep for static load.
 func figure19Spec(o Options) *runner.Spec {
 	return figureRatioTSpec(o, "19", "Figure 19: OFFSTAT/OPT ratio vs T, commuter static load", commuterStatic)
 }
-
-// Figure18 reproduces Figure 18: a larger T widens the request horizon, so
-// both absolute costs and the benefit of migration grow with T in the
-// dynamic-load commuter scenario, with β > c benefiting more.
-func Figure18(o Options) (*trace.Table, error) { return local(figure18Spec(o)) }
-
-// Figure19 reproduces Figure 19: the same sweep for static load.
-func Figure19(o Options) (*trace.Table, error) { return local(figure19Spec(o)) }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/experiments/runner"
 	"repro/internal/offline"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -26,6 +25,10 @@ func scenarioLabels() []string {
 // compareScenariosSpec is the grid of the cross-scenario comparison: one
 // cell per (workload family, strategy, run) on a shared Erdős–Rényi
 // substrate.
+// The families are the paper's commuter and time-zones scenarios and the
+// composable flash-crowd, diurnal multi-region, and weekday/weekend
+// scenarios. One x-position per scenario (in allScenarios order), one
+// series per strategy, mean total cost over the runs.
 func compareScenariosSpec(o Options) *runner.Spec {
 	n := pick(o, 200, 60)
 	rounds := pick(o, 900, 200)
@@ -68,15 +71,12 @@ func intRange(n int) []int {
 	return out
 }
 
-// CompareScenarios runs the contenders across every workload family — the
-// paper's commuter and time-zones scenarios and the composable flash-crowd,
-// diurnal multi-region, and weekday/weekend scenarios — on a shared
-// Erdős–Rényi substrate. One x-position per scenario (in allScenarios
-// order), one series per strategy, mean total cost over the runs.
-func CompareScenarios(o Options) (*trace.Table, error) { return local(compareScenariosSpec(o)) }
-
 // scenarioFlashCrowdSpec is the grid of the flash-crowd amplitude sweep:
 // one cell per (spike peak, strategy, run).
+// x is the peak volume as a multiple of the background, and the series
+// are the contenders' mean total costs. Sharper crowds reward strategies
+// that reconfigure decisively (and the lookahead variants that see them
+// coming).
 func scenarioFlashCrowdSpec(o Options) *runner.Spec {
 	n := pick(o, 200, 60)
 	rounds := pick(o, 900, 200)
@@ -112,15 +112,11 @@ func scenarioFlashCrowdSpec(o Options) *runner.Spec {
 	}
 }
 
-// ScenarioFlashCrowd sweeps the spike amplitude of the flash-crowd
-// scenario: x is the peak volume as a multiple of the background, and the
-// series are the contenders' mean total costs. Sharper crowds reward
-// strategies that reconfigure decisively (and the lookahead variants that
-// see them coming).
-func ScenarioFlashCrowd(o Options) (*trace.Table, error) { return local(scenarioFlashCrowdSpec(o)) }
-
 // scenarioDiurnalSpec is the grid of the diurnal region-count sweep: one
 // cell per (region count, strategy, run).
+// x is the region count k, and the series are the contenders' mean total
+// costs. More regions mean a faster-moving sun — shorter daytime windows
+// stress how quickly each strategy re-centers.
 func scenarioDiurnalSpec(o Options) *runner.Spec {
 	n := pick(o, 200, 60)
 	rounds := pick(o, 900, 200)
@@ -154,9 +150,3 @@ func scenarioDiurnalSpec(o Options) *runner.Spec {
 			floats(regionCounts), labels),
 	}
 }
-
-// ScenarioDiurnal sweeps the number of regions in the diurnal multi-region
-// scenario: x is the region count k, and the series are the contenders'
-// mean total costs. More regions mean a faster-moving sun — shorter
-// daytime windows stress how quickly each strategy re-centers.
-func ScenarioDiurnal(o Options) (*trace.Table, error) { return local(scenarioDiurnalSpec(o)) }

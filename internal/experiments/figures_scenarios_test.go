@@ -63,11 +63,11 @@ func TestBuildScenarioDeterministic(t *testing.T) {
 // experiments: one flash-crowd sweep and one diurnal multi-region sweep in
 // quick mode, plus the cross-scenario comparison.
 func TestScenarioFiguresQuick(t *testing.T) {
-	tab, err := ScenarioFlashCrowd(quick())
+	tab, err := run("scenario-flash-crowd")
 	checkTable(t, tab, err, 5)
-	tab, err = ScenarioDiurnal(quick())
+	tab, err = run("scenario-diurnal")
 	checkTable(t, tab, err, 5)
-	tab, err = CompareScenarios(quick())
+	tab, err = run("compare-scenarios")
 	checkTable(t, tab, err, 5)
 	if len(tab.X) != len(allScenarios()) {
 		t.Fatalf("CompareScenarios covers %d scenarios, want %d", len(tab.X), len(allScenarios()))

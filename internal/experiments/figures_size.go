@@ -52,36 +52,33 @@ func figureSizeSpec(o Options, name, title string, kind scenarioKind) *runner.Sp
 	}
 }
 
+// figure3Spec reproduces Figure 3: cost of ONBR-fixed, ONBR-dyn and ONTH in the
+// commuter scenario with dynamic load as a function of network size. ONTH
+// has the lowest cost throughout, though its cost grows slightly faster
+// with the node count.
 func figure3Spec(o Options) *runner.Spec {
 	return figureSizeSpec(o, "3", "Figure 3: cost vs network size, commuter dynamic load", commuterDynamic)
 }
 
+// figure4Spec reproduces Figure 4: like Figure 3, but for the commuter scenario
+// with static load.
 func figure4Spec(o Options) *runner.Spec {
 	return figureSizeSpec(o, "4", "Figure 4: cost vs network size, commuter static load", commuterStatic)
 }
 
+// figure5Spec reproduces Figure 5: like Figure 3, but for the time-zone
+// scenario (p = 50%).
 func figure5Spec(o Options) *runner.Spec {
 	return figureSizeSpec(o, "5", "Figure 5: cost vs network size, time zones", timeZones)
 }
-
-// Figure3 reproduces Figure 3: cost of ONBR-fixed, ONBR-dyn and ONTH in the
-// commuter scenario with dynamic load as a function of network size. ONTH
-// has the lowest cost throughout, though its cost grows slightly faster
-// with the node count.
-func Figure3(o Options) (*trace.Table, error) { return local(figure3Spec(o)) }
-
-// Figure4 reproduces Figure 4: like Figure 3, but for the commuter scenario
-// with static load.
-func Figure4(o Options) (*trace.Table, error) { return local(figure4Spec(o)) }
-
-// Figure5 reproduces Figure 5: like Figure 3, but for the time-zone
-// scenario (p = 50%).
-func Figure5(o Options) (*trace.Table, error) { return local(figure5Spec(o)) }
 
 // figure6Spec is the grid of Figure 6: the breakdown of the costs incurred
 // by ONBR in a scenario with β = 400 > c = 40 as a function of network size
 // (runtime 500 rounds, λ = 10, 5 runs). Each cell is one run returning the
 // four cost categories.
+// With β > c the three online algorithms coincide and the paper considers
+// ONBR with fixed threshold 2c; migration never happens, so the
+// reconfiguration budget is pure creation.
 func figure6Spec(o Options) *runner.Spec {
 	sizes := pickSizes(o, []int{100, 200, 300, 400, 500, 700, 1000}, []int{50, 100, 150})
 	rounds := pick(o, 500, 150)
@@ -130,16 +127,11 @@ func figure6Spec(o Options) *runner.Spec {
 	}
 }
 
-// Figure6 reproduces Figure 6: the breakdown of the costs incurred by ONBR
-// in a scenario with β = 400 > c = 40 as a function of network size. With
-// β > c the three online algorithms coincide and the paper considers ONBR
-// with fixed threshold 2c; migration never happens, so the reconfiguration
-// budget is pure creation.
-func Figure6(o Options) (*trace.Table, error) { return local(figure6Spec(o)) }
-
 // figure7Spec is the grid of Figure 7: cost as a function of T for the
 // three online strategies in a commuter scenario with static load (runtime
 // 600 rounds, λ = 20, network size 1000, averaged over 10 runs).
+// Cost rises slightly with T because a larger T widens the request
+// horizon.
 func figure7Spec(o Options) *runner.Spec {
 	n := pick(o, 1000, 100)
 	rounds := pick(o, 600, 150)
@@ -169,7 +161,3 @@ func figure7Spec(o Options) *runner.Spec {
 			floats(Ts), labels),
 	}
 }
-
-// Figure7 reproduces Figure 7: cost rises slightly with T because a larger
-// T widens the request horizon.
-func Figure7(o Options) (*trace.Table, error) { return local(figure7Spec(o)) }

@@ -122,6 +122,11 @@ const wfaRocketfuelDefaultBound = 300000
 // configuration space ≈234k (k = 3) — far past the old
 // MaxONCONFConfigs = 2¹⁶ wall, and utterly out of reach of the dense
 // O(C²) transition matrix (≈440 GB) the rewrite removed.
+//
+// The comparison of ONCONF and WFA over the full configuration space is
+// reachable via figures -only wfa-rocketfuel. It is not part of the
+// default figure set: at ≈234k configurations a run is deliberate, not a
+// snapshot-suite side effect.
 func wfaRocketfuelSpec(o Options) *runner.Spec {
 	rounds := pick(o, 200, 40)
 	seed := o.seed()
@@ -172,10 +177,3 @@ func wfaRocketfuelSpec(o Options) *runner.Spec {
 			"-", "total cost", []float64{0}, labels),
 	}
 }
-
-// WFARocketfuel runs the full-configuration-space comparison of ONCONF and
-// WFA on the Rocketfuel AS-like substrate (spec "wfa-rocketfuel",
-// reachable via figures -only wfa-rocketfuel). It is not part of the
-// default figure set: at ≈234k configurations a run is deliberate, not a
-// snapshot-suite side effect.
-func WFARocketfuel(o Options) (*trace.Table, error) { return local(wfaRocketfuelSpec(o)) }

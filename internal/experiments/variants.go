@@ -35,6 +35,13 @@ func onlineVariants() []onlineVariant {
 // variantsSpec is the grid of the variant comparison: one cell per run,
 // playing OPT plus every strategy on the shared small instance and
 // returning all totals followed by all ratios.
+//
+// Every implemented online strategy — including the paper-sketched
+// speed-ups (ONSAMP sampling, clustered ONBR) and the
+// metrical-task-system baseline WFA — plays against OPT on an instance
+// where the exponential-space algorithms (ONCONF, WFA, OPT) are still
+// tractable. The output is one series per strategy with its mean total
+// cost and its mean competitive ratio against OPT.
 func variantsSpec(o Options) *runner.Spec {
 	n := 8
 	rounds := pick(o, 300, 100)
@@ -93,11 +100,3 @@ func variantsSpec(o Options) *runner.Spec {
 		},
 	}
 }
-
-// CompareOnlineVariants pits every implemented online strategy — including
-// the paper-sketched speed-ups (ONSAMP sampling, clustered ONBR) and the
-// metrical-task-system baseline WFA — against OPT on a shared small
-// instance where the exponential-space algorithms (ONCONF, WFA, OPT) are
-// still tractable. The output is one series per strategy with its mean
-// total cost and its mean competitive ratio against OPT.
-func CompareOnlineVariants(o Options) (*trace.Table, error) { return local(variantsSpec(o)) }

@@ -116,44 +116,15 @@ func (q *buckets) pop(s int) entry {
 // II-B assumes requests travel along such shortest (latency) paths.
 func (g *Graph) ShortestFrom(src int) []float64 {
 	dist := make([]float64, g.N())
-	g.shortestFromInto(src, dist)
+	g.dijkstra(src, dist)
 	return dist
-}
-
-// shortestFromInto is ShortestFrom writing into a caller-provided slice,
-// which lets the all-pairs computation reuse one row per goroutine without
-// per-source allocation of the result.
-func (g *Graph) shortestFromInto(src int, dist []float64) {
-	g.dijkstra(src, dist, nil)
-}
-
-// ShortestPath returns one latency-shortest path from src to dst as a node
-// sequence including both endpoints, together with its total latency. The
-// second return is false if dst is unreachable.
-func (g *Graph) ShortestPath(src, dst int) ([]int, float64, bool) {
-	n := g.N()
-	dist := make([]float64, n)
-	prev := make([]int, n)
-	g.dijkstra(src, dist, prev)
-	if dist[dst] == Infinity {
-		return nil, Infinity, false
-	}
-	// Walk predecessors back from dst.
-	path := []int{dst}
-	for v := dst; v != src; v = prev[v] {
-		path = append(path, prev[v])
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, dist[dst], true
 }
 
 // dijkstra is the one shortest-path kernel, a label-correcting scan over a
 // cyclic bucket queue of width delta (Dial's buckets, Δ-stepping when arcs
-// are lighter than delta). It fills dist with the latencies from src and,
-// when prev is non-nil, prev with each node's predecessor on the path
-// found (-1 for src and unreached nodes).
+// are lighter than delta). It fills dist, a caller-provided row of N()
+// entries, with the latencies from src, so the all-pairs computation and
+// the sparse backends reuse their rows without per-source allocation.
 //
 // A relaxation that lowers dist[v] to nd files {nd, v} in bucket
 // max(⌊nd/delta⌋, cur), where cur is the bucket being scanned; an entry
@@ -166,13 +137,10 @@ func (g *Graph) ShortestPath(src, dst int) ([]int, float64, bool) {
 // float sum. Dropping a cycle from a walk never raises its sum, so each
 // label is exactly the minimum of the float sums over the src→v paths,
 // which no scan order changes.
-func (g *Graph) dijkstra(src int, dist []float64, prev []int) {
+func (g *Graph) dijkstra(src int, dist []float64) {
 	a := g.flat()
 	for i := range dist {
 		dist[i] = Infinity
-	}
-	for i := range prev {
-		prev[i] = -1
 	}
 	dist[src] = 0
 	q := bucketPool.Get().(*buckets)
@@ -195,9 +163,6 @@ func (g *Graph) dijkstra(src int, dist []float64, prev []int) {
 					continue
 				}
 				dist[v] = nd
-				if prev != nil {
-					prev[v] = int(e.node)
-				}
 				// Only rounding of nd/delta can reach past bucketSpan+1
 				// ahead; any bucket from cur on keeps the row exact.
 				s := slot + min(max(int(nd/a.delta)-cur, 0), bucketSpan+1)
@@ -211,41 +176,6 @@ func (g *Graph) dijkstra(src int, dist []float64, prev []int) {
 	}
 	q.ents, q.free = q.ents[:0], -1
 	bucketPool.Put(q)
-}
-
-// Eccentricity returns the largest finite shortest-path latency from v, or
-// Infinity if some node is unreachable from v.
-func (g *Graph) Eccentricity(v int) float64 {
-	dist := g.ShortestFrom(v)
-	ecc := 0.0
-	for _, d := range dist {
-		if d == Infinity {
-			return Infinity
-		}
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
-// Center returns a node with minimum eccentricity. Both ONBR and ONTH start
-// "hosting one server at the network center" (Section III-A). Ties break
-// toward the smaller node id; the empty graph has no center and yields -1.
-// When the all-pairs matrix has already been computed (see Metric), the
-// center is read from it; the one-Dijkstra-per-node scan is only the
-// fallback for graphs whose matrix was never needed.
-func (g *Graph) Center() int {
-	if m := g.metric.Load(); m != nil {
-		return m.Center()
-	}
-	best, bestEcc := -1, Infinity
-	for v := 0; v < g.N(); v++ {
-		if ecc := g.Eccentricity(v); ecc < bestEcc || best == -1 {
-			best, bestEcc = v, ecc
-		}
-	}
-	return best
 }
 
 // ApproxCenter estimates a low-eccentricity node with three Dijkstra

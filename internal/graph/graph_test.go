@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -187,60 +188,22 @@ func TestShortestFromDisconnected(t *testing.T) {
 	}
 }
 
-func TestShortestPath(t *testing.T) {
-	g := New(4)
-	g.MustAddEdge(0, 1, 1, 1)
-	g.MustAddEdge(1, 2, 1, 1)
-	g.MustAddEdge(2, 3, 1, 1)
-	g.MustAddEdge(0, 3, 10, 1)
-	path, d, ok := g.ShortestPath(0, 3)
-	if !ok {
-		t.Fatal("no path found")
-	}
-	if d != 3 {
-		t.Fatalf("distance = %v, want 3", d)
-	}
-	want := []int{0, 1, 2, 3}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-}
-
-func TestShortestPathUnreachable(t *testing.T) {
-	g := New(2)
-	if _, _, ok := g.ShortestPath(0, 1); ok {
-		t.Fatal("found path in edgeless graph")
-	}
-}
-
-func TestShortestPathToSelf(t *testing.T) {
-	g := line(1)
-	path, d, ok := g.ShortestPath(0, 0)
-	if !ok || d != 0 || len(path) != 1 || path[0] != 0 {
-		t.Fatalf("ShortestPath(0,0) = %v,%v,%v", path, d, ok)
-	}
-}
-
 func TestEccentricityAndCenter(t *testing.T) {
 	g := line(1, 1, 1, 1) // path of 5 nodes
-	if ecc := g.Eccentricity(0); ecc != 4 {
-		t.Fatalf("Eccentricity(0) = %v, want 4", ecc)
+	m := g.Metric()
+	if ecc := slices.Max(m.Row(0)); ecc != 4 {
+		t.Fatalf("eccentricity of node 0 = %v, want 4", ecc)
 	}
-	if ecc := g.Eccentricity(2); ecc != 2 {
-		t.Fatalf("Eccentricity(2) = %v, want 2", ecc)
+	if ecc := slices.Max(m.Row(2)); ecc != 2 {
+		t.Fatalf("eccentricity of node 2 = %v, want 2", ecc)
 	}
-	if c := g.Center(); c != 2 {
-		t.Fatalf("Center() = %d, want 2", c)
+	if c := CenterOf(m); c != 2 {
+		t.Fatalf("CenterOf = %d, want 2", c)
 	}
 }
 
 func TestCenterEmpty(t *testing.T) {
-	if c := New(0).Center(); c != -1 {
-		t.Fatalf("Center of empty graph = %d, want -1", c)
+	if c := CenterOf(New(0).Metric()); c != -1 {
+		t.Fatalf("center of empty graph = %d, want -1", c)
 	}
 }

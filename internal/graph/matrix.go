@@ -34,7 +34,7 @@ func (g *Graph) AllPairs() *Matrix {
 		go func() {
 			defer wg.Done()
 			for src := range next {
-				g.shortestFromInto(src, m.dist[src*n:(src+1)*n])
+				g.dijkstra(src, m.dist[src*n:(src+1)*n])
 			}
 		}()
 	}
@@ -76,34 +76,4 @@ func (m *Matrix) Pin(dst [][]float64, nodes []int) [][]float64 {
 		dst = append(dst, m.dist[u*m.n:(u+1)*m.n])
 	}
 	return dst
-}
-
-// Center returns a node with minimum eccentricity according to the matrix,
-// or -1 for an empty matrix. Ties break toward the smaller node id.
-func (m *Matrix) Center() int {
-	best, bestEcc := -1, Infinity
-	for v := 0; v < m.n; v++ {
-		ecc := 0.0
-		for _, d := range m.Row(v) {
-			if d > ecc {
-				ecc = d
-			}
-		}
-		if best == -1 || ecc < bestEcc {
-			best, bestEcc = v, ecc
-		}
-	}
-	return best
-}
-
-// Diameter returns the largest finite pairwise distance, or Infinity if the
-// underlying graph was disconnected.
-func (m *Matrix) Diameter() float64 {
-	diam := 0.0
-	for _, d := range m.dist {
-		if d > diam {
-			diam = d
-		}
-	}
-	return diam
 }

@@ -59,9 +59,11 @@ var _ Metric = (*Sparse)(nil)
 var _ Metric = (*Landmark)(nil)
 
 // CenterOf returns a node with minimum eccentricity according to the
-// metric, or -1 for an empty one. Ties break toward the smaller node id.
-// The scan is exactly the dense Matrix.Center loop, so any exact backend
-// (Dense, Sparse, Landmark in exact mode) yields the identical node.
+// metric, or -1 for an empty one; a node that cannot reach every other has
+// infinite eccentricity. Ties break toward the smaller node id. Both ONBR
+// and ONTH start "hosting one server at the network center" (Section
+// III-A). It is the one center scan: any exact backend (Dense, Sparse,
+// Landmark in exact mode) yields the identical node.
 func CenterOf(m Metric) int {
 	n := m.N()
 	best, bestEcc := -1, Infinity
@@ -363,7 +365,7 @@ func (s *Sparse) fill(u int, r *sparseRow) {
 		close(r.ready)
 	}()
 	dist := make([]float64, s.g.N())
-	s.g.shortestFromInto(u, dist)
+	s.g.dijkstra(u, dist)
 	r.dist = dist
 }
 
@@ -561,7 +563,7 @@ func (l *Landmark) build() *landmarkTable {
 	for len(t.landmarks) < l.k && len(t.landmarks) < n {
 		t.landmarks = append(t.landmarks, next)
 		row := make([]float64, n)
-		l.g.shortestFromInto(next, row)
+		l.g.dijkstra(next, row)
 		t.rows = append(t.rows, row)
 		minDist[next] = 0
 		far, farDist := -1, -1.0

@@ -89,18 +89,3 @@ func TestLandmarkExactModeInvalidation(t *testing.T) {
 		t.Fatalf("Dist(0,3) after shortcut = %v, want 1 (stale cache?)", d)
 	}
 }
-
-func TestCenterDelegatesToCachedMatrix(t *testing.T) {
-	g := New(5)
-	for v := 0; v+1 < 5; v++ {
-		g.MustAddEdge(v, v+1, 1, 1)
-	}
-	fallback := g.Center() // no matrix yet: Dijkstra-per-node path
-	g.Metric()
-	if delegated := g.Center(); delegated != fallback {
-		t.Fatalf("Center with cached matrix = %d, fallback = %d", delegated, fallback)
-	}
-	if fallback != 2 {
-		t.Fatalf("center of a 5-line = %d, want 2", fallback)
-	}
-}

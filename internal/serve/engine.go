@@ -62,16 +62,13 @@ type Engine struct {
 	ringLen  int
 }
 
-// NewEngine wraps a stream. window <= 0 selects DefaultWindow; keepRounds
-// <= 0 selects DefaultKeepRounds. The stream's per-round ledger retention
-// is disabled — the engine's ring and the stream's running totals are the
-// rolling ledger.
+// NewEngine wraps a stream; its rolling ledger keeps the last keepRounds
+// served rounds. window <= 0 selects DefaultWindow. The stream's per-round
+// ledger retention is disabled — the engine's ring and the stream's
+// running totals are the rolling ledger.
 func NewEngine(stream *sim.Stream, window, keepRounds int) *Engine {
 	if window <= 0 {
 		window = DefaultWindow
-	}
-	if keepRounds <= 0 {
-		keepRounds = DefaultKeepRounds
 	}
 	stream.DiscardRounds()
 	return &Engine{

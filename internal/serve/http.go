@@ -35,19 +35,33 @@ func Handler(s *Server) http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		bodies, err := decodeIngest(r.Body)
-		if err != nil {
+		bodies, err := decodeIngest(http.MaxBytesReader(w, r.Body, maxIngestBytes))
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			httpError(w, http.StatusRequestEntityTooLarge, "body over %d bytes", tooBig.Limit)
+			return
+		case err != nil:
 			httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
 			return
 		}
-		admitted := 0
-		for _, b := range bodies {
+		// Every element is checked before the first is admitted, so a
+		// batch with a bad element admits nothing and can be retried
+		// whole without duplicating requests.
+		reqs := make([]Request, len(bodies))
+		for i, b := range bodies {
 			class, err := ParseClass(b.Class)
+			if err == nil {
+				reqs[i], err = Request{Node: b.Node, Count: b.Count, Class: class}.normalize(s.n())
+			}
 			if err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
+				httpError(w, http.StatusBadRequest, "element %d: %v", i, err)
 				return
 			}
-			err = s.Ingest(Request{Node: b.Node, Count: b.Count, Class: class})
+		}
+		admitted := 0
+		for _, req := range reqs {
+			err := s.Ingest(req)
 			switch {
 			case err == nil:
 				admitted++
@@ -67,7 +81,10 @@ func Handler(s *Server) http.Handler {
 					})
 					return
 				}
-				httpError(w, http.StatusBadRequest, "%v", err)
+				// Validated requests fail only server-side (the WAL).
+				writeJSON(w, http.StatusInternalServerError, map[string]interface{}{
+					"error": err.Error(), "admitted": admitted,
+				})
 				return
 			}
 		}
@@ -110,8 +127,11 @@ func Handler(s *Server) http.Handler {
 	return http.TimeoutHandler(mux, s.cfg.RequestTimeout, "request deadline exceeded\n")
 }
 
-// decodeIngest decodes a POST /ingest body: one object or an array of
-// them, with no unknown fields.
+// maxIngestBytes bounds a POST /ingest body; a larger one is answered 413.
+const maxIngestBytes = 1 << 20
+
+// decodeIngest decodes a POST /ingest body: one JSON object or one array of
+// them, with no unknown fields and nothing but white space after it.
 func decodeIngest(r io.Reader) ([]ingestBody, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -129,6 +149,9 @@ func decodeIngest(r io.Reader) ([]ingestBody, error) {
 		err = dec.Decode(&bodies[0])
 	default:
 		err = fmt.Errorf("want an object or array")
+	}
+	if err == nil && dec.InputOffset() != int64(len(data)) {
+		err = fmt.Errorf("trailing data after the JSON value")
 	}
 	return bodies, err
 }

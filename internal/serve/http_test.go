@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -112,7 +113,7 @@ func TestHTTPIngestTickAndViews(t *testing.T) {
 }
 
 func TestHTTPBadRequests(t *testing.T) {
-	_, ts := newHTTPServer(t, 0, 0, false)
+	s, ts := newHTTPServer(t, 0, 0, false)
 	cases := []string{
 		`{"node": 3, "slo_class": "gold"}`, // unknown class
 		`{"node": 999}`,                    // out of range
@@ -120,11 +121,21 @@ func TestHTTPBadRequests(t *testing.T) {
 		`{"node": 1, "bogus": true}`,       // unknown field
 		`"just a string"`,                  // not an object
 		`{"node": `,                        // truncated
+		`{"node": 1}{"node": 2}`,           // two values
+		`[{"node": 1}] garbage`,            // trailing data
+		`{"node": 1}}`,                     // trailing bracket
 	}
 	for _, c := range cases {
 		if resp, body := post(t, ts.URL+"/ingest", c); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %s: got %d %v", c, resp.StatusCode, body)
 		}
+	}
+	huge := strings.Repeat(" ", maxIngestBytes) + `{"node": 1}`
+	if resp, body := post(t, ts.URL+"/ingest", huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body over %d bytes: got %d %v", maxIngestBytes, resp.StatusCode, body)
+	}
+	if d := s.queue.Depth(); d != 0 {
+		t.Fatalf("rejected bodies queued %d requests", d)
 	}
 	resp, err := http.Get(ts.URL + "/ingest")
 	if err != nil {
@@ -134,6 +145,63 @@ func TestHTTPBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /ingest: %d", resp.StatusCode)
 	}
+}
+
+// TestHTTPIngestAllOrNothing: a batch with one invalid element is refused
+// whole — nothing queued, nothing WAL-logged — so a client can retry the
+// corrected batch without duplicating the valid elements.
+func TestHTTPIngestAllOrNothing(t *testing.T) {
+	s, err := New(recoveryConfig(t, t.TempDir(), Fault{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.wal.Close() })
+	t.Cleanup(s.queue.Close)
+	ts := httptest.NewServer(Handler(s))
+	t.Cleanup(ts.Close)
+	for _, bad := range []string{
+		`[{"node": 1}, {"node": 2, "count": 3}, {"node": 999}]`,
+		`[{"node": 1}, {"node": 2, "slo_class": "gold"}]`,
+		`[{"node": 1}, {"node": 2, "count": -1}]`,
+	} {
+		resp, body := post(t, ts.URL+"/ingest", bad)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %s: got %d %v", bad, resp.StatusCode, body)
+		}
+		if d, n := s.queue.Depth(), s.wal.Count(); d != 0 || n != 0 {
+			t.Fatalf("body %s: refused batch left %d queued and %d WAL entries", bad, d, n)
+		}
+	}
+	resp, body := post(t, ts.URL+"/ingest", `[{"node": 1}, {"node": 2, "count": 3}]`)
+	if resp.StatusCode != http.StatusAccepted || body["admitted"] != 2.0 {
+		t.Fatalf("valid batch: got %d %v", resp.StatusCode, body)
+	}
+	if d, n := s.queue.Depth(), s.wal.Count(); d != 2 || n != 2 {
+		t.Fatalf("valid batch: %d queued and %d WAL entries, want 2 and 2", d, n)
+	}
+}
+
+// FuzzIngestBody feeds arbitrary bytes to the POST /ingest decoder: it
+// must never panic, and a body it accepts must re-marshal to JSON that
+// decodes to the same values.
+func FuzzIngestBody(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bodies, err := decodeIngest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(bodies)
+		if err != nil {
+			t.Fatalf("accepted %q, re-marshal: %v", data, err)
+		}
+		back, err := decodeIngest(bytes.NewReader(again))
+		if err != nil {
+			t.Fatalf("accepted %q, refused its re-marshal %s: %v", data, again, err)
+		}
+		if !slices.Equal(back, bodies) {
+			t.Fatalf("%q decodes to %+v, its re-marshal %s to %+v", data, bodies, again, back)
+		}
+	})
 }
 
 // TestHTTPOverloadShedsNonCriticalOnly is the admission-control SLO check:

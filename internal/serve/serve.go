@@ -90,6 +90,15 @@ type Request struct {
 	Class Class
 }
 
+// normalize applies the wire default (a zero Count means one request) and
+// validates the result against the network size.
+func (r Request) normalize(n int) (Request, error) {
+	if r.Count == 0 {
+		r.Count = 1
+	}
+	return r, r.Validate(n)
+}
+
 // Validate checks the request against the network size.
 func (r Request) Validate(n int) error {
 	if r.Node < 0 || r.Node >= n {

@@ -29,7 +29,6 @@ type Config struct {
 	Fingerprint string
 
 	Window          int     // requests per demand window (DefaultWindow)
-	KeepRounds      int     // rolling ledger ring (DefaultKeepRounds)
 	QueueCap        int     // ingest queue bound (DefaultQueueCap)
 	ShedFraction    float64 // non-critical shed threshold (DefaultShedFraction)
 	CheckpointEvery int     // closed rounds between checkpoints (DefaultCheckpointEvery)
@@ -161,7 +160,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	if _, err := snapshotter(stream.Algorithm()); err != nil {
 		return nil, err
 	}
-	return NewEngine(stream, cfg.Window, cfg.KeepRounds), nil
+	return NewEngine(stream, cfg.Window, DefaultKeepRounds), nil
 }
 
 // recoverEngine is the one recovery path: it opens the state directory's
@@ -218,10 +217,8 @@ func (s *Server) Start() {
 // with synthetic standard-class copies pushed through the same admission
 // path (so the flood is itself replayable).
 func (s *Server) Ingest(r Request) error {
-	if r.Count == 0 {
-		r.Count = 1
-	}
-	if err := r.Validate(s.n()); err != nil {
+	r, err := r.normalize(s.n())
+	if err != nil {
 		return err
 	}
 	if err := s.queue.Admit(r, time.Now(), s.persist); err != nil { //repcheck:allow-wallclock admission timestamps are live-traffic metadata; replay takes times from the WAL

@@ -46,7 +46,7 @@ func naiveDistribute(order []int, points, total int) map[int]int {
 }
 
 func naiveCenterOrdering(m *graph.Matrix) []int {
-	center := m.Center()
+	center := graph.CenterOf(m)
 	order := make([]int, m.N())
 	for i := range order {
 		order[i] = i

@@ -99,7 +99,7 @@ func TestCommuterStaticFanOutAndIn(t *testing.T) {
 
 func TestCommuterStaticCenterIsAlwaysHot(t *testing.T) {
 	m := lineMatrix(33)
-	center := m.Center()
+	center := graph.CenterOf(m)
 	s, err := CommuterStatic(m, CommuterConfig{T: 6, Lambda: 2}, 60)
 	if err != nil {
 		t.Fatal(err)

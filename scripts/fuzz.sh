@@ -8,6 +8,10 @@
 #
 #   scripts/fuzz.sh          # 10s per target
 #   scripts/fuzz.sh 1m       # any -fuzztime value
+#
+# Go minimizes each new interesting input for up to -fuzzminimizetime
+# (60s by default) and runs no new inputs meanwhile, so a short run spent
+# most of its budget minimizing; 1s keeps it exploring.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +20,6 @@ for pkg in $(go list ./...); do
 	listed="$(go test -list '^Fuzz' "$pkg")" # fails the script if the tests do not build
 	for target in $(grep '^Fuzz' <<<"$listed" || true); do
 		echo "== $target ($pkg, $fuzztime)"
-		go test -run '^$' -fuzz "^${target}\$" -fuzztime "$fuzztime" "$pkg"
+		go test -run '^$' -fuzz "^${target}\$" -fuzztime "$fuzztime" -fuzzminimizetime 1s "$pkg"
 	done
 done
