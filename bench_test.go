@@ -66,13 +66,7 @@ func BenchmarkFigure19(b *testing.B) { benchFigure(b, "19") }
 
 // BenchmarkTableRocketfuel regenerates the Section V closing experiment on
 // the AS-7018-like topology.
-func BenchmarkTableRocketfuel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.TableRocketfuel(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTableRocketfuel(b *testing.B) { benchFigure(b, "rocketfuel") }
 
 // Ablation benches for the design choices DESIGN.md calls out.
 

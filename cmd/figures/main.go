@@ -74,7 +74,6 @@ func main() {
 	metric := flag.String("metric", "dense", "distance backend: dense, sparse[:rows], or landmark[:k]; dense and sparse are exact and produce identical output")
 	maxConfigs := flag.Int("maxconfigs", 0, "configuration-space bound for the enumeration-based algorithms (WFA/ONCONF); 0 keeps each experiment's default")
 	procs := flag.Int("procs", 0, "fan the whole selection's cell grids out over this many shared worker subprocesses")
-	workers := flag.Int("workers", 0, "bound the in-process worker pool (0 = GOMAXPROCS)")
 	shard := flag.String("shard", "", "evaluate only slice i of m of each grid, as i/m, and write partial results")
 	partials := flag.String("partials", "", "directory for shard partial and plan files (required with -shard, -merge, -plan)")
 	merge := flag.Bool("merge", false, "merge shard partials from -partials and print the tables")
@@ -82,9 +81,8 @@ func main() {
 	withPlan := flag.Bool("withplan", false, "with -shard i/m: evaluate the cells the plan file assigns to shard i instead of the modulo slice")
 	serveWorkers := flag.String("serve-workers", "", "coordinator mode: listen on this address for remote -connect workers instead of spawning subprocesses")
 	deadline := flag.Duration("deadline", 0, "fixed per-cell response deadline for pooled backends (0 = adaptive over observed cell times)")
-	drainTimeout := flag.Duration("drain-timeout", 0, "how long a drain (SIGINT/SIGTERM) waits for in-flight cells (0 = 30s)")
 	resume := flag.Bool("resume", false, "evaluate the cells missing from the partials in -partials and write a resume partial")
-	faultInject := flag.String("faultinject", "", "testing: inject one worker fault, kind:N[:delay] with kind exit|wedge|slow|garbage|disconnect; exit:N exits right after response N, and a bare N means exit:N. The first spawned worker gets it with -procs (through FIGURES_FAULT), this worker with -worker -connect")
+	faultInject := flag.String("faultinject", "", "testing: inject one worker fault, kind:N[:delay] with kind exit|wedge|slow|garbage|disconnect; exit:N exits right after response N. The first spawned worker gets it with -procs (through FIGURES_FAULT), this worker with -worker -connect")
 	workerFlag := flag.Bool("worker", false, "internal: serve cells on stdin/stdout (SPEC lines select the grid), or over TCP with -connect")
 	connect := flag.String("connect", "", "with -worker: dial the coordinator at this address and serve cells over TCP, reconnecting with backoff")
 	flag.Parse()
@@ -149,7 +147,7 @@ func main() {
 		}
 	}
 
-	cfg := runner.Config{Deadline: *deadline, DrainTimeout: *drainTimeout}
+	cfg := runner.Config{Deadline: *deadline}
 	if *serveWorkers != "" {
 		tr, err := runner.Listen(*serveWorkers)
 		if err != nil {
@@ -191,11 +189,11 @@ func main() {
 				log.Fatalf("figure %s: %v", name, err)
 			}
 		case shardTotal > 0:
-			if err := runShard(sp, opts, shardIdx, shardTotal, *workers, *partials, *withPlan, pool); err != nil {
+			if err := runShard(sp, opts, shardIdx, shardTotal, *partials, *withPlan, pool); err != nil {
 				log.Fatalf("figure %s: %v", name, err)
 			}
 		case *resume:
-			if err := runResume(sp, opts, *workers, *partials, pool); err != nil {
+			if err := runResume(sp, opts, *partials, pool); err != nil {
 				log.Fatalf("figure %s: %v", name, err)
 			}
 		case *merge:
@@ -205,7 +203,7 @@ func main() {
 			}
 			emit(name, tab, *csvDir)
 		default:
-			tab, err := runner.Run(sp, runner.Local{Workers: *workers})
+			tab, err := runner.Run(sp, nil)
 			if err != nil {
 				log.Fatalf("figure %s: %v", name, err)
 			}
@@ -303,7 +301,7 @@ func drainedNextStep(missing int, dir string) string {
 // the complete grid. Output is byte-identical to an uninterrupted run: cell
 // results depend only on (figure, options, cell index), never on which
 // process computed them.
-func runResume(sp *runner.Spec, o experiments.Options, workers int, dir string, pool *runner.Pool) error {
+func runResume(sp *runner.Spec, o experiments.Options, dir string, pool *runner.Pool) error {
 	merged, err := loadMerged(sp, o, dir)
 	if err != nil {
 		return err
@@ -314,7 +312,7 @@ func runResume(sp *runner.Spec, o experiments.Options, workers int, dir string, 
 		return nil
 	}
 	log.Printf("figure %s: resuming %d of %d cells", sp.Name, len(missing), merged.Cells)
-	g, err := runCellSubset(sp, missing, workers, pool)
+	g, err := runCellSubset(sp, missing, pool)
 	if err != nil {
 		return err
 	}
@@ -428,7 +426,7 @@ func workerCommand(o experiments.Options, fault *runner.Fault) func() (*exec.Cmd
 // file <partials>/<name>.shard-<i>-of-<m>.json. With withPlan, the slice is
 // the cell set a timing plan (figures -plan) assigns to this shard instead
 // of the modulo split.
-func runShard(sp *runner.Spec, o experiments.Options, idx, total, workers int, dir string, withPlan bool, pool *runner.Pool) error {
+func runShard(sp *runner.Spec, o experiments.Options, idx, total int, dir string, withPlan bool, pool *runner.Pool) error {
 	var idxs []int
 	if withPlan {
 		pl, err := readPlan(dir, sp.Name, total)
@@ -446,7 +444,7 @@ func runShard(sp *runner.Spec, o experiments.Options, idx, total, workers int, d
 			return err
 		}
 	}
-	g, err := runCellSubset(sp, idxs, workers, pool)
+	g, err := runCellSubset(sp, idxs, pool)
 	if err != nil {
 		return err
 	}
@@ -466,9 +464,9 @@ func runShard(sp *runner.Spec, o experiments.Options, idx, total, workers int, d
 // pool when one exists (-procs composed with -shard/-resume) and on the
 // in-process Local pool otherwise. Both produce identical grids — cell
 // results depend only on (figure, options, cell index).
-func runCellSubset(sp *runner.Spec, idxs []int, workers int, pool *runner.Pool) (*runner.Grid, error) {
+func runCellSubset(sp *runner.Spec, idxs []int, pool *runner.Pool) (*runner.Grid, error) {
 	if pool == nil {
-		return runner.Local{Workers: workers, Cells: idxs}.Run(sp)
+		return runner.Local{Cells: idxs}.Run(sp)
 	}
 	grids, err := pool.RunAll([]*runner.Spec{sp}, [][]int{idxs}, nil)
 	if err != nil {

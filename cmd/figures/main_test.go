@@ -192,12 +192,12 @@ func TestPlannedShardMergeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 2; i++ {
-		if err := runShard(sp, o, i, 2, 0, dir, false, nil); err != nil {
+		if err := runShard(sp, o, i, 2, dir, false, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// No plan file yet: -withplan must refuse, not fall back silently.
-	if err := runShard(sp, o, 1, 2, 0, dir, true, nil); err == nil {
+	if err := runShard(sp, o, 1, 2, dir, true, nil); err == nil {
 		t.Fatal("-withplan ran without a plan file")
 	}
 	if err := runPlan(sp, o, 2, dir); err != nil {
@@ -211,7 +211,7 @@ func TestPlannedShardMergeRoundTrip(t *testing.T) {
 		t.Fatalf("plan covers %d of %d cells", got, sp.Cells())
 	}
 	for i := 1; i <= 2; i++ {
-		if err := runShard(sp, o, i, 2, 0, dir, true, nil); err != nil {
+		if err := runShard(sp, o, i, 2, dir, true, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,7 +273,7 @@ func TestShardMergeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 2; i++ {
-		if err := runShard(sp, o, i, 2, 0, dir, false, nil); err != nil {
+		if err := runShard(sp, o, i, 2, dir, false, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +307,7 @@ func TestMergeReportsMissingCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runShard(sp, o, 2, 2, 0, dir, false, nil); err != nil { // shard 2 only
+	if err := runShard(sp, o, 2, 2, dir, false, nil); err != nil { // shard 2 only
 		t.Fatal(err)
 	}
 	_, err = mergeShards(sp, o, dir)
@@ -332,10 +332,10 @@ func TestResumeFillsMissingCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runShard(sp, o, 1, 2, 0, dir, false, nil); err != nil { // half the grid
+	if err := runShard(sp, o, 1, 2, dir, false, nil); err != nil { // half the grid
 		t.Fatal(err)
 	}
-	if err := runResume(sp, o, 0, dir, nil); err != nil {
+	if err := runResume(sp, o, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "13.shard-resume.json")); err != nil {
@@ -351,7 +351,7 @@ func TestResumeFillsMissingCells(t *testing.T) {
 	}
 	// A second resume over the now-complete partials is a no-op, not an
 	// error — and must not disturb the merge.
-	if err := runResume(sp, o, 0, dir, nil); err != nil {
+	if err := runResume(sp, o, dir, nil); err != nil {
 		t.Fatalf("resume over complete partials: %v", err)
 	}
 	if got2, err := mergeShards(sp, o, dir); err != nil || !reflect.DeepEqual(got2, want) {
@@ -450,10 +450,10 @@ func TestRunShardOnPoolMatchesLocal(t *testing.T) {
 	localDir := t.TempDir()
 	pool := runner.NewPool(&runner.PipeTransport{N: 2, Command: testWorkerCmd(t, o.Seed, "")}, runner.Config{})
 	defer pool.Close()
-	if err := runShard(sp, o, 1, 2, 0, poolDir, false, pool); err != nil {
+	if err := runShard(sp, o, 1, 2, poolDir, false, pool); err != nil {
 		t.Fatal(err)
 	}
-	if err := runShard(sp, o, 1, 2, 0, localDir, false, nil); err != nil {
+	if err := runShard(sp, o, 1, 2, localDir, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := readPartialFile(t, filepath.Join(poolDir, shardFile("3", 1, 2)))

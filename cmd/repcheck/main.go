@@ -2,7 +2,7 @@
 // driver over the internal/analysis suite. It machine-enforces the
 // invariants every parity guarantee rests on:
 //
-//	rowborrow  graph.Metric.Row results must not escape their borrow
+//	rowborrow  graph.Metric rows are read-only: no write through Row or Pin
 //	detrand    deterministic packages take no wall-clock or ambient RNG
 //	maprange   map iteration order must not reach outputs or float sums
 //	floatfmt   floats on output paths use full-precision encoding

@@ -7,8 +7,8 @@
 // the real framework by swapping imports.
 //
 // The analyzers in the subpackages machine-enforce the contracts every
-// speedup since PR 1 is sold on: seed-derived RNG (detrand), the
-// graph.Metric.Row borrow discipline (rowborrow), map-iteration-order
+// speedup since PR 1 is sold on: seed-derived RNG (detrand),
+// read-only graph.Metric rows (rowborrow), map-iteration-order
 // independence of anything that feeds an output or a float sum
 // (maprange), and full-precision float encoding on the output paths
 // (floatfmt). See ANALYSIS.md at the repo root for the contract each

@@ -41,7 +41,7 @@ var OutputPathPackages = map[string]bool{
 
 // InScope reports whether a diagnostic from the named analyzer applies
 // to filename inside pkgPath (the base import path, bracket-free).
-// rowborrow and maprange are global: the borrow contract and
+// rowborrow and maprange are global: the read-only row contract and
 // map-iteration-order independence bind every layer, tests included.
 func InScope(analyzer, pkgPath, filename string) bool {
 	isTest := strings.HasSuffix(filename, "_test.go")

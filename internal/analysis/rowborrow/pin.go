@@ -7,20 +7,21 @@ import (
 	"repro/internal/analysis"
 )
 
-// pinState is what the package-wide pre-pass learns about Pin results:
-// which functions return one, which variables and fields hold one, and
-// which variables hold a row read out of one.
+// pinState is what the package-wide pre-pass learns about metric rows:
+// which functions return a Pin result, which variables and fields hold
+// one, and which variables and fields hold a single row (a Row result
+// or one row read out of a Pin result).
 type pinState struct {
 	pass    *analysis.Pass
 	funcs   map[types.Object]int  // functions returning a Pin result directly, at this result index
 	results map[types.Object]bool // holds a Pin result ([][]float64)
-	rows    map[types.Object]bool // holds one row of a Pin result
+	rows    map[types.Object]bool // holds one metric row
 }
 
-// checkPinWrites flags writes through rows held from graph.Metric.Pin.
-// The walks are package-wide, so a Pin result stored in a field by one
-// method is recognised where another method reads it.
-func checkPinWrites(pass *analysis.Pass) {
+// run flags writes through metric rows. The walks are package-wide, so
+// a row or Pin result stored in a field by one method is recognised
+// where another method writes through it.
+func run(pass *analysis.Pass) error {
 	ps := &pinState{
 		pass:    pass,
 		funcs:   map[types.Object]int{},
@@ -31,6 +32,7 @@ func checkPinWrites(pass *analysis.Pass) {
 	ps.inspect(ps.collectResults)
 	ps.inspect(ps.collectRows)
 	ps.inspect(ps.reportWrites)
+	return nil
 }
 
 func (ps *pinState) inspect(visit func(ast.Node)) {
@@ -56,7 +58,7 @@ func (ps *pinState) collectFuncs(n ast.Node) {
 			return false
 		case *ast.ReturnStmt:
 			for i, res := range n.Results {
-				if call, ok := stripParens(res).(*ast.CallExpr); ok && ps.isPinCall(call) {
+				if ps.isCall(res, "Pin") {
 					ps.funcs[obj] = i
 				}
 			}
@@ -65,16 +67,21 @@ func (ps *pinState) collectFuncs(n ast.Node) {
 	})
 }
 
-// isPinCall reports whether call is a graph Pin call.
-func (ps *pinState) isPinCall(call *ast.CallExpr) bool {
+// isCall reports whether e is a graph call of the named method (Row or
+// Pin).
+func (ps *pinState) isCall(e ast.Expr, method string) bool {
+	call, ok := stripParens(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
 	name, ok := metricMethod(ps.pass, call)
-	return ok && name == "Pin"
+	return ok && name == method
 }
 
 // pinResult reports whether expression i of a call's results is a Pin
 // result.
 func (ps *pinState) pinResult(call *ast.CallExpr, i int) bool {
-	if ps.isPinCall(call) {
+	if ps.isCall(call, "Pin") {
 		return i == 0
 	}
 	var fn types.Object
@@ -107,13 +114,14 @@ func (ps *pinState) collectResults(n ast.Node) {
 	}
 }
 
-// collectRows records variables bound to one row of a Pin result:
-// row := pins[i] and for _, row := range pins.
+// collectRows records variables and fields bound to one metric row:
+// row := m.Row(u), h.row = m.Row(u), row := pins[i] and
+// for _, row := range pins.
 func (ps *pinState) collectRows(n ast.Node) {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		for i, lhs := range n.Lhs {
-			if len(n.Lhs) == len(n.Rhs) && ps.pinElem(n.Rhs[i]) {
+			if len(n.Lhs) == len(n.Rhs) && (ps.isCall(n.Rhs[i], "Row") || ps.pinElem(n.Rhs[i])) {
 				if obj := ps.object(lhs); obj != nil {
 					ps.rows[obj] = true
 				}
@@ -134,12 +142,12 @@ func (ps *pinState) pinElem(e ast.Expr) bool {
 	return ok && ps.results[ps.object(ix.X)]
 }
 
-// pinnedRow reports whether e denotes a row held from a Pin result.
-func (ps *pinState) pinnedRow(e ast.Expr) bool {
-	return ps.rows[ps.object(e)] || ps.pinElem(e)
+// metricRow reports whether e denotes a metric row.
+func (ps *pinState) metricRow(e ast.Expr) bool {
+	return ps.rows[ps.object(e)] || ps.isCall(e, "Row") || ps.pinElem(e)
 }
 
-// reportWrites flags element writes and copies into pinned rows.
+// reportWrites flags element writes and copies into metric rows.
 func (ps *pinState) reportWrites(n ast.Node) {
 	var targets []ast.Expr
 	switch n := n.(type) {
@@ -149,20 +157,20 @@ func (ps *pinState) reportWrites(n ast.Node) {
 		targets = []ast.Expr{n.X}
 	case *ast.CallExpr:
 		if id, ok := n.Fun.(*ast.Ident); ok && len(n.Args) == 2 {
-			if b, ok := ps.pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "copy" && ps.pinnedRow(n.Args[0]) {
+			if b, ok := ps.pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "copy" && ps.metricRow(n.Args[0]) {
 				ps.pass.Reportf(n.Args[0].Pos(),
-					"copy into pinned row %s; Pin rows are read-only snapshots shared with the backend",
+					"copy into metric row %s; Row and Pin rows are read-only snapshots shared with the backend",
 					types.ExprString(n.Args[0]))
 			}
 		}
 	}
 	for _, lhs := range targets {
 		ix, ok := stripParens(lhs).(*ast.IndexExpr)
-		if !ok || !ps.pinnedRow(ix.X) {
+		if !ok || !ps.metricRow(ix.X) {
 			continue
 		}
 		ps.pass.Reportf(lhs.Pos(),
-			"write through pinned row %s; Pin rows are read-only snapshots shared with the backend",
+			"write through metric row %s; Row and Pin rows are read-only snapshots shared with the backend",
 			types.ExprString(ix.X))
 	}
 }

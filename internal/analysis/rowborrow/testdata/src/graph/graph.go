@@ -1,5 +1,5 @@
 // Package graph is a fixture stub of the repo's metric backends. The
-// rowborrow analyzer identifies Row/Dist/Pin/AddEdge methods on named types
+// rowborrow analyzer identifies Row and Pin methods on named types
 // from a package named graph, so this stub only needs the shapes.
 package graph
 

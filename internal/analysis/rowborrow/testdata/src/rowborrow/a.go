@@ -1,8 +1,7 @@
-// Fixture for the rowborrow analyzer: borrows of graph.Metric.Row that
-// escape their scope are findings; borrows fully consumed before the
-// next metric call, copies, loop rebinding, and synchronous callbacks
-// are not. Rows held from graph.Metric.Pin may be kept anywhere but
-// never written.
+// Fixture for the rowborrow analyzer: rows from graph.Metric.Row and
+// graph.Metric.Pin are read-only snapshots, so writes and copies into
+// them are findings. Keeping a row anywhere is not: retention across
+// later metric calls, field stores, appends and captures are all quiet.
 package rowborrow
 
 import (
@@ -16,33 +15,28 @@ type holder struct {
 	pins [][]float64
 }
 
-// Retention across a later metric call: the borrow ends at m.Dist.
+// A row kept across later metric calls is still a valid snapshot.
 func retained(m *graph.Matrix) float64 {
 	row := m.Row(0)
 	d := m.Dist(1, 2)
-	return d + row[3] // want "used after a later Row/Dist/Pin/AddEdge call"
+	return d + row[3]
 }
 
-// The false-positive shape: the row is fully consumed before the next
-// metric call, so the borrow never outlives its window.
 func consumedFirst(m *graph.Matrix) float64 {
 	row := m.Row(0)
 	sum := row[1] + row[2]
 	return sum + m.Dist(1, 2)
 }
 
-// Element-spread append copies the contents — the sanctioned idiom for
-// a row that must outlive the next call.
+// Copying out of a row and writing the copy is fine.
 func copied(m *graph.Matrix) []float64 {
 	row := m.Row(0)
 	out := append([]float64(nil), row...)
+	out[0] = 1
 	_ = m.Row(1)
 	return out
 }
 
-// Re-binding on every iteration is fine: each borrow's uses precede the
-// Row call of the next iteration in every execution, and the binding's
-// own call is not an invalidator.
 func perIteration(m *graph.Matrix) float64 {
 	total := 0.0
 	for u := 0; u < m.N(); u++ {
@@ -53,72 +47,72 @@ func perIteration(m *graph.Matrix) float64 {
 }
 
 func fieldStore(m *graph.Matrix, h *holder) {
-	h.row = m.Row(0) // want "stored in h.row escapes its borrowing scope"
+	h.row = m.Row(0)
+}
+
+// The row fieldStore keeps is still a metric row where another function
+// writes through it.
+func writesFieldRow(h *holder) {
+	h.row[1] = 2 // want "write through metric row h.row"
 }
 
 func appended(m *graph.Matrix) [][]float64 {
 	var all [][]float64
 	for u := 0; u < m.N(); u++ {
 		row := m.Row(u)
-		all = append(all, row) // want "appended to a slice escapes its borrowing scope"
+		all = append(all, row)
 	}
 	return all
 }
 
 func writesThrough(m *graph.Matrix) {
 	row := m.Row(0)
-	row[2] = 1 // want "write through borrowed row"
+	row[2] = 1 // want "write through metric row row"
 }
 
 func copiesInto(m *graph.Matrix, src []float64) {
 	row := m.Row(0)
-	copy(row, src) // want "copy into borrowed row"
+	copy(row, src) // want "copy into metric row row"
 }
 
 func goroutineCapture(m *graph.Matrix, done chan float64) {
 	row := m.Row(0)
 	go func() {
-		done <- row[0] // want "captured by a goroutine"
+		done <- row[0]
 	}()
 }
 
 func goroutineArg(m *graph.Matrix, sink func([]float64)) {
 	row := m.Row(0)
-	go sink(row) // want "passed to a goroutine"
+	go sink(row)
 }
 
 func escapingClosure(m *graph.Matrix) func() float64 {
 	row := m.Row(0)
-	f := func() float64 { return row[0] } // want "captured by a closure that escapes"
+	f := func() float64 { return row[0] }
 	return f
 }
 
-// A closure passed directly as a call argument is synchronous
-// (sort.Slice and friends): not a capture hazard.
 func synchronousCallback(m *graph.Matrix, idx []int) {
 	row := m.Row(0)
 	sort.Slice(idx, func(i, j int) bool { return row[idx[i]] < row[idx[j]] })
 }
 
-// Code that deliberately leans on backend storage stability annotates
-// the use.
 func pinned(m *graph.Matrix) float64 {
 	row := m.Row(0)
 	_ = m.Row(1)
-	//repcheck:allow-rowborrow fixture: pins the storage-stability guarantee of today's backends
 	return row[2]
 }
 
-// A Pin may evict cached rows, so it ends an outstanding Row borrow.
 func retainedAcrossPin(m *graph.Matrix, nodes []int) float64 {
 	row := m.Row(0)
 	pins := m.Pin(nil, nodes)
-	return pins[0][1] + row[3] // want "used after a later Row/Dist/Pin/AddEdge call"
+	return pins[0][1] + row[3]
 }
 
-// Pinned rows are held, not borrowed: storing the result in a field and
-// reading it across later metric calls are both fine, and so is
-// replacing a slot of the caller-owned result slice.
+// Storing a Pin result in a field and reading it across later metric
+// calls are both fine, and so is replacing a slot of the caller-owned
+// result slice.
 func pinHeld(m *graph.Matrix, h *holder, nodes []int) float64 {
 	h.pins = m.Pin(h.pins[:0], nodes)
 	pins := m.Pin(nil, nodes)
@@ -136,15 +130,15 @@ func pinHeld(m *graph.Matrix, h *holder, nodes []int) float64 {
 func writesPinnedRow(m *graph.Matrix, nodes []int) {
 	pins := m.Pin(nil, nodes)
 	row := pins[0]
-	row[1] = 2 // want "write through pinned row row"
+	row[1] = 2 // want "write through metric row row"
 }
 
 func writesPinElement(m *graph.Matrix, nodes []int, src []float64) {
 	pins := m.Pin(nil, nodes)
-	pins[0][1] += 2    // want "write through pinned row pins\\[0\\]"
-	copy(pins[1], src) // want "copy into pinned row pins\\[1\\]"
+	pins[0][1] += 2    // want "write through metric row pins\\[0\\]"
+	copy(pins[1], src) // want "copy into metric row pins\\[1\\]"
 	for _, row := range pins {
-		row[0]++ // want "write through pinned row row"
+		row[0]++ // want "write through metric row row"
 	}
 }
 
@@ -155,7 +149,7 @@ func pinInto(m *graph.Matrix, h *holder, nodes []int) {
 }
 
 func writesFieldPin(h *holder) {
-	h.pins[0][0] = 1 // want "write through pinned row h.pins\\[0\\]"
+	h.pins[0][0] = 1 // want "write through metric row h.pins\\[0\\]"
 }
 
 func pinHelper(m *graph.Matrix, dst [][]float64, nodes []int) ([][]float64, int) {
@@ -164,7 +158,14 @@ func pinHelper(m *graph.Matrix, dst [][]float64, nodes []int) ([][]float64, int)
 
 func writesHelperPin(m *graph.Matrix, nodes []int) {
 	pins, _ := pinHelper(m, nil, nodes)
-	pins[0][0] = 1 // want "write through pinned row pins\\[0\\]"
+	pins[0][0] = 1 // want "write through metric row pins\\[0\\]"
+}
+
+// Writes straight through a Row call's result.
+func writesRowCall(m *graph.Matrix, src []float64) {
+	m.Row(0)[1] = 2     // want "write through metric row m.Row\\(0\\)"
+	copy(m.Row(1), src) // want "copy into metric row m.Row\\(1\\)"
+	(m.Row(2))[0]++     // want "write through metric row \\(m.Row\\(2\\)\\)"
 }
 
 func suppressedPinWrite(m *graph.Matrix, nodes []int) {

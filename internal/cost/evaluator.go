@@ -66,7 +66,7 @@ type Evaluator struct {
 
 // NewEvaluator builds an evaluator for the given substrate and load model.
 // The metric may be any backend (dense matrix, sparse, landmark); the
-// kernels only borrow read-only distance rows from it.
+// kernels only read distance rows from it, never write them.
 func NewEvaluator(g *graph.Graph, m graph.Metric, load LoadFunc, policy Policy) *Evaluator {
 	if g.N() != m.N() {
 		panic(fmt.Sprintf("cost: metric size %d does not match graph size %d", m.N(), g.N()))

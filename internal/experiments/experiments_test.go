@@ -239,20 +239,15 @@ func TestFigure19Runs(t *testing.T) {
 }
 
 func TestTableRocketfuelOrdering(t *testing.T) {
-	res, err := TableRocketfuel(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, err := run("rocketfuel")
+	checkTable(t, tab, err, 5)
+	offstat, onth, onbr := tab.Series[0].Values[0], tab.Series[1].Values[0], tab.Series[2].Values[0]
 	// The paper's qualitative result: OFFSTAT < ONTH < ONBR.
-	if !(res.Offstat < res.Onth && res.Onth < res.Onbr) {
-		t.Fatalf("ordering violated: OFFSTAT=%v ONTH=%v ONBR=%v", res.Offstat, res.Onth, res.Onbr)
+	if !(offstat < onth && onth < onbr) {
+		t.Fatalf("ordering violated: OFFSTAT=%v ONTH=%v ONBR-fixed=%v", offstat, onth, onbr)
 	}
-	if res.OnthRatio() > 3.5 {
-		t.Fatalf("ONTH/OFFSTAT = %v, paper reports < 2", res.OnthRatio())
-	}
-	tab := res.Table()
-	if err := tab.Validate(); err != nil {
-		t.Fatal(err)
+	if onth/offstat > 3.5 {
+		t.Fatalf("ONTH/OFFSTAT = %v, paper reports < 2", onth/offstat)
 	}
 }
 

@@ -14,43 +14,15 @@ import (
 	"repro/internal/workload"
 )
 
-// RocketfuelResult is the reproduction of the paper's closing experiment on
-// the Rocketfuel AS-7018 (AT&T) topology under the time-zone scenario
-// (c = 400, β = 40, Ra = 2.5, Ri = 0.5, runtime 600 rounds, λ = 20,
-// p = 50%). The paper reports OFFSTAT = 26063.81, ONTH = 44176.29 (a factor
-// below two above OFFSTAT) and ONBR = 111470.30.
-type RocketfuelResult struct {
-	Offstat float64
-	Onth    float64
-	Onbr    float64
-}
-
-// OnthRatio returns cost(ONTH)/cost(OFFSTAT); the paper observed "a factor
-// less than two".
-func (r RocketfuelResult) OnthRatio() float64 { return r.Onth / r.Offstat }
-
-// OnbrRatio returns cost(ONBR)/cost(OFFSTAT).
-func (r RocketfuelResult) OnbrRatio() float64 { return r.Onbr / r.Offstat }
-
-// Table renders the result in the harness's common format.
-func (r RocketfuelResult) Table() *trace.Table {
-	return &trace.Table{
-		Title:  "Rocketfuel AS-7018 (synthetic stand-in), time zones p=50%",
-		XLabel: "-",
-		YLabel: "total cost",
-		X:      []float64{0},
-		Series: []trace.Series{
-			{Label: "OFFSTAT", Values: []float64{r.Offstat}},
-			{Label: "ONTH", Values: []float64{r.Onth}},
-			{Label: "ONBR-fixed", Values: []float64{r.Onbr}},
-			{Label: "ONTH/OFFSTAT", Values: []float64{r.OnthRatio()}},
-			{Label: "ONBR/OFFSTAT", Values: []float64{r.OnbrRatio()}},
-		},
-	}
-}
-
-// rocketfuelSpec is the grid of the Section V closing experiment: a single
-// cell playing OFFSTAT, ONTH, and ONBR on the shared AS-like instance.
+// rocketfuelSpec reproduces the paper's closing experiment on the
+// Rocketfuel AS-7018 (AT&T) topology under the time-zone scenario (c = 400,
+// β = 40, Ra = 2.5, Ri = 0.5, runtime 600 rounds, λ = 20, p = 50%): a
+// single cell playing OFFSTAT, ONTH, and ONBR on the shared AS-like
+// instance. The paper reports OFFSTAT = 26063.81, ONTH = 44176.29 (a factor
+// below two above OFFSTAT) and ONBR = 111470.30. The measured Rocketfuel
+// map is replaced by the synthetic AS-like topology of internal/topo (see
+// DESIGN.md); the validated claim is the ordering OFFSTAT < ONTH < ONBR
+// with ONTH within roughly 2× of OFFSTAT.
 func rocketfuelSpec(o Options) *runner.Spec {
 	rounds := pick(o, 600, 150)
 	seed := o.seed()
@@ -74,40 +46,39 @@ func rocketfuelSpec(o Options) *runner.Spec {
 			if err != nil {
 				return nil, err
 			}
-			var res RocketfuelResult
-			if res.Offstat, err = runTotal(env, offline.NewOFFSTAT(seq), seq); err != nil {
+			offstat, err := runTotal(env, offline.NewOFFSTAT(seq), seq)
+			if err != nil {
 				return nil, err
 			}
-			if res.Onth, err = runTotal(env, online.NewONTH(), seq); err != nil {
+			onth, err := runTotal(env, online.NewONTH(), seq)
+			if err != nil {
 				return nil, err
 			}
-			if res.Onbr, err = runTotal(env, online.NewONBR(), seq); err != nil {
+			onbr, err := runTotal(env, online.NewONBR(), seq)
+			if err != nil {
 				return nil, err
 			}
-			return []float64{res.Offstat, res.Onth, res.Onbr}, nil
+			return []float64{offstat, onth, onbr}, nil
 		},
 		Reduce: func(g *runner.Grid) (*trace.Table, error) {
-			tab := rocketfuelResultFromGrid(g).Table()
+			v := g.Cell(0, 0, 0)
+			offstat, onth, onbr := v[0], v[1], v[2]
+			tab := &trace.Table{
+				Title:  "Rocketfuel AS-7018 (synthetic stand-in), time zones p=50%",
+				XLabel: "-",
+				YLabel: "total cost",
+				X:      []float64{0},
+				Series: []trace.Series{
+					{Label: "OFFSTAT", Values: []float64{offstat}},
+					{Label: "ONTH", Values: []float64{onth}},
+					{Label: "ONBR-fixed", Values: []float64{onbr}},
+					{Label: "ONTH/OFFSTAT", Values: []float64{onth / offstat}},
+					{Label: "ONBR/OFFSTAT", Values: []float64{onbr / offstat}},
+				},
+			}
 			return tab, tab.Validate()
 		},
 	}
-}
-
-func rocketfuelResultFromGrid(g *runner.Grid) RocketfuelResult {
-	v := g.Cell(0, 0, 0)
-	return RocketfuelResult{Offstat: v[0], Onth: v[1], Onbr: v[2]}
-}
-
-// TableRocketfuel reproduces the Section V closing experiment. The measured
-// Rocketfuel map is replaced by the synthetic AS-like topology of
-// internal/topo (see DESIGN.md); the validated claim is the ordering
-// OFFSTAT < ONTH < ONBR with ONTH within roughly 2× of OFFSTAT.
-func TableRocketfuel(o Options) (RocketfuelResult, error) {
-	g, err := runner.Collect(rocketfuelSpec(o), nil)
-	if err != nil {
-		return RocketfuelResult{}, err
-	}
-	return rocketfuelResultFromGrid(g), nil
 }
 
 // wfaRocketfuelDefaultBound admits the full AS-like configuration space at

@@ -41,19 +41,13 @@ type Fault struct {
 // FaultKinds lists the supported fault matrix, in documentation order.
 var FaultKinds = []string{"exit", "wedge", "slow", "garbage", "disconnect"}
 
-// ParseFault parses a -faultinject value: "" is no fault, a bare integer N
-// is "exit:N" (the pre-matrix syntax), and "kind:N[:delay]" selects a
-// matrix mode; only slow and wedge take the delay, the others refuse one.
+// ParseFault parses a -faultinject value: "" is no fault, and
+// "kind:N[:delay]" selects a matrix mode; only slow and wedge take the
+// delay, the others refuse one.
 func ParseFault(s string) (*Fault, error) {
 	s = strings.TrimSpace(s)
-	if s == "" || s == "0" {
+	if s == "" {
 		return nil, nil
-	}
-	if n, err := strconv.Atoi(s); err == nil {
-		if n < 0 {
-			return nil, fmt.Errorf("runner: negative fault count %d", n)
-		}
-		return &Fault{Kind: "exit", After: n}, nil
 	}
 	parts := strings.Split(s, ":")
 	if len(parts) < 2 || len(parts) > 3 {

@@ -15,8 +15,6 @@ func TestParseFault(t *testing.T) {
 		want *Fault
 	}{
 		{"", nil},
-		{"0", nil},
-		{"3", &Fault{Kind: "exit", After: 3}}, // pre-matrix bare-int syntax
 		{"exit:2", &Fault{Kind: "exit", After: 2}},
 		{"wedge:1", &Fault{Kind: "wedge", After: 1}},
 		{"wedge:1:500ms", &Fault{Kind: "wedge", After: 1, Delay: 500 * time.Millisecond}},
@@ -49,7 +47,9 @@ func TestParseFault(t *testing.T) {
 
 func TestParseFaultRejectsMalformed(t *testing.T) {
 	for _, in := range []string{
-		"-2",              // negative exit count
+		"0",               // a bare count is not a fault
+		"3",               // nor is a bare positive one
+		"-2",              // nor a negative one
 		"exit",            // missing count
 		"exit:x",          // non-integer count
 		"exit:-1",         // negative count
@@ -82,7 +82,7 @@ func FuzzParseFault(f *testing.F) {
 		switch {
 		case err != nil:
 		case fault == nil:
-			if blank != "" && blank != "0" {
+			if blank != "" {
 				t.Fatalf("ParseFault(%q) = no fault, no error", in)
 			}
 		default:

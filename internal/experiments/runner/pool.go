@@ -23,8 +23,9 @@ const (
 	// least one worker had joined) for a worker to come back before
 	// failing.
 	rejoinGrace = 10 * time.Second
-	// defaultDrainTimeout is Config.DrainTimeout's default.
-	defaultDrainTimeout = 30 * time.Second
+	// drainTimeout bounds how long a drain waits for in-flight cells
+	// before abandoning them.
+	drainTimeout = 30 * time.Second
 )
 
 // ErrDrained reports a run stopped by Drain: no new cells were fed after
@@ -40,27 +41,23 @@ type Config struct {
 	// unanswered before its worker is treated as wedged and recycled; 0
 	// derives the deadline from observed cell times (see deadlineTracker).
 	Deadline time.Duration
-	// DrainTimeout bounds how long a drain waits for in-flight cells
-	// before abandoning them; 0 selects 30s.
-	DrainTimeout time.Duration
 
-	// Test hooks, zero in production: retries and rejoinGrace override
-	// cellRetries and rejoinGrace, backoff the respawn schedule, a
-	// recording sleep pins the schedule without real delays, and a fixed
-	// uniform pins the jitter.
-	retries     int
-	rejoinGrace time.Duration
-	backoff     backoffConfig
-	sleep       func(d time.Duration, cancel <-chan struct{})
-	uniform     func() float64
+	// Test hooks, zero in production: retries, rejoinGrace and
+	// drainTimeout override cellRetries, rejoinGrace and drainTimeout,
+	// backoff the respawn schedule, a recording sleep pins the schedule
+	// without real delays, and a fixed uniform pins the jitter.
+	retries      int
+	rejoinGrace  time.Duration
+	drainTimeout time.Duration
+	backoff      backoffConfig
+	sleep        func(d time.Duration, cancel <-chan struct{})
+	uniform      func() float64
 }
 
 func (c Config) withDefaults() Config {
 	c.retries = cmp.Or(c.retries, cellRetries)
 	c.rejoinGrace = cmp.Or(c.rejoinGrace, rejoinGrace)
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = defaultDrainTimeout
-	}
+	c.drainTimeout = cmp.Or(c.drainTimeout, drainTimeout)
 	if c.sleep == nil {
 		c.sleep = sleepFor
 	}
@@ -197,7 +194,7 @@ func (p *Pool) Close() {
 }
 
 // Drain asks the pool to stop feeding new cells: the active RunAll
-// collects in-flight results under DrainTimeout and returns ErrDrained
+// collects in-flight results under the drain timeout and returns ErrDrained
 // with the partial grids. Drain is sticky — a drained pool starts no
 // further runs — and idempotent, the shape a SIGTERM handler needs.
 func (p *Pool) Drain() {
@@ -293,12 +290,12 @@ func (p *Pool) RunAll(specs []*Spec, cells [][]int, emit func(i int, g *Grid) er
 	abandoned := false // drain deadline fired with cells still in flight
 	drainCh := p.drainCh
 	var drainTimer *time.Timer
-	var drainTimeout <-chan time.Time
+	var drainExpired <-chan time.Time
 	startDrain := func() {
 		draining = true
 		drainCh = nil
-		drainTimer = time.NewTimer(p.cfg.DrainTimeout)
-		drainTimeout = drainTimer.C
+		drainTimer = time.NewTimer(p.cfg.drainTimeout)
+		drainExpired = drainTimer.C
 	}
 	defer func() {
 		if drainTimer != nil {
@@ -370,7 +367,7 @@ func (p *Pool) RunAll(specs []*Spec, cells [][]int, emit func(i int, g *Grid) er
 			maybeEmit()
 		case <-drainCh:
 			startDrain()
-		case <-drainTimeout:
+		case <-drainExpired:
 			abandoned = true
 		case <-memTick.C:
 			if failure == nil && !draining && p.everJoined.Load() && p.live.Load() == 0 &&

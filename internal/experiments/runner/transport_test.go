@@ -466,7 +466,7 @@ func TestPoolDrainTimeoutAbandonsWedgedCell(t *testing.T) {
 		})
 	}
 	cfg := fastCfg()
-	cfg.DrainTimeout = 100 * time.Millisecond
+	cfg.drainTimeout = 100 * time.Millisecond
 	tr := &fakeTransport{n: 1, spec: s, queue: []func() *fakeConn{wedgeAfter}}
 	pool = NewPool(tr, cfg)
 	defer pool.Close()

@@ -15,37 +15,28 @@ import (
 // the substrate size become a backend choice (dense matrix, on-demand
 // sparse, landmark approximation) rather than an architectural limit.
 //
-// Contract — a row is held in one of two ownership modes:
+// Contract — every row is a read-only snapshot:
 //
 //   - N reports the node count; Dist(u, v) is the shortest-path latency
-//     from u to v (Infinity when unreachable), Row(u) is the full
-//     distance row from u, and Pin(dst, nodes) appends the rows of nodes
-//     to dst, in order, and returns the extended slice.
-//   - Row returns a BORROW of backend-owned storage: read it, or copy it
-//     with append([]float64(nil), row...), before the next Row, Dist,
-//     Pin or AddEdge call, and never store it in a struct field or
-//     capture it in a goroutine. Use Row for a one-off lookup.
-//   - Pin returns HELD rows: read-only snapshots of the graph version at
-//     pin time that no backend ever recycles, so the caller may keep them
-//     — across later metric calls, in a struct field, shared by
-//     goroutines — until it drops them. Kernels that read a fixed set of
-//     rows in a loop pin them once instead of calling Row per element;
-//     the caller bounds the memory it keeps alive this way. A Pin may
-//     evict cached rows, so it ends every outstanding Row borrow.
-//   - Neither mode may be written through. The rowborrow analyzer
-//     (cmd/repcheck) enforces both disciplines; see ANALYSIS.md.
-//   - Today's backends never recycle row storage, so even a stale Row
-//     borrow keeps its old contents rather than racing (the
-//     contract-pinning tests in metric_cache_test.go rely on this, under
-//     //repcheck:allow-rowborrow annotations). New Row call sites must
-//     not lean on that; code that needs a row to outlive the next metric
-//     call pins it.
+//     from u to v (Infinity when unreachable), Pin(dst, nodes) appends
+//     the distance rows of nodes to dst, in order, and returns the
+//     extended slice, and Row(u) is the single-node case of Pin.
+//   - A row from Row or Pin is a snapshot of the graph version at call
+//     time that no backend ever recycles, so the caller may keep it —
+//     across later metric calls, in a struct field, shared by goroutines
+//     — until it drops it. Use Row for a one-off lookup; kernels that
+//     read a fixed set of rows in a loop pin them once instead of calling
+//     Row per element, and the caller bounds the memory it keeps alive
+//     this way.
+//   - No row may be written through: backends hand the same memory to
+//     every caller. The rowborrow analyzer (cmd/repcheck) enforces this;
+//     see ANALYSIS.md.
 //   - All methods are safe for concurrent use as long as the underlying
 //     Graph is not mutated concurrently.
 //   - Mutating the Graph (AddEdge) after a backend was constructed
 //     invalidates the backend's cached state: the next query observes the
-//     moved Graph.Version and recomputes. Rows borrowed or pinned before
-//     the mutation keep their old (pre-mutation) contents.
+//     moved Graph.Version and recomputes. Rows taken before the mutation
+//     keep their old (pre-mutation) contents.
 type Metric interface {
 	N() int
 	Dist(u, v int) float64
@@ -162,7 +153,7 @@ type Sparse struct {
 // the LRU before ready closes with dist still nil, and every latecomer
 // panics too — so an entry found in the map with ready closed always has
 // its row. Eviction only drops the map/LRU references — the dist slice
-// itself is immutable once published, so borrowers and pinners are
+// itself is immutable once published, so callers holding it are
 // unaffected.
 type sparseRow struct {
 	ready chan struct{}
@@ -477,9 +468,8 @@ func (l *Landmark) Dist(u, v int) float64 {
 }
 
 // Row materializes the bound row from u. Unlike the cached backends the
-// slice is freshly allocated per call (O(k·n) work), which trivially
-// satisfies the Metric borrow contract; a kernel that reads a row more
-// than once pins it (Pin) instead of calling Row again.
+// slice is freshly allocated per call (O(k·n) work), so a kernel that
+// reads a row more than once pins it (Pin) instead of calling Row again.
 func (l *Landmark) Row(u int) []float64 {
 	if l.exact != nil {
 		return l.exact.Row(u)

@@ -29,7 +29,7 @@ func TestMetricCachesAllPairs(t *testing.T) {
 // TestSparseInvalidationOnAddEdge pins the mutation half of the Metric
 // contract for the sparse backend: AddEdge moves Graph.Version, the next
 // query drops every cached row and recomputes against the new topology,
-// and rows borrowed before the mutation keep their pre-mutation contents.
+// and rows taken before the mutation keep their pre-mutation contents.
 func TestSparseInvalidationOnAddEdge(t *testing.T) {
 	g := New(4)
 	g.MustAddEdge(0, 1, 1, 1)
@@ -49,9 +49,8 @@ func TestSparseInvalidationOnAddEdge(t *testing.T) {
 	if d := s.Dist(1, 3); d != 1.5 {
 		t.Fatalf("Dist(1,3) after shortcut = %v, want 1.5 via 1-0-3 (stale cache?)", d)
 	}
-	//repcheck:allow-rowborrow this test pins the invalidation semantics: a pre-mutation borrow keeps its old contents
 	if before[3] != 3 {
-		t.Fatalf("row borrowed before AddEdge changed to %v, must keep 3", before[3])
+		t.Fatalf("row taken before AddEdge changed to %v, must keep 3", before[3])
 	}
 }
 

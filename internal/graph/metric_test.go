@@ -92,7 +92,7 @@ func TestSparseDisconnectedInfinity(t *testing.T) {
 }
 
 // TestSparseLRUEviction: the resident set is bounded by the capacity, a
-// cache hit serves the identical slice (no recompute), and a row borrowed
+// cache hit serves the identical slice (no recompute), and a row taken
 // before its eviction keeps its contents afterwards — the aliasing rule
 // the Metric contract promises.
 func TestSparseLRUEviction(t *testing.T) {
@@ -100,8 +100,7 @@ func TestSparseLRUEviction(t *testing.T) {
 	s := NewSparse(g, 4)
 
 	row0 := s.Row(0)
-	borrowed := append([]float64(nil), row0...)
-	//repcheck:allow-rowborrow this test pins the backend aliasing guarantee: a cache hit must serve the identical slice
+	kept := append([]float64(nil), row0...)
 	if again := s.Row(0); &again[0] != &row0[0] {
 		t.Fatal("cache hit recomputed the row instead of serving the cached slice")
 	}
@@ -113,9 +112,9 @@ func TestSparseLRUEviction(t *testing.T) {
 			t.Fatalf("CachedRows = %d after %d sources, capacity is 4", got, u+1)
 		}
 	}
-	for i, v := range borrowed {
+	for i, v := range kept {
 		if math.Float64bits(row0[i]) != math.Float64bits(v) {
-			t.Fatalf("borrowed row mutated after eviction at index %d: %v vs %v", i, row0[i], v)
+			t.Fatalf("kept row mutated after eviction at index %d: %v vs %v", i, row0[i], v)
 		}
 	}
 	// The evicted source recomputes to the same bits.
@@ -124,7 +123,7 @@ func TestSparseLRUEviction(t *testing.T) {
 		t.Fatal("row 0 still cached after 9 newer sources in a 4-row cache")
 	}
 	for i := range fresh {
-		if math.Float64bits(fresh[i]) != math.Float64bits(borrowed[i]) {
+		if math.Float64bits(fresh[i]) != math.Float64bits(kept[i]) {
 			t.Fatalf("recomputed row differs at index %d", i)
 		}
 	}
@@ -212,7 +211,6 @@ func TestSparseLRUKeepsHotRows(t *testing.T) {
 		for u := 1; u <= 2; u++ {
 			s.Row(u)
 		}
-		//repcheck:allow-rowborrow this test pins LRU retention by slice identity across intervening Row calls
 		if got := s.Row(0); &got[0] != &hot[0] {
 			t.Fatalf("round %d: hot row was evicted despite being re-touched", round)
 		}
@@ -333,6 +331,55 @@ func TestPinMatchesRow(t *testing.T) {
 	}
 }
 
+// TestRowIsSingleNodePin pins the invariant the one-mode Metric contract
+// rests on: Row(u) and Pin(nil, []int{u})[0] agree bit for bit, and on
+// the dense and sparse backends they are the same memory, in every
+// sparse cache state — so no backend can recycle a Row without breaking
+// a Pin.
+func TestRowIsSingleNodePin(t *testing.T) {
+	const n = 20
+	g := chordedRing(n, 8, 13)
+	dense := g.AllPairs()
+	cases := []struct {
+		name   string
+		metric func(u int) Metric // a backend in the named state for source u
+		shared bool
+	}{
+		{"dense", func(int) Metric { return dense }, true},
+		{"sparse-cold", func(int) Metric { return NewSparse(g, 4) }, true},
+		{"sparse-warm", func(u int) Metric {
+			s := NewSparse(g, 4)
+			s.Pin(nil, []int{u})
+			return s
+		}, true},
+		{"sparse-evicted", func(u int) Metric {
+			s := NewSparse(g, 2)
+			s.Pin(nil, []int{u, (u + 1) % n, (u + 2) % n})
+			return s
+		}, true},
+		{"landmark", func(int) Metric { return NewLandmark(g, 4) }, false},
+		{"landmark-exact", func(int) Metric { return NewLandmark(g, n) }, false},
+	}
+	for _, c := range cases {
+		for u := 0; u < n; u++ {
+			m := c.metric(u)
+			row := m.Row(u)
+			pin := m.Pin(nil, []int{u})[0]
+			if len(row) != n || len(pin) != n {
+				t.Fatalf("%s: Row(%d) has %d entries, Pin %d, want %d", c.name, u, len(row), len(pin), n)
+			}
+			for v := range row {
+				if math.Float64bits(row[v]) != math.Float64bits(pin[v]) {
+					t.Fatalf("%s: Row(%d)[%d] = %v, Pin has %v", c.name, u, v, row[v], pin[v])
+				}
+			}
+			if c.shared && &row[0] != &pin[0] {
+				t.Fatalf("%s: Row(%d) and Pin of the same node do not share storage", c.name, u)
+			}
+		}
+	}
+}
+
 // TestPinAllocationFree: pinning rows a backend already holds does not
 // allocate once dst has capacity.
 func TestPinAllocationFree(t *testing.T) {
@@ -370,7 +417,6 @@ func TestLandmarkUpperBound(t *testing.T) {
 		for v := 0; v < 30; v++ {
 			truth := dense.Dist(u, v)
 			est := l.Dist(u, v)
-			//repcheck:allow-rowborrow Landmark.Row allocates per call (see its doc); this pins Dist/Row agreement bit for bit
 			if math.Float64bits(est) != math.Float64bits(row[v]) {
 				t.Fatalf("Dist(%d,%d)=%v disagrees with Row value %v", u, v, est, row[v])
 			}

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,23 +27,24 @@ func (r *latRing) add(d time.Duration) {
 	}
 }
 
-// percentile returns the q-quantile (0 < q <= 1) of the window via the
-// nearest-rank method, 0 with no samples.
-func (r *latRing) percentile(q float64) time.Duration {
-	if r.n == 0 {
-		return 0
+// samples returns a copy of the window's samples, in no order.
+func (r *latRing) samples() []int64 {
+	return slices.Clone(r.buf[:r.n])
+}
+
+// nearestRanks sorts samples in place and returns their p50, p90 and p99
+// by the nearest-rank method, all 0 with no samples.
+func nearestRanks(samples []int64) (p [3]time.Duration) {
+	n := len(samples)
+	if n == 0 {
+		return p
 	}
-	s := make([]int64, r.n)
-	copy(s, r.buf[:r.n])
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	rank := int(q*float64(r.n)+0.5) - 1
-	if rank < 0 {
-		rank = 0
+	slices.Sort(samples)
+	for i, q := range [3]float64{0.50, 0.90, 0.99} {
+		rank := min(max(int(q*float64(n)+0.5)-1, 0), n-1)
+		p[i] = time.Duration(samples[rank])
 	}
-	if rank >= r.n {
-		rank = r.n - 1
-	}
-	return time.Duration(s[rank])
+	return p
 }
 
 // Metrics aggregates the serving-side observables: per-class served
@@ -145,23 +146,9 @@ type Snapshot struct {
 	Classes            map[string]ClassStats `json:"classes"`
 }
 
-// snapshot merges the metrics with queue counters and engine state.
-func (m *Metrics) snapshot(q *IngestQueue, e *Engine, windowFill int) Snapshot {
-	admitted, shed := q.Counters()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	classes := make(map[string]ClassStats, numClasses)
-	for _, c := range Classes() {
-		classes[c.String()] = ClassStats{
-			Admitted:    admitted[c],
-			Shed:        shed[c],
-			Served:      m.served[c],
-			Quarantined: m.quarantined[c],
-			P50Millis:   float64(m.lat[c].percentile(0.50)) / 1e6,
-			P90Millis:   float64(m.lat[c].percentile(0.90)) / 1e6,
-			P99Millis:   float64(m.lat[c].percentile(0.99)) / 1e6,
-		}
-	}
+// engineSnapshot reads the engine fields of a snapshot; the caller holds
+// the lock that serializes Engine.Apply.
+func engineSnapshot(e *Engine) Snapshot {
 	totals := e.Totals()
 	recent := e.RecentRounds()
 	perRound := 0.0
@@ -173,18 +160,49 @@ func (m *Metrics) snapshot(q *IngestQueue, e *Engine, windowFill int) Snapshot {
 		perRound = sum / float64(len(recent))
 	}
 	return Snapshot{
-		Rounds:             m.rounds,
-		QuarantinedRound:   m.quarantineCount,
-		Ticks:              m.ticks,
-		ReplayedRounds:     m.replayed,
-		QueueDepth:         q.Depth(),
-		WindowFill:         windowFill,
-		CheckpointsOK:      m.ckptOK,
-		CheckpointsFail:    m.ckptFailed,
+		WindowFill:         e.WindowCount(),
 		Totals:             totals,
 		TotalCost:          totals.Total(),
 		RecentCostPerRound: perRound,
 		Placement:          e.Placement(),
-		Classes:            classes,
 	}
+}
+
+// snapshot completes snap, which holds the engine fields, with the
+// metrics and queue counters. The latency windows are copied under m.mu
+// and each class's copy is sorted once, after m.mu is released.
+func (m *Metrics) snapshot(q *IngestQueue, snap Snapshot) Snapshot {
+	admitted, shed := q.Counters()
+	var (
+		stats   [numClasses]ClassStats
+		samples [numClasses][]int64
+	)
+	m.mu.Lock()
+	for _, c := range Classes() {
+		stats[c] = ClassStats{
+			Admitted:    admitted[c],
+			Shed:        shed[c],
+			Served:      m.served[c],
+			Quarantined: m.quarantined[c],
+		}
+		samples[c] = m.lat[c].samples()
+	}
+	snap.Rounds = m.rounds
+	snap.QuarantinedRound = m.quarantineCount
+	snap.Ticks = m.ticks
+	snap.ReplayedRounds = m.replayed
+	snap.CheckpointsOK = m.ckptOK
+	snap.CheckpointsFail = m.ckptFailed
+	m.mu.Unlock()
+
+	snap.QueueDepth = q.Depth()
+	snap.Classes = make(map[string]ClassStats, numClasses)
+	for _, c := range Classes() {
+		p := nearestRanks(samples[c])
+		stats[c].P50Millis = float64(p[0]) / 1e6
+		stats[c].P90Millis = float64(p[1]) / 1e6
+		stats[c].P99Millis = float64(p[2]) / 1e6
+		snap.Classes[c.String()] = stats[c]
+	}
+	return snap
 }

@@ -399,10 +399,13 @@ func (s *Server) logf(format string, args ...interface{}) {
 }
 
 // MetricsSnapshot captures the full observable state for GET /metrics.
+// Only the engine fields are read under s.mu, the lock every Apply takes;
+// the counters and latency percentiles are read after it is released.
 func (s *Server) MetricsSnapshot() Snapshot {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.metrics.snapshot(s.queue, s.engine, s.engine.WindowCount())
+	snap := engineSnapshot(s.engine)
+	s.mu.Unlock()
+	return s.metrics.snapshot(s.queue, snap)
 }
 
 // PlacementView is the GET /placement shape.
