@@ -17,8 +17,6 @@
 //	figures -only 3 -shard 2/2 -partials parts/   # machine 2
 //	figures -only 3 -shard 1/2 -procs 4 -partials parts/  # shard on a worker pool
 //	figures -only 3 -merge -partials parts/       # fold the shards' results
-//	figures -only 3 -plan 2 -partials parts/      # LPT plan from the timings
-//	figures -only 3 -shard 1/2 -withplan -partials parts/  # planned shard
 //	figures -only 3 -serve-workers :9131          # coordinator: wait for workers
 //	figures -worker -connect host:9131            # remote worker (any machine)
 //	figures -only 3 -resume -partials parts/      # fill cells a drain left behind
@@ -75,15 +73,13 @@ func main() {
 	maxConfigs := flag.Int("maxconfigs", 0, "configuration-space bound for the enumeration-based algorithms (WFA/ONCONF); 0 keeps each experiment's default")
 	procs := flag.Int("procs", 0, "fan the whole selection's cell grids out over this many shared worker subprocesses")
 	shard := flag.String("shard", "", "evaluate only slice i of m of each grid, as i/m, and write partial results")
-	partials := flag.String("partials", "", "directory for shard partial and plan files (required with -shard, -merge, -plan)")
+	partials := flag.String("partials", "", "directory for shard partial files (required with -shard, -merge, -resume)")
 	merge := flag.Bool("merge", false, "merge shard partials from -partials and print the tables")
-	plan := flag.Int("plan", 0, "write an m-way timing-balanced shard plan from the partials of a previous run")
-	withPlan := flag.Bool("withplan", false, "with -shard i/m: evaluate the cells the plan file assigns to shard i instead of the modulo slice")
 	serveWorkers := flag.String("serve-workers", "", "coordinator mode: listen on this address for remote -connect workers instead of spawning subprocesses")
 	deadline := flag.Duration("deadline", 0, "fixed per-cell response deadline for pooled backends (0 = adaptive over observed cell times)")
 	resume := flag.Bool("resume", false, "evaluate the cells missing from the partials in -partials and write a resume partial")
 	faultInject := flag.String("faultinject", "", "testing: inject one worker fault, kind:N[:delay] with kind exit|wedge|slow|garbage|disconnect; exit:N exits right after response N. The first spawned worker gets it with -procs (through FIGURES_FAULT), this worker with -worker -connect")
-	workerFlag := flag.Bool("worker", false, "internal: serve cells on stdin/stdout (SPEC lines select the grid), or over TCP with -connect")
+	workerFlag := flag.Bool("worker", false, "internal: serve cells on stdin/stdout (SPEC lines select the grid and its -seed, -quick and -metric; only -maxconfigs is the worker's own), or over TCP with -connect")
 	connect := flag.String("connect", "", "with -worker: dial the coordinator at this address and serve cells over TCP, reconnecting with backoff")
 	flag.Parse()
 
@@ -91,17 +87,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := experiments.Options{Quick: *quickFlag, Seed: *seed, Metric: *metric, MaxConfigs: *maxConfigs}
 	if *workerFlag {
-		if *connect != "" {
-			if err := runner.ConnectWorker(*connect, func(name string) (*runner.Spec, error) {
-				return experiments.NewSpec(name, opts)
-			}, runner.WorkerOptions{Fault: fault, Logf: log.Printf}); err != nil {
-				log.Fatal(err)
+		// The coordinator's SPEC lines carry the options cell values depend
+		// on, so a worker started with other ones still fills the grid right.
+		build := func(name, options string) (*runner.Spec, error) {
+			o, err := experiments.ParseOptions(options)
+			if err != nil {
+				return nil, err
 			}
-			return
+			o.MaxConfigs = *maxConfigs
+			return experiments.NewSpec(name, o)
 		}
-		if err := runWorker(opts); err != nil {
+		if *connect != "" {
+			err = runner.ConnectWorker(*connect, build, runner.WorkerOptions{Fault: fault, Logf: log.Printf})
+		} else {
+			err = runWorker(build)
+		}
+		if err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -114,23 +116,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if (shardTotal > 0 || *merge || *plan > 0 || *resume) && *partials == "" {
-		log.Fatal("-shard, -merge, -plan, and -resume require -partials")
+	if (shardTotal > 0 || *merge || *resume) && *partials == "" {
+		log.Fatal("-shard, -merge, and -resume require -partials")
 	}
 	modes := 0
-	for _, on := range []bool{shardTotal > 0, *merge, *plan > 0, *resume, *serveWorkers != ""} {
+	for _, on := range []bool{shardTotal > 0, *merge, *resume, *serveWorkers != ""} {
 		if on {
 			modes++
 		}
 	}
 	if modes > 1 {
-		log.Fatal("-shard, -merge, -plan, -resume, and -serve-workers are mutually exclusive")
+		log.Fatal("-shard, -merge, -resume, and -serve-workers are mutually exclusive")
 	}
 	if shardTotal > 0 && *csvDir != "" {
 		log.Fatal("-shard emits partial files only; use -csvdir on the -merge run")
-	}
-	if *withPlan && shardTotal == 0 {
-		log.Fatal("-withplan requires -shard")
 	}
 	if fault != nil && *procs <= 0 {
 		log.Fatal("-faultinject requires -procs (or a -worker -connect worker)")
@@ -147,6 +146,7 @@ func main() {
 		}
 	}
 
+	opts := experiments.Options{Quick: *quickFlag, Seed: *seed, Metric: *metric, MaxConfigs: *maxConfigs}
 	cfg := runner.Config{Deadline: *deadline}
 	if *serveWorkers != "" {
 		tr, err := runner.Listen(*serveWorkers)
@@ -163,11 +163,11 @@ func main() {
 	}
 	// -procs composes with -shard and -resume: the slice's cells are routed
 	// through the same fault-tolerant worker pool the full run uses, instead
-	// of the in-process Local pool. -merge and -plan never evaluate cells,
-	// so they stay local.
+	// of the in-process Local pool. -merge never evaluates cells, so it
+	// stays local.
 	var pool *runner.Pool
-	if *procs > 0 && !*merge && *plan == 0 {
-		pool = runner.NewPool(&runner.PipeTransport{N: *procs, Command: workerCommand(opts, fault)}, cfg)
+	if *procs > 0 && !*merge {
+		pool = runner.NewPool(&runner.PipeTransport{N: *procs, Command: workerCommand(*maxConfigs, fault)}, cfg)
 		defer pool.Close()
 	}
 	if pool != nil && shardTotal == 0 && !*resume {
@@ -184,20 +184,16 @@ func main() {
 			log.Fatal(err)
 		}
 		switch {
-		case *plan > 0:
-			if err := runPlan(sp, opts, *plan, *partials); err != nil {
-				log.Fatalf("figure %s: %v", name, err)
-			}
 		case shardTotal > 0:
-			if err := runShard(sp, opts, shardIdx, shardTotal, *partials, *withPlan, pool); err != nil {
+			if err := runShard(sp, shardIdx, shardTotal, *partials, pool); err != nil {
 				log.Fatalf("figure %s: %v", name, err)
 			}
 		case *resume:
-			if err := runResume(sp, opts, *partials, pool); err != nil {
+			if err := runResume(sp, *partials, pool); err != nil {
 				log.Fatalf("figure %s: %v", name, err)
 			}
 		case *merge:
-			tab, err := mergeShards(sp, opts, *partials)
+			tab, err := mergeShards(sp, *partials)
 			if err != nil {
 				log.Fatalf("figure %s: %v", name, err)
 			}
@@ -268,7 +264,7 @@ func runPooled(pool *runner.Pool, selected []string, opts experiments.Options, c
 		// reproduces the full output byte-identically.
 		missing := 0
 		for i, g := range grids {
-			p := g.Partial(opts.Seed, opts.Quick, 0, 0)
+			p := g.Partial(0, 0)
 			missing += len(p.MissingCells())
 			path := filepath.Join(dir, selected[i]+".shard-drain.json")
 			if werr := writeFileAtomic(path, func(w io.Writer) error {
@@ -301,8 +297,8 @@ func drainedNextStep(missing int, dir string) string {
 // the complete grid. Output is byte-identical to an uninterrupted run: cell
 // results depend only on (figure, options, cell index), never on which
 // process computed them.
-func runResume(sp *runner.Spec, o experiments.Options, dir string, pool *runner.Pool) error {
-	merged, err := loadMerged(sp, o, dir)
+func runResume(sp *runner.Spec, dir string, pool *runner.Pool) error {
+	merged, err := loadMerged(sp, dir)
 	if err != nil {
 		return err
 	}
@@ -316,7 +312,7 @@ func runResume(sp *runner.Spec, o experiments.Options, dir string, pool *runner.
 	if err != nil {
 		return err
 	}
-	p := g.Partial(o.Seed, o.Quick, 0, 0)
+	p := g.Partial(0, 0)
 	path := filepath.Join(dir, sp.Name+".shard-resume.json")
 	if err := writeFileAtomic(path, func(w io.Writer) error {
 		return trace.WritePartial(w, p)
@@ -341,8 +337,8 @@ func emit(name string, tab *trace.Table, csvDir string) {
 }
 
 // writeFileAtomic writes via a temp file in the destination's directory and
-// renames it into place, so a killed run never leaves a truncated partial,
-// plan, or CSV for a later -merge or -withplan run to ingest.
+// renames it into place, so a killed run never leaves a truncated partial
+// or CSV for a later -merge run to ingest.
 func writeFileAtomic(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -373,47 +369,35 @@ func writeCSV(dir, name string, tab *trace.Table) error {
 }
 
 // runWorker serves cells over stdin/stdout — the subprocess half of the
-// pooled backend. The coordinator selects grids with SPEC protocol lines
-// (any registered experiment name), so one worker process serves cells from
-// successive figures. The experiment options arrive on the command line, so
-// both sides build the identical grid; FIGURES_FAULT optionally injects one
-// fault (-faultinject syntax).
-func runWorker(o experiments.Options) error {
+// pooled backend. The coordinator selects grids and their options with SPEC
+// protocol lines, so one worker process serves cells from successive
+// figures and both sides build the identical grid; FIGURES_FAULT
+// optionally injects one fault (-faultinject syntax).
+func runWorker(build func(name, options string) (*runner.Spec, error)) error {
 	fault, err := runner.ParseFault(os.Getenv("FIGURES_FAULT"))
 	if err != nil {
 		return err
 	}
-	err = runner.ServePool(func(name string) (*runner.Spec, error) {
-		return experiments.NewSpec(name, o)
-	}, os.Stdin, os.Stdout, runner.ServeOptions{Fault: fault})
+	err = runner.ServePool(build, os.Stdin, os.Stdout, runner.ServeOptions{Fault: fault})
 	if errors.Is(err, runner.ErrBye) {
 		return nil
 	}
 	return err
 }
 
-// workerCommand re-invokes this binary in -worker mode. With fault
-// injection, only the first spawned worker gets the fault (passed via the
-// FIGURES_FAULT environment variable) — respawned replacements are healthy,
-// so the requeued cells complete.
-func workerCommand(o experiments.Options, fault *runner.Fault) func() (*exec.Cmd, error) {
+// workerCommand re-invokes this binary in -worker mode with the
+// coordinator's memory bound; every other option arrives in the session.
+// With fault injection, only the first spawned worker gets the fault
+// (passed via the FIGURES_FAULT environment variable) — respawned
+// replacements are healthy, so the requeued cells complete.
+func workerCommand(maxConfigs int, fault *runner.Fault) func() (*exec.Cmd, error) {
 	var spawned atomic.Int64
 	return func() (*exec.Cmd, error) {
 		exe, err := os.Executable()
 		if err != nil {
 			return nil, err
 		}
-		args := []string{"-worker", "-seed", strconv.FormatInt(o.Seed, 10)}
-		if o.Quick {
-			args = append(args, "-quick")
-		}
-		if o.Metric != "" {
-			args = append(args, "-metric", o.Metric)
-		}
-		if o.MaxConfigs != 0 {
-			args = append(args, "-maxconfigs", strconv.Itoa(o.MaxConfigs))
-		}
-		cmd := exec.Command(exe, args...)
+		cmd := exec.Command(exe, "-worker", "-maxconfigs", strconv.Itoa(maxConfigs))
 		cmd.Stderr = os.Stderr
 		if fault != nil && spawned.Add(1) == 1 {
 			cmd.Env = append(os.Environ(), "FIGURES_FAULT="+fault.String())
@@ -422,33 +406,18 @@ func workerCommand(o experiments.Options, fault *runner.Fault) func() (*exec.Cmd
 	}
 }
 
-// runShard evaluates one slice of the grid and writes the mergeable partial
-// file <partials>/<name>.shard-<i>-of-<m>.json. With withPlan, the slice is
-// the cell set a timing plan (figures -plan) assigns to this shard instead
-// of the modulo split.
-func runShard(sp *runner.Spec, o experiments.Options, idx, total int, dir string, withPlan bool, pool *runner.Pool) error {
-	var idxs []int
-	if withPlan {
-		pl, err := readPlan(dir, sp.Name, total)
-		if err != nil {
-			return err
-		}
-		if pl.Cells != sp.Cells() {
-			return fmt.Errorf("plan covers %d cells, grid has %d", pl.Cells, sp.Cells())
-		}
-		idxs = pl.ShardCells(idx)
-	} else {
-		var err error
-		idxs, err = runner.ShardCells(sp.Cells(), idx, total)
-		if err != nil {
-			return err
-		}
+// runShard evaluates the modulo slice idx of total of the grid and writes
+// the mergeable partial file <partials>/<name>.shard-<i>-of-<m>.json.
+func runShard(sp *runner.Spec, idx, total int, dir string, pool *runner.Pool) error {
+	idxs, err := runner.ShardCells(sp.Cells(), idx, total)
+	if err != nil {
+		return err
 	}
 	g, err := runCellSubset(sp, idxs, pool)
 	if err != nil {
 		return err
 	}
-	p := g.Partial(o.Seed, o.Quick, idx, total)
+	p := g.Partial(idx, total)
 	path := filepath.Join(dir, shardFile(sp.Name, idx, total))
 	if err := writeFileAtomic(path, func(w io.Writer) error {
 		return trace.WritePartial(w, p)
@@ -479,60 +448,9 @@ func shardFile(name string, idx, total int) string {
 	return fmt.Sprintf("%s.shard-%d-of-%d.json", name, idx, total)
 }
 
-func planFile(name string, shards int) string {
-	return fmt.Sprintf("%s.plan-%d-way.json", name, shards)
-}
-
-// readPlan loads the figure's m-way plan file from the partials directory.
-func readPlan(dir, name string, shards int) (*trace.Plan, error) {
-	path := filepath.Join(dir, planFile(name, shards))
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	pl, err := trace.ReadPlan(fh)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if pl.Figure != name || pl.Shards != shards {
-		return nil, fmt.Errorf("%s: plan is for %s over %d shards", path, pl.Figure, pl.Shards)
-	}
-	return pl, nil
-}
-
-// runPlan derives an m-way timing-balanced shard plan from the partials of
-// a previous run of this figure and writes it next to them, for -shard
-// -withplan to consume.
-func runPlan(sp *runner.Spec, o experiments.Options, shards int, dir string) error {
-	merged, err := loadMerged(sp, o, dir)
-	if err != nil {
-		return err
-	}
-	if err := checkCoverage(merged); err != nil {
-		return err
-	}
-	pl, err := trace.PlanShards(merged, shards)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, planFile(sp.Name, shards))
-	if err := writeFileAtomic(path, func(w io.Writer) error {
-		return trace.WritePlan(w, pl)
-	}); err != nil {
-		return err
-	}
-	for i, ns := range pl.ShardNanos {
-		log.Printf("figure %s: plan shard %d/%d: %d cells, predicted %v",
-			sp.Name, i+1, shards, len(pl.ShardCells(i+1)), time.Duration(ns).Round(time.Millisecond))
-	}
-	log.Printf("figure %s: wrote %s", sp.Name, path)
-	return nil
-}
-
 // loadMerged reads and merges every partial file of one figure, reporting
 // each shard's recorded cell time, and validates the options match the run.
-func loadMerged(sp *runner.Spec, o experiments.Options, dir string) (*trace.Partial, error) {
+func loadMerged(sp *runner.Spec, dir string) (*trace.Partial, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, sp.Name+".shard-*.json"))
 	if err != nil {
 		return nil, err
@@ -560,19 +478,17 @@ func loadMerged(sp *runner.Spec, o experiments.Options, dir string) (*trace.Part
 	if err != nil {
 		return nil, err
 	}
-	if merged.Seed != o.Seed || merged.Quick != o.Quick {
-		return nil, fmt.Errorf("partials were produced with -seed %d quick=%v, run asked for -seed %d quick=%v",
-			merged.Seed, merged.Quick, o.Seed, o.Quick)
+	if merged.Options != sp.Options {
+		return nil, fmt.Errorf("partials were produced with options %q, run asked for %q", merged.Options, sp.Options)
 	}
 	return merged, nil
 }
 
 // mergeShards folds every partial file of one figure back into the full
 // grid and reduces it — the output is byte-identical to a single-process
-// run of the same figure. Per-shard cell-time totals go to stderr, the
-// input for balancing the next run (figures -plan).
-func mergeShards(sp *runner.Spec, o experiments.Options, dir string) (*trace.Table, error) {
-	merged, err := loadMerged(sp, o, dir)
+// run of the same figure. Per-shard cell-time totals go to stderr.
+func mergeShards(sp *runner.Spec, dir string) (*trace.Table, error) {
+	merged, err := loadMerged(sp, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -587,9 +503,9 @@ func mergeShards(sp *runner.Spec, o experiments.Options, dir string) (*trace.Tab
 }
 
 // checkCoverage rejects a merged partial that does not cover the whole
-// grid, naming the missing cell indices — the guard that keeps -merge and
-// -plan from silently reducing an interrupted run. A -resume run fills
-// exactly these cells.
+// grid, naming the missing cell indices — the guard that keeps -merge from
+// silently reducing an interrupted run. A -resume run fills exactly these
+// cells.
 func checkCoverage(merged *trace.Partial) error {
 	missing := merged.MissingCells()
 	if len(missing) == 0 {

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -19,19 +20,10 @@ import (
 )
 
 func TestMain(m *testing.M) {
-	// Re-executed as a -worker subprocess by the worker-mode tests: serve
-	// cells on stdin/stdout exactly as `figures -worker` would.
-	if os.Getenv("FIGURES_TEST_WORKER") != "" {
-		seed, err := strconv.ParseInt(os.Getenv("FIGURES_TEST_SEED"), 10, 64)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		o := experiments.Options{Quick: true, Seed: seed}
-		if err := runWorker(o); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	// Re-executed as the figures command (figuresCmd): run main on the
+	// arguments given, as the built binary would.
+	if os.Getenv("FIGURES_TEST_MAIN") != "" {
+		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
@@ -128,7 +120,7 @@ func TestWorkerModeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := runner.NewPool(&runner.PipeTransport{N: 2, Command: testWorkerCmd(t, o.Seed, "")}, runner.Config{})
+	pool := runner.NewPool(&runner.PipeTransport{N: 2, Command: testWorkerCmd(t, "")}, runner.Config{})
 	defer pool.Close()
 	got, err := runner.Run(sp, pool)
 	if err != nil {
@@ -154,8 +146,8 @@ func TestWorkerModeFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var spawned atomic.Int64
-	healthy := testWorkerCmd(t, o.Seed, "")
-	faulty := testWorkerCmd(t, o.Seed, "exit:2")
+	healthy := testWorkerCmd(t, "")
+	faulty := testWorkerCmd(t, "exit:2")
 	pool := runner.NewPool(&runner.PipeTransport{N: 2, Command: func() (*exec.Cmd, error) {
 		if spawned.Add(1) == 1 {
 			return faulty()
@@ -177,55 +169,6 @@ func TestWorkerModeFaultInjection(t *testing.T) {
 	}
 	if n := spawned.Load(); n < 2 {
 		t.Fatalf("fault injection spawned %d workers; the dying worker was never replaced", n)
-	}
-}
-
-// TestPlannedShardMergeRoundTrip runs a modulo-sharded pass to collect
-// timings, derives a 2-way LPT plan from its partials, re-runs both shards
-// under the plan, and checks the merged table is still bit-identical — the
-// -plan / -shard -withplan recipe end to end.
-func TestPlannedShardMergeRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	o := experiments.Options{Quick: true, Seed: 7}
-	sp, err := experiments.NewSpec("13", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 2; i++ {
-		if err := runShard(sp, o, i, 2, dir, false, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// No plan file yet: -withplan must refuse, not fall back silently.
-	if err := runShard(sp, o, 1, 2, dir, true, nil); err == nil {
-		t.Fatal("-withplan ran without a plan file")
-	}
-	if err := runPlan(sp, o, 2, dir); err != nil {
-		t.Fatal(err)
-	}
-	pl, err := readPlan(dir, "13", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(pl.ShardCells(1)) + len(pl.ShardCells(2)); got != sp.Cells() {
-		t.Fatalf("plan covers %d of %d cells", got, sp.Cells())
-	}
-	for i := 1; i <= 2; i++ {
-		if err := runShard(sp, o, i, 2, dir, true, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := mergeShards(sp, o, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := localTable(t, "13", o)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("planned shard+merge table differs from in-process run")
-	}
-	// A plan for a different split must be refused.
-	if _, err := readPlan(dir, "13", 3); err == nil {
-		t.Fatal("3-way plan read from a 2-way file")
 	}
 }
 
@@ -273,11 +216,11 @@ func TestShardMergeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 2; i++ {
-		if err := runShard(sp, o, i, 2, dir, false, nil); err != nil {
+		if err := runShard(sp, i, 2, dir, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := mergeShards(sp, o, dir)
+	got, err := mergeShards(sp, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,14 +229,18 @@ func TestShardMergeRoundTrip(t *testing.T) {
 		t.Fatal("shard+merge table differs from in-process run")
 	}
 	// Mismatched options must be refused, not silently reduced.
-	if _, err := mergeShards(sp, experiments.Options{Quick: true, Seed: 1}, dir); err == nil {
+	other, err := experiments.NewSpec("13", experiments.Options{Quick: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mergeShards(other, dir); err == nil {
 		t.Fatal("merge accepted partials from a different seed")
 	}
 	// A missing shard must be reported as incomplete.
 	if err := os.Remove(filepath.Join(dir, shardFile("13", 1, 2))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mergeShards(sp, o, dir); err == nil {
+	if _, err := mergeShards(sp, dir); err == nil {
 		t.Fatal("merge reduced an incomplete grid")
 	}
 }
@@ -307,10 +254,10 @@ func TestMergeReportsMissingCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runShard(sp, o, 2, 2, dir, false, nil); err != nil { // shard 2 only
+	if err := runShard(sp, 2, 2, dir, nil); err != nil { // shard 2 only
 		t.Fatal(err)
 	}
-	_, err = mergeShards(sp, o, dir)
+	_, err = mergeShards(sp, dir)
 	if err == nil {
 		t.Fatal("merge reduced an incomplete grid")
 	}
@@ -332,16 +279,16 @@ func TestResumeFillsMissingCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runShard(sp, o, 1, 2, dir, false, nil); err != nil { // half the grid
+	if err := runShard(sp, 1, 2, dir, nil); err != nil { // half the grid
 		t.Fatal(err)
 	}
-	if err := runResume(sp, o, dir, nil); err != nil {
+	if err := runResume(sp, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "13.shard-resume.json")); err != nil {
 		t.Fatalf("resume partial not written: %v", err)
 	}
-	got, err := mergeShards(sp, o, dir)
+	got, err := mergeShards(sp, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,10 +298,10 @@ func TestResumeFillsMissingCells(t *testing.T) {
 	}
 	// A second resume over the now-complete partials is a no-op, not an
 	// error — and must not disturb the merge.
-	if err := runResume(sp, o, dir, nil); err != nil {
+	if err := runResume(sp, dir, nil); err != nil {
 		t.Fatalf("resume over complete partials: %v", err)
 	}
-	if got2, err := mergeShards(sp, o, dir); err != nil || !reflect.DeepEqual(got2, want) {
+	if got2, err := mergeShards(sp, dir); err != nil || !reflect.DeepEqual(got2, want) {
 		t.Fatalf("merge after no-op resume changed: %v", err)
 	}
 }
@@ -380,8 +327,8 @@ func TestWorkerModeFaultMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			var spawned atomic.Int64
-			healthy := testWorkerCmd(t, o.Seed, "")
-			faulty := testWorkerCmd(t, o.Seed, fault.String())
+			healthy := testWorkerCmd(t, "")
+			faulty := testWorkerCmd(t, fault.String())
 			// One slot, so the faulty first worker necessarily serves the
 			// cell that arms its fault.
 			pool := runner.NewPool(&runner.PipeTransport{
@@ -417,6 +364,87 @@ func TestWorkerModeFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestTCPWorkerTakesCoordinatorOptions serves a quick seed-1 dense grid
+// from a TCP worker started with -seed 7 -metric landmark:2. The grids have
+// the same shape, so only the options can tell the cells apart: the worker
+// must evaluate every cell under the coordinator's options, so the table
+// matches the in-process seed-1 run.
+func TestTCPWorkerTakesCoordinatorOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a worker process")
+	}
+	o := experiments.Options{Quick: true, Seed: 1}
+	sp, err := experiments.NewSpec("13", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := runner.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := runner.NewPool(tr, runner.Config{})
+	defer pool.Close()
+	var workerLog strings.Builder
+	worker := figuresCmd("-quick", "-seed", "7", "-metric", "landmark:2", "-worker", "-connect", tr.Addr())
+	worker.Stderr = &workerLog
+	if err := worker.Start(); err != nil {
+		t.Fatal(err)
+	}
+	got, runErr := runner.Run(sp, pool)
+	if runErr != nil {
+		worker.Process.Kill()
+	}
+	pool.Close()
+	waitErr := worker.Wait()
+	if runErr != nil || waitErr != nil {
+		t.Fatalf("run: %v, worker: %v\nworker log:\n%s", runErr, waitErr, workerLog.String())
+	}
+	if want := localTable(t, "13", o); !reflect.DeepEqual(got, want) {
+		t.Fatalf("TCP worker table differs from the in-process seed-1 run:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestMergeRefusesMetricMismatch merges a landmark:2 shard with a dense one
+// through the command: the merge must fail naming both options, not print
+// a table that matches neither run.
+func TestMergeRefusesMetricMismatch(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-quick", "-seed", "1", "-only", "3", "-partials", dir}
+	for _, extra := range [][]string{{"-shard", "1/2", "-metric", "landmark:2"}, {"-shard", "2/2"}} {
+		if _, stderr, err := runFigures(t, slices.Concat(base, extra)...); err != nil {
+			t.Fatalf("%v: %v\n%s", extra, err, stderr)
+		}
+	}
+	stdout, stderr, err := runFigures(t, slices.Concat(base, []string{"-merge"})...)
+	if err == nil {
+		t.Fatalf("merge of a landmark and a dense shard succeeded:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "metric=landmark:2") || !strings.Contains(stderr, "metric=dense") {
+		t.Fatalf("merge error does not name both metrics:\n%s", stderr)
+	}
+}
+
+// TestMergeRefusesShortCell cuts one cell of a figure-6 partial to a single
+// value: the merge must fail with an error naming the spec and the cell,
+// not panic in the figure's Reduce.
+func TestMergeRefusesShortCell(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-quick", "-seed", "1", "-only", "6", "-partials", dir}
+	if _, stderr, err := runFigures(t, slices.Concat(base, []string{"-shard", "1/1"})...); err != nil {
+		t.Fatalf("shard: %v\n%s", err, stderr)
+	}
+	path := filepath.Join(dir, shardFile("6", 1, 1))
+	p := readPartialFile(t, path)
+	p.Results[0].Values = p.Results[0].Values[:1]
+	if err := writeFileAtomic(path, func(w io.Writer) error { return trace.WritePartial(w, p) }); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, err := runFigures(t, slices.Concat(base, []string{"-merge"})...)
+	if err == nil || strings.Contains(stderr, "panic") || !strings.Contains(stderr, "spec 6 cell 0") {
+		t.Fatalf("merge of a short cell: exit %v, want an error naming spec 6 cell 0:\n%s", err, stderr)
+	}
+}
+
 // TestDrainedNextStep pins the post-drain hint: -resume is suggested only
 // when the drain actually left cells unevaluated; a drain that landed
 // after the last cell needs only the -merge.
@@ -448,12 +476,12 @@ func TestRunShardOnPoolMatchesLocal(t *testing.T) {
 	}
 	poolDir := t.TempDir()
 	localDir := t.TempDir()
-	pool := runner.NewPool(&runner.PipeTransport{N: 2, Command: testWorkerCmd(t, o.Seed, "")}, runner.Config{})
+	pool := runner.NewPool(&runner.PipeTransport{N: 2, Command: testWorkerCmd(t, "")}, runner.Config{})
 	defer pool.Close()
-	if err := runShard(sp, o, 1, 2, poolDir, false, pool); err != nil {
+	if err := runShard(sp, 1, 2, poolDir, pool); err != nil {
 		t.Fatal(err)
 	}
-	if err := runShard(sp, o, 1, 2, localDir, false, nil); err != nil {
+	if err := runShard(sp, 1, 2, localDir, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := readPartialFile(t, filepath.Join(poolDir, shardFile("3", 1, 2)))
@@ -469,9 +497,6 @@ func TestRunShardOnPoolMatchesLocal(t *testing.T) {
 	}
 }
 
-// testWorkerCmd re-invokes this test binary as a quick-mode pool worker
-// (via the TestMain hook); fault, if non-empty, is passed in FIGURES_FAULT
-// exactly as workerCommand passes -faultinject.
 // localTable runs the named figure on the in-process runner, the
 // reference every worker, pool and shard path must reproduce.
 func localTable(t *testing.T, name string, o experiments.Options) *trace.Table {
@@ -487,17 +512,31 @@ func localTable(t *testing.T, name string, o experiments.Options) *trace.Table {
 	return tab
 }
 
-func testWorkerCmd(t *testing.T, seed int64, fault string) func() (*exec.Cmd, error) {
+// figuresCmd re-invokes this test binary as the figures command on args
+// (via the TestMain hook).
+func figuresCmd(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "FIGURES_TEST_MAIN=1")
+	return cmd
+}
+
+// runFigures runs the figures command on args and returns its stdout and
+// stderr; err is the exit status.
+func runFigures(t *testing.T, args ...string) (stdout, stderr string, err error) {
 	t.Helper()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var out, errOut strings.Builder
+	cmd := figuresCmd(args...)
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
+// testWorkerCmd spawns pool workers as workerCommand does; fault, if
+// non-empty, is passed in FIGURES_FAULT exactly as workerCommand passes
+// -faultinject.
+func testWorkerCmd(t *testing.T, fault string) func() (*exec.Cmd, error) {
 	return func() (*exec.Cmd, error) {
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(),
-			"FIGURES_TEST_WORKER=1",
-			"FIGURES_TEST_SEED="+strconv.FormatInt(seed, 10))
+		cmd := figuresCmd("-worker")
 		if fault != "" {
 			cmd.Env = append(cmd.Env, "FIGURES_FAULT="+fault)
 		}

@@ -50,7 +50,7 @@ func ablateSpec(o Options, name, title, xlabel string, xs []float64,
 	seed := o.seed()
 	return &runner.Spec{
 		Name: name,
-		Xs:   len(xs), Variants: 1, Runs: runs,
+		Xs:   len(xs), Variants: 1, Runs: runs, Width: 1,
 		Cell: func(xi, _, run int) ([]float64, error) {
 			pool := poolDefaults()
 			load, policy := configure(xi, &pool)

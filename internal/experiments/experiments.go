@@ -19,6 +19,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 
@@ -54,6 +55,24 @@ type Options struct {
 	// semantic one — it never changes results, only whether Reset admits
 	// the space.
 	MaxConfigs int
+}
+
+// String is the canonical text of the options a cell's values depend on —
+// seed, quick and metric, with the defaults spelled out — the form
+// runner.Spec.Options carries to workers and into partial files.
+// MaxConfigs is left out: it bounds memory, not values, so every process
+// sets its own.
+func (o Options) String() string {
+	return fmt.Sprintf("seed=%d quick=%t metric=%s", o.seed(), o.Quick, cmp.Or(o.Metric, "dense"))
+}
+
+// ParseOptions inverts String; it accepts only String's canonical form.
+func ParseOptions(s string) (Options, error) {
+	var o Options
+	if _, err := fmt.Sscanf(s, "seed=%d quick=%t metric=%s", &o.Seed, &o.Quick, &o.Metric); err != nil || o.String() != s {
+		return Options{}, fmt.Errorf("experiments: options %q are not of the form %q", s, "seed=N quick=BOOL metric=SPEC")
+	}
+	return o, nil
 }
 
 func (o Options) seed() int64 {
@@ -299,7 +318,9 @@ func SpecNames() []string {
 func NewSpec(name string, o Options) (*runner.Spec, error) {
 	for _, e := range specRegistry() {
 		if e.name == name {
-			return e.build(o), nil
+			sp := e.build(o)
+			sp.Options = o.String()
+			return sp, nil
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown spec %q", name)

@@ -328,8 +328,8 @@ func TestSpecRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spec.Name != name {
-			t.Fatalf("spec %q built under name %q", name, spec.Name)
+		if spec.Name != name || spec.Options != quick().String() {
+			t.Fatalf("spec %q built under name %q, options %q", name, spec.Name, spec.Options)
 		}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -337,6 +337,29 @@ func TestSpecRegistry(t *testing.T) {
 	}
 	if _, err := NewSpec("no-such-figure", quick()); err == nil {
 		t.Fatal("unknown spec accepted")
+	}
+}
+
+// TestOptionsRoundTrip pins the options text workers and partial files
+// carry: ParseOptions inverts String, defaults are spelled out, and any
+// other text is refused.
+func TestOptionsRoundTrip(t *testing.T) {
+	for _, o := range []Options{{}, {Quick: true, Seed: 7}, {Seed: -3, Metric: "landmark:2"}, {Metric: "sparse:64"}} {
+		back, err := ParseOptions(o.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.String() != o.String() {
+			t.Fatalf("%q parsed back as %q", o.String(), back.String())
+		}
+	}
+	if got := (Options{}).String(); got != "seed=1 quick=false metric=dense" {
+		t.Fatalf("zero Options = %q", got)
+	}
+	for _, bad := range []string{"", "seed=1", "seed=1 quick=false metric=dense x", "seed=1 quick=no metric=dense", "seed=01 quick=false metric=dense"} {
+		if _, err := ParseOptions(bad); err == nil {
+			t.Fatalf("ParseOptions(%q) accepted", bad)
+		}
 	}
 }
 
@@ -383,7 +406,7 @@ func TestSpecShardMergeParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts = append(parts, g.Partial(7, true, i, 2))
+		parts = append(parts, g.Partial(i, 2))
 	}
 	merged, err := trace.MergePartials(parts...)
 	if err != nil {

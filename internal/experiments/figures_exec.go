@@ -57,7 +57,7 @@ func figureExecSpec(o Options, name, title string, kind scenarioKind, n, T, lamb
 	}
 	return &runner.Spec{
 		Name: name,
-		Xs:   1, Variants: len(loads), Runs: 1,
+		Xs:   1, Variants: len(loads), Runs: 1, Width: rounds,
 		Cell: func(_, vi, _ int) ([]float64, error) {
 			g, m, err := substrate()
 			if err != nil {

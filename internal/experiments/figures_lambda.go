@@ -21,7 +21,7 @@ func figureLambdaSpec(o Options, name, title string, kind scenarioKind) *runner.
 	labels := []string{"ONBR-fixed", "ONBR-dyn", "ONTH"}
 	return &runner.Spec{
 		Name: name,
-		Xs:   len(lambdas), Variants: len(labels), Runs: runs,
+		Xs:   len(lambdas), Variants: len(labels), Runs: runs, Width: 1,
 		Cell: func(xi, ai, run int) ([]float64, error) {
 			s := runSeed(seed, xi, run)
 			env, err := erEnv(n, cost.Linear{}, cost.DefaultParams(), s, o.Metric)

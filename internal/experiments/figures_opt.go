@@ -63,7 +63,7 @@ func figure11Spec(o Options) *runner.Spec {
 	}
 	return &runner.Spec{
 		Name: "11",
-		Xs:   len(lambdas), Variants: len(kinds), Runs: runs,
+		Xs:   len(lambdas), Variants: len(kinds), Runs: runs, Width: 1,
 		Cell: func(xi, ki, run int) ([]float64, error) {
 			s := runSeed(seed, xi*len(kinds)+ki, run)
 			env, seq, err := optInstance(kinds[ki], cost.DefaultParams(), n, T, lambdas[xi], rounds, 3, s, o.Metric)
@@ -98,7 +98,7 @@ func figure12Spec(o Options) *runner.Spec {
 
 	return &runner.Spec{
 		Name: "12",
-		Xs:   1, Variants: 1, Runs: 1,
+		Xs:   1, Variants: 1, Runs: 1, Width: maxK,
 		Cell: func(_, _, _ int) ([]float64, error) {
 			env, err := erEnv(n, cost.Linear{}, cost.DefaultParams(), seed, o.Metric)
 			if err != nil {
@@ -148,7 +148,7 @@ func figureAbsoluteSpec(o Options, name, title string, params cost.Params) *runn
 
 	return &runner.Spec{
 		Name: name,
-		Xs:   len(lambdas), Variants: 1, Runs: runs,
+		Xs:   len(lambdas), Variants: 1, Runs: runs, Width: 2,
 		Cell: func(xi, _, run int) ([]float64, error) {
 			s := runSeed(seed, xi, run)
 			env, seq, err := optInstance(commuterDynamic, params, n, T, lambdas[xi], rounds, 0, s, o.Metric)
@@ -209,7 +209,7 @@ func figureRatioLambdaSpec(o Options, name, title string, kind scenarioKind, req
 	labels := []string{paramSets[0].label, paramSets[1].label}
 	return &runner.Spec{
 		Name: name,
-		Xs:   len(lambdas), Variants: len(paramSets), Runs: runs,
+		Xs:   len(lambdas), Variants: len(paramSets), Runs: runs, Width: 1,
 		Cell: func(xi, pi, run int) ([]float64, error) {
 			s := runSeed(seed, xi*len(paramSets)+pi, run)
 			env, seq, err := optInstance(kind, paramSets[pi].params, n, T, lambdas[xi], rounds, reqPerRound, s, o.Metric)
@@ -269,7 +269,7 @@ func figureRatioTSpec(o Options, name, title string, kind scenarioKind) *runner.
 	labels := []string{paramSets[0].label, paramSets[1].label}
 	return &runner.Spec{
 		Name: name,
-		Xs:   len(Ts), Variants: len(paramSets), Runs: runs,
+		Xs:   len(Ts), Variants: len(paramSets), Runs: runs, Width: 1,
 		Cell: func(xi, pi, run int) ([]float64, error) {
 			s := runSeed(seed, xi*len(paramSets)+pi, run)
 			env, seq, err := optInstance(kind, paramSets[pi].params, n, Ts[xi], lambda, rounds, 0, s, o.Metric)

@@ -41,7 +41,7 @@ func compareScenariosSpec(o Options) *runner.Spec {
 	labels := scenarioLabels()
 	return &runner.Spec{
 		Name: "compare-scenarios",
-		Xs:   len(kinds), Variants: len(labels), Runs: runs,
+		Xs:   len(kinds), Variants: len(labels), Runs: runs, Width: 1,
 		Cell: func(xi, ai, run int) ([]float64, error) {
 			s := runSeed(seed, xi, run)
 			env, err := erEnv(n, cost.Linear{}, cost.DefaultParams(), s, o.Metric)
@@ -89,7 +89,7 @@ func scenarioFlashCrowdSpec(o Options) *runner.Spec {
 	labels := scenarioLabels()
 	return &runner.Spec{
 		Name: "scenario-flash-crowd",
-		Xs:   len(peaks), Variants: len(labels), Runs: runs,
+		Xs:   len(peaks), Variants: len(labels), Runs: runs, Width: 1,
 		Cell: func(xi, ai, run int) ([]float64, error) {
 			s := runSeed(seed, xi, run)
 			env, err := erEnv(n, cost.Linear{}, cost.DefaultParams(), s, o.Metric)
@@ -128,7 +128,7 @@ func scenarioDiurnalSpec(o Options) *runner.Spec {
 	labels := scenarioLabels()
 	return &runner.Spec{
 		Name: "scenario-diurnal",
-		Xs:   len(regionCounts), Variants: len(labels), Runs: runs,
+		Xs:   len(regionCounts), Variants: len(labels), Runs: runs, Width: 1,
 		Cell: func(xi, ai, run int) ([]float64, error) {
 			s := runSeed(seed, xi, run)
 			env, err := erEnv(n, cost.Linear{}, cost.DefaultParams(), s, o.Metric)

@@ -33,7 +33,7 @@ func figureSizeSpec(o Options, name, title string, kind scenarioKind) *runner.Sp
 	labels := []string{"ONBR-fixed", "ONBR-dyn", "ONTH"}
 	return &runner.Spec{
 		Name: name,
-		Xs:   len(sizes), Variants: len(labels), Runs: runs,
+		Xs:   len(sizes), Variants: len(labels), Runs: runs, Width: 1,
 		Cell: func(xi, ai, run int) ([]float64, error) {
 			n := sizes[xi]
 			s := runSeed(seed, xi, run)
@@ -89,7 +89,7 @@ func figure6Spec(o Options) *runner.Spec {
 	components := []string{"access", "running", "migration", "creation"}
 	return &runner.Spec{
 		Name: "6",
-		Xs:   len(sizes), Variants: 1, Runs: runs,
+		Xs:   len(sizes), Variants: 1, Runs: runs, Width: 4,
 		Cell: func(xi, _, run int) ([]float64, error) {
 			n := sizes[xi]
 			s := runSeed(seed, xi, run)
@@ -143,7 +143,7 @@ func figure7Spec(o Options) *runner.Spec {
 	labels := []string{"ONBR-fixed", "ONBR-dyn", "ONTH"}
 	return &runner.Spec{
 		Name: "7",
-		Xs:   len(Ts), Variants: len(labels), Runs: runs,
+		Xs:   len(Ts), Variants: len(labels), Runs: runs, Width: 1,
 		Cell: func(xi, ai, run int) ([]float64, error) {
 			s := runSeed(seed, xi, run)
 			env, err := erEnv(n, cost.Linear{}, cost.DefaultParams(), s, o.Metric)

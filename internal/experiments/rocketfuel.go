@@ -29,7 +29,7 @@ func rocketfuelSpec(o Options) *runner.Spec {
 
 	return &runner.Spec{
 		Name: "rocketfuel",
-		Xs:   1, Variants: 1, Runs: 1,
+		Xs:   1, Variants: 1, Runs: 1, Width: 3,
 		Cell: func(_, _, _ int) ([]float64, error) {
 			rng := rand.New(rand.NewSource(seed))
 			g, err := topo.ASLike(topo.AS7018Config(), rng)
@@ -108,7 +108,7 @@ func wfaRocketfuelSpec(o Options) *runner.Spec {
 	labels := []string{"ONCONF", "WFA"}
 	return &runner.Spec{
 		Name: "wfa-rocketfuel",
-		Xs:   1, Variants: len(labels), Runs: 1,
+		Xs:   1, Variants: len(labels), Runs: 1, Width: 1,
 		Cell: func(_, ai, _ int) ([]float64, error) {
 			rng := rand.New(rand.NewSource(seed))
 			g, err := topo.ASLike(topo.AS7018Config(), rng)

@@ -86,7 +86,7 @@ func sleepFor(d time.Duration, cancel <-chan struct{}) {
 //
 // A Pool is created once for a whole selection: the same workers serve cells
 // from successive specs (the coordinator announces spec switches with a
-// "SPEC <name>" protocol line), so workers stay busy across figure
+// "SPEC <name> <options>" protocol line), so workers stay busy across figure
 // boundaries instead of idling while one figure's tail cells finish and the
 // next figure's pool boots.
 //
@@ -264,8 +264,8 @@ func (p *Pool) RunAll(specs []*Spec, cells [][]int, emit func(i int, g *Grid) er
 		if err := s.Validate(); err != nil {
 			return nil, err
 		}
-		if strings.ContainsAny(s.Name, " \t\r\n") {
-			return nil, fmt.Errorf("runner: spec name %q cannot cross the worker protocol", s.Name)
+		if strings.ContainsAny(s.Name, " \t\r\n") || strings.ContainsAny(s.Options, "\r\n") {
+			return nil, fmt.Errorf("runner: spec %q with options %q cannot cross the worker protocol", s.Name, s.Options)
 		}
 		idxs, err := cellList(s, cells[i])
 		if err != nil {
@@ -461,7 +461,7 @@ func (p *Pool) serve(c Conn) (served, closed bool) {
 // serveConn serves tasks on one connection until the pool closes (closed
 // == true) or the connection fails (closed == false, with the reason).
 func (p *Pool) serveConn(lc *liveConn) (closed bool, reason error) {
-	spec := "" // name announced with the last SPEC line
+	spec := "" // the last SPEC line sent
 	for {
 		select {
 		case t, ok := <-p.taskCh:
@@ -509,11 +509,11 @@ func (p *Pool) runTask(lc *liveConn, spec *string, t poolTask) (taskStatus, erro
 		fail(err)
 		return taskConnDead, err
 	}
-	if *spec != t.spec.Name {
-		if err := lc.conn.WriteLine("SPEC " + t.spec.Name); err != nil {
+	if line := strings.TrimSpace("SPEC " + t.spec.Name + " " + t.spec.Options); *spec != line {
+		if err := lc.conn.WriteLine(line); err != nil {
 			return dead(err)
 		}
-		*spec = t.spec.Name
+		*spec = line
 	}
 	if err := lc.conn.WriteLine(strconv.Itoa(t.idx)); err != nil {
 		return dead(err)
@@ -541,8 +541,8 @@ func (p *Pool) runTask(lc *liveConn, spec *string, t poolTask) (taskStatus, erro
 				fail(fmt.Errorf("%s", msg.Err))
 				return taskServed, nil
 			}
-			if msg.Values == nil {
-				return dead(fmt.Errorf("runner: empty worker result for cell %d", t.idx))
+			if err := t.spec.checkValues(t.idx, msg.Values); err != nil {
+				return dead(fmt.Errorf("runner: %s: %w", lc.conn.Name(), err))
 			}
 			p.track.Observe(time.Since(start)) //repcheck:allow-wallclock feeds the adaptive deadline tracker, never cell values
 			lc.served++

@@ -18,9 +18,9 @@ import (
 // sent verbatim, so wrong indices, cell errors, garbage and torn JSON all
 // reach the coordinator. Once the script runs out the worker answers
 // correctly. The one thing it never does is lie: a verbatim line that
-// decodes to values for a cell in the grid carries that cell's true
+// decodes to Width values for a cell in the grid carries that cell's true
 // values, since no framing check can catch a worker that computes wrong
-// numbers.
+// numbers. A line of another width reaches the coordinator as sent.
 func protocolScript(s *Spec, script []string) *fakeConn {
 	c := newFakeConn()
 	correct := func(idx int) string {
@@ -62,7 +62,7 @@ func protocolScript(s *Spec, script []string) *fakeConn {
 				default:
 					var msg cellMsg
 					if json.Unmarshal([]byte(strings.TrimSpace(tok)), &msg) == nil && !msg.Hb &&
-						msg.Err == "" && msg.Values != nil && msg.Idx >= 0 && msg.Idx < s.Cells() {
+						msg.Err == "" && len(msg.Values) == s.Width && msg.Idx >= 0 && msg.Idx < s.Cells() {
 						out = correct(msg.Idx)
 					}
 				}
@@ -88,6 +88,7 @@ var cellNamed = regexp.MustCompile(`spec frac cell \d+ failed after \d+ attempts
 // goroutine behind once the pool is closed.
 func FuzzPoolProtocol(f *testing.F) {
 	f.Add("ok\nok\nhb|ok")
+	f.Add(`{"i":0,"v":[1]}`)
 	s := fuzzSpecs["frac"]
 	want, err := Local{}.Run(s)
 	if err != nil {

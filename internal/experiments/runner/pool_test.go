@@ -38,7 +38,7 @@ func pipePool(n int, command func() (*exec.Cmd, error)) *Pool {
 }
 
 func namedSpec(t testing.TB, name string) *Spec {
-	s, err := buildTestSpec(name)
+	s, err := buildTestSpec(name, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestPoolRecordsTimings(t *testing.T) {
 	if total <= 0 {
 		t.Fatal("no cell timings recorded by the pooled run")
 	}
-	p := g.Partial(1, true, 0, 0)
+	p := g.Partial(0, 0)
 	if p.TotalNanos() != total {
 		t.Fatalf("partial carries %d ns, grid recorded %d", p.TotalNanos(), total)
 	}
@@ -303,7 +303,7 @@ func TestCellSetMatchesShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(empty.Partial(0, false, 0, 0).Results); n != 0 {
+	if n := len(empty.Partial(0, 0).Results); n != 0 {
 		t.Fatalf("empty cell list evaluated %d cells", n)
 	}
 	for _, bad := range [][]int{{-1}, {s.Cells()}, {1, 1}} {
@@ -322,7 +322,7 @@ func TestLocalRecordsTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := g.Partial(1, false, 0, 0)
+	p := g.Partial(0, 0)
 	if p.TotalNanos() <= 0 {
 		t.Fatal("local run recorded no cell timings")
 	}
@@ -449,7 +449,7 @@ func TestPoolRunCellsMatchesCellSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged, err := trace.MergePartials(
-		pooled.Partial(0, false, 1, 2), local.Partial(0, false, 2, 2))
+		pooled.Partial(1, 2), local.Partial(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@
 //
 //   - Local runs cells on a bounded goroutine pool inside the current
 //     process: the whole grid, or an explicit cell list (a modulo shard
-//     from ShardCells or a timing plan from trace.PlanShards), whose
-//     incomplete grid is persisted with Grid.Partial and merged later
+//     from ShardCells, or the cells a drained run left), whose incomplete
+//     grid is persisted with Grid.Partial and merged later
 //     (trace.MergePartials).
 //   - Pool shares one set of workers across a whole multi-spec selection —
 //     subprocesses over pipes (PipeTransport, cmd/figures -worker) or
@@ -26,6 +26,10 @@
 //     requeued. Pool.RunAll takes the same optional cell lists.
 //
 // ServePool is the worker half of the pool's line protocol.
+//
+// Both backends record each cell's evaluation wall-clock (Grid.Nanos) as
+// diagnostics: it rides along in partial files and progress logs and never
+// reaches the reduced table.
 package runner
 
 import (
@@ -45,10 +49,19 @@ type Spec struct {
 	// rebuilds the spec from this name (and the experiment options), so it
 	// must be stable and unique within the registry that serves it.
 	Name string
+	// Options identifies the experiment options the cell values depend on,
+	// as one line of text (experiments.Options.String). A worker rebuilds
+	// the spec from Name and Options, and Grid.Partial records Options, so
+	// a merge can refuse cells evaluated under other options.
+	Options string
 	// Xs, Variants, Runs are the grid dimensions. A cell exists for every
 	// (xi, vi, run) with xi < Xs, vi < Variants, run < Runs. Experiments
 	// without a natural axis use a dimension of 1.
 	Xs, Variants, Runs int
+	// Width is the number of values every cell returns. Cells that arrive
+	// from outside the process (partial files, worker replies) are checked
+	// against it before Reduce indexes into them.
+	Width int
 	// Cell evaluates one grid cell. It must be deterministic in its
 	// coordinates (all randomness derived from the experiment seed and
 	// (xi, vi, run)) and free of shared mutable state: cells run
@@ -68,11 +81,20 @@ func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("runner: spec without a name")
 	}
-	if s.Xs <= 0 || s.Variants <= 0 || s.Runs <= 0 {
-		return fmt.Errorf("runner: spec %s has degenerate grid %dx%dx%d", s.Name, s.Xs, s.Variants, s.Runs)
+	if s.Xs <= 0 || s.Variants <= 0 || s.Runs <= 0 || s.Width <= 0 {
+		return fmt.Errorf("runner: spec %s has degenerate grid %dx%dx%d of width %d", s.Name, s.Xs, s.Variants, s.Runs, s.Width)
 	}
 	if s.Cell == nil || s.Reduce == nil {
 		return fmt.Errorf("runner: spec %s missing cell or reduce", s.Name)
+	}
+	return nil
+}
+
+// checkValues rejects a cell result that is not Width values wide: a cell
+// of another grid, or a corrupted one.
+func (s *Spec) checkValues(idx int, values []float64) error {
+	if len(values) != s.Width {
+		return fmt.Errorf("runner: spec %s cell %d has %d values, want %d", s.Name, idx, len(values), s.Width)
 	}
 	return nil
 }
@@ -94,9 +116,7 @@ func (s *Spec) Coords(idx int) (xi, vi, run int) {
 
 // Grid holds cell results. A nil entry is a cell that has not been evaluated
 // (shard runs produce deliberately incomplete grids). Alongside each result
-// the grid records the cell's evaluation wall-clock, which rides along in
-// partial files so shard assignments can be balanced by measured cost; the
-// timings never reach the reduced table.
+// the grid records the cell's evaluation wall-clock, for diagnostics only.
 type Grid struct {
 	spec  *Spec
 	cells [][]float64
@@ -108,21 +128,13 @@ func NewGrid(s *Spec) *Grid {
 	return &Grid{spec: s, cells: make([][]float64, s.Cells()), nanos: make([]int64, s.Cells())}
 }
 
-// Spec returns the spec the grid belongs to.
-func (g *Grid) Spec() *Spec { return g.spec }
-
-// Set stores a cell result by flat index.
-func (g *Grid) Set(idx int, values []float64) error {
-	return g.SetTimed(idx, values, 0)
-}
-
 // SetTimed stores a cell result and its evaluation wall-clock.
 func (g *Grid) SetTimed(idx int, values []float64, nanos int64) error {
 	if idx < 0 || idx >= len(g.cells) {
 		return fmt.Errorf("runner: cell index %d outside grid of %d cells", idx, len(g.cells))
 	}
-	if values == nil {
-		return fmt.Errorf("runner: nil result for cell %d", idx)
+	if err := g.spec.checkValues(idx, values); err != nil {
+		return err
 	}
 	g.cells[idx] = values
 	g.nanos[idx] = nanos
@@ -173,16 +185,15 @@ func (g *Grid) Complete() error {
 }
 
 // Partial converts the grid's evaluated cells into a mergeable partial
-// result. seed and quick record the experiment options the cells were
-// evaluated under; shard/shards record provenance for diagnostics.
-func (g *Grid) Partial(seed int64, quick bool, shard, shards int) *trace.Partial {
+// result under the spec's Options; shard/shards record provenance for
+// diagnostics.
+func (g *Grid) Partial(shard, shards int) *trace.Partial {
 	p := &trace.Partial{
-		Figure: g.spec.Name,
-		Seed:   seed,
-		Quick:  quick,
-		Cells:  g.spec.Cells(),
-		Shard:  shard,
-		Shards: shards,
+		Figure:  g.spec.Name,
+		Options: g.spec.Options,
+		Cells:   g.spec.Cells(),
+		Shard:   shard,
+		Shards:  shards,
 	}
 	for idx, c := range g.cells {
 		if c != nil {
@@ -193,7 +204,8 @@ func (g *Grid) Partial(seed int64, quick bool, shard, shards int) *trace.Partial
 }
 
 // FromPartial rebuilds a grid from a partial result. The partial must belong
-// to the spec (same name and grid size).
+// to the spec (same name and grid size), and every cell must be Width
+// values wide.
 func FromPartial(s *Spec, p *trace.Partial) (*Grid, error) {
 	if p.Figure != s.Name {
 		return nil, fmt.Errorf("runner: partial for %q cannot fill spec %q", p.Figure, s.Name)
@@ -330,8 +342,8 @@ func runCells(s *Spec, idxs []int, workers int) (*Grid, error) {
 			failed.Store(true)
 			return
 		}
-		if v == nil {
-			errs[idx] = fmt.Errorf("runner: spec %s cell %d returned no values", s.Name, idx)
+		if err := s.checkValues(idx, v); err != nil {
+			errs[idx] = err
 			failed.Store(true)
 			return
 		}

@@ -27,7 +27,7 @@ import (
 func testSpec(xs, variants, runs int) *Spec {
 	s := &Spec{
 		Name: "runner-test",
-		Xs:   xs, Variants: variants, Runs: runs,
+		Xs:   xs, Variants: variants, Runs: runs, Width: 2,
 		Cell: func(xi, vi, run int) ([]float64, error) {
 			return []float64{float64(xi*10000 + vi*100 + run), float64(run)}, nil
 		},
@@ -56,7 +56,9 @@ func testSpec(xs, variants, runs int) *Spec {
 //	failcell-XxVxR       like grid-, but every cell with xi == 1 errors
 //	work-XxVxR-K         like grid-, plus K iterations of float work per cell
 //	nap-XxVxR-MS         like grid-, but every cell sleeps MS milliseconds
-func buildTestSpec(name string) (*Spec, error) {
+//
+// Every test spec has empty Options, whatever the coordinator sent.
+func buildTestSpec(name, _ string) (*Spec, error) {
 	if name == "runner-test" {
 		var xs, variants, runs int
 		if _, err := fmt.Sscanf(os.Getenv("RUNNER_TEST_WORKER"), "%d,%d,%d", &xs, &variants, &runs); err != nil {
@@ -179,7 +181,7 @@ func TestLocalBoundsGoroutines(t *testing.T) {
 	var peak atomic.Int64
 	s := &Spec{
 		Name: "goroutine-bound",
-		Xs:   cells, Variants: 1, Runs: 1,
+		Xs:   cells, Variants: 1, Runs: 1, Width: 1,
 		Cell: func(xi, vi, run int) ([]float64, error) {
 			// Linger briefly so queued cells would pile up goroutines if
 			// each had one.
@@ -260,7 +262,7 @@ func TestShardPartialMergeMatchesLocal(t *testing.T) {
 			if err := g.Complete(); err == nil && total > 1 {
 				t.Fatalf("shard %d/%d produced a complete grid", i, total)
 			}
-			p := g.Partial(7, true, i, total)
+			p := g.Partial(i, total)
 			covered += len(p.Results)
 			parts = append(parts, p)
 		}
@@ -304,7 +306,7 @@ func TestShardRejectsBadSplit(t *testing.T) {
 
 // serveSpec runs ServePool over input with a registry holding only s.
 func serveSpec(s *Spec, input string, w io.Writer) error {
-	return ServePool(func(name string) (*Spec, error) {
+	return ServePool(func(name, _ string) (*Spec, error) {
 		if name != s.Name {
 			return nil, fmt.Errorf("unknown spec %q", name)
 		}
@@ -358,6 +360,25 @@ func TestServeWorkerReportsCellErrors(t *testing.T) {
 	}
 	if got := buf.String(); got != "{\"i\":0,\"err\":\"kaput\"}\n" {
 		t.Fatalf("worker wrote %q", got)
+	}
+}
+
+// TestServeWorkerRefusesForeignOptions pins that a worker serves no cell of
+// a spec it built under other options than the coordinator's SPEC line
+// names, and that the error names both option sets.
+func TestServeWorkerRefusesForeignOptions(t *testing.T) {
+	s := testSpec(1, 1, 2)
+	s.Options = "seed=7 quick=true metric=dense"
+	var buf safeBuffer
+	err := serveSpec(s, "SPEC runner-test seed=1 quick=false metric=dense\n0\n", &buf)
+	if err == nil || !strings.Contains(err.Error(), "seed=7 quick=true") || !strings.Contains(err.Error(), "seed=1 quick=false") {
+		t.Fatalf("got %v, want an error naming both option sets", err)
+	}
+	if got := buf.String(); got != "" {
+		t.Fatalf("worker answered %q under foreign options", got)
+	}
+	if err := serveSpec(s, "SPEC runner-test "+s.Options+"\n1\n", &buf); err != nil {
+		t.Fatalf("matching options refused: %v", err)
 	}
 }
 
@@ -460,6 +481,15 @@ func TestFromPartialRejectsForeign(t *testing.T) {
 		Results: []trace.CellResult{{Idx: 5, Values: []float64{1}}},
 	}); err == nil {
 		t.Fatal("out-of-range cell accepted")
+	}
+	// A cell narrower than the spec's Width (an edited or foreign partial)
+	// is refused by spec and cell before Reduce can index past its end.
+	_, err := FromPartial(s, &trace.Partial{
+		Figure: s.Name, Cells: s.Cells(),
+		Results: []trace.CellResult{{Idx: 1, Values: []float64{1}}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "spec runner-test cell 1") {
+		t.Fatalf("short cell: got %v, want an error naming spec runner-test cell 1", err)
 	}
 	if err := strconvSanity(); err != nil {
 		t.Fatal(err)

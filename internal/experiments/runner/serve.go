@@ -28,8 +28,8 @@ const heartbeatLine = `{"hb":true}`
 var ErrBye = errors.New("runner: coordinator ended the session")
 
 // cellMsg is one worker-protocol response: the cell index it answers, and
-// either the cell's values (plus its wall-clock nanoseconds, for timing-
-// balanced shard planning) or the error it failed with.
+// either the cell's values (plus its wall-clock nanoseconds, a diagnostic
+// the coordinator's grid records) or the error it failed with.
 type cellMsg struct {
 	Idx    int       `json:"i"`
 	Values []float64 `json:"v,omitempty"`
@@ -74,19 +74,21 @@ func (w *lineWriter) writeLine(line string) error {
 }
 
 // ServePool runs the worker half of the pool protocol: lines on r are
-// either "SPEC <name>" — switch to serving the named spec, built via
-// build — a decimal cell index for the current spec, or BYE (end of
-// session). One JSON result line per cell goes to w, carrying the cell's
-// wall-clock nanoseconds so the coordinator can balance future shard
-// assignments by measured cost. It returns nil on EOF, ErrBye when the
-// coordinator sent BYE, and any other error on a broken session.
-func ServePool(build func(name string) (*Spec, error), r io.Reader, w io.Writer, opts ServeOptions) error {
+// either "SPEC <name> <options>" — switch to serving the named spec under
+// the coordinator's options (Spec.Options), built via build — a decimal
+// cell index for the current spec, or BYE (end of session). The worker's
+// own options never enter a grid: a spec that build returns under other
+// options than the coordinator's ends the session. One JSON result line
+// per cell goes to w, carrying the cell's wall-clock nanoseconds. It
+// returns nil on EOF, ErrBye when the coordinator sent BYE, and any other
+// error on a broken session.
+func ServePool(build func(name, options string) (*Spec, error), r io.Reader, w io.Writer, opts ServeOptions) error {
 	_, err := servePool(build, r, w, opts)
 	return err
 }
 
 // servePool is ServePool that also counts the cells the session answered.
-func servePool(build func(name string) (*Spec, error), r io.Reader, w io.Writer, opts ServeOptions) (served int, err error) {
+func servePool(build func(name, options string) (*Spec, error), r io.Reader, w io.Writer, opts ServeOptions) (served int, err error) {
 	var cur *Spec
 	lw := &lineWriter{bw: bufio.NewWriter(w)}
 
@@ -118,17 +120,22 @@ func servePool(build func(name string) (*Spec, error), r io.Reader, w io.Writer,
 		if line == protoBye {
 			return served, ErrBye
 		}
-		if name, ok := strings.CutPrefix(line, "SPEC "); ok {
-			name = strings.TrimSpace(name)
-			if cur != nil && cur.Name == name {
+		if rest, ok := strings.CutPrefix(line, "SPEC "); ok {
+			name, options, _ := strings.Cut(strings.TrimSpace(rest), " ")
+			options = strings.TrimSpace(options)
+			if cur != nil && cur.Name == name && cur.Options == options {
 				continue
 			}
-			s, err := build(name)
+			s, err := build(name, options)
 			if err != nil {
 				return served, err
 			}
 			if err := s.Validate(); err != nil {
 				return served, err
+			}
+			if s.Options != options {
+				return served, fmt.Errorf("runner: worker built spec %s under options %q, coordinator runs %q",
+					name, s.Options, options)
 			}
 			cur = s
 			continue

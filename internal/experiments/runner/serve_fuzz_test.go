@@ -22,14 +22,14 @@ import (
 var fuzzSpecs = func() map[string]*Spec {
 	reg := map[string]*Spec{}
 	for _, name := range []string{"grid-2x2x2", "grid-3x1x2", "failcell-3x1x1"} {
-		s, err := buildTestSpec(name)
+		s, err := buildTestSpec(name, "")
 		if err != nil {
 			panic(err)
 		}
 		reg[name] = s
 	}
 	reg["frac"] = &Spec{
-		Name: "frac", Xs: 3, Variants: 2, Runs: 2,
+		Name: "frac", Options: "seed=3 metric=dense", Xs: 3, Variants: 2, Runs: 2, Width: 4,
 		Cell: func(xi, vi, run int) ([]float64, error) {
 			k := float64(xi*4 + vi*2 + run + 1)
 			return []float64{k / 3, -math.Pi * k, math.Copysign(0, -1), k * math.SmallestNonzeroFloat64}, nil
@@ -39,7 +39,9 @@ var fuzzSpecs = func() map[string]*Spec {
 	return reg
 }()
 
-func buildFuzzSpec(name string) (*Spec, error) {
+// buildFuzzSpec ignores the requested options, as a worker with options of
+// its own would: the session must refuse a spec whose Options differ.
+func buildFuzzSpec(name, _ string) (*Spec, error) {
 	if s, ok := fuzzSpecs[name]; ok {
 		return s, nil
 	}
@@ -65,8 +67,9 @@ func expectSession(input []byte) (want []assignment, bye, clean bool) {
 		case line == "BYE":
 			return want, true, false
 		case strings.HasPrefix(line, "SPEC "):
-			s, err := buildFuzzSpec(strings.TrimSpace(line[len("SPEC "):]))
-			if err != nil {
+			name, options, _ := strings.Cut(strings.TrimSpace(line[len("SPEC "):]), " ")
+			s, err := buildFuzzSpec(name, "")
+			if err != nil || s.Options != strings.TrimSpace(options) {
 				return want, false, false
 			}
 			cur = s
@@ -89,6 +92,7 @@ func expectSession(input []byte) (want []assignment, bye, clean bool) {
 // cell's values bit for bit or the cell's own error.
 func FuzzServePool(f *testing.F) {
 	f.Add([]byte("SPEC grid-2x2x2\n0\n+3\n7\n"))
+	f.Add([]byte("SPEC frac  seed=3 metric=dense \n1\nSPEC frac seed=3\n2\n"))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		var out bytes.Buffer
 		err := ServePool(buildFuzzSpec, bytes.NewReader(input), &out, ServeOptions{})

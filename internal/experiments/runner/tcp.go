@@ -174,7 +174,8 @@ type WorkerOptions struct {
 // BYE is ambiguous — a crashed coordinator or a network drop — and is
 // treated as retryable. A session that served a cell ends the failure
 // streak, as a pool slot's does: both the count and the backoff restart.
-func ConnectWorker(addr string, build func(name string) (*Spec, error), opts WorkerOptions) error {
+// build makes each spec under the coordinator's options, as in ServePool.
+func ConnectWorker(addr string, build func(name, options string) (*Spec, error), opts WorkerOptions) error {
 	hb := cmp.Or(opts.heartbeat, workerHeartbeat)
 	maxAttempts := cmp.Or(opts.maxAttempts, workerMaxAttempts)
 	logf := opts.Logf

@@ -10,9 +10,9 @@ import (
 )
 
 // Conn is one live worker connection speaking the line-oriented SPEC/cell
-// protocol: the coordinator writes assignment lines ("SPEC <name>", a
-// decimal cell index, or "BYE"), the worker answers with one JSON cellMsg
-// line per cell plus optional heartbeat lines. A Conn is driven by exactly
+// protocol: the coordinator writes assignment lines ("SPEC <name>
+// <options>", a decimal cell index, or "BYE"), the worker answers with one
+// JSON cellMsg line per cell plus optional heartbeat lines. A Conn is driven by exactly
 // one pool goroutine at a time (one writer, one reader goroutine it owns),
 // so implementations need not serialise concurrent calls.
 type Conn interface {

@@ -416,7 +416,7 @@ func TestGridDrainRoundTrip(t *testing.T) {
 	if !errors.Is(err, ErrDrained) {
 		t.Fatalf("got %v, want ErrDrained", err)
 	}
-	p := grids[0].Partial(1, false, 0, 0)
+	p := grids[0].Partial(0, 0)
 	if len(p.Results) == 0 || len(p.Results) == s.Cells() {
 		t.Fatalf("drain left %d of %d cells — expected a strict subset", len(p.Results), s.Cells())
 	}
@@ -430,7 +430,7 @@ func TestGridDrainRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := trace.MergePartials(p, g2.Partial(1, false, 0, 0))
+	merged, err := trace.MergePartials(p, g2.Partial(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestPoolDrainTimeoutAbandonsWedgedCell(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("drain with a wedged in-flight cell took %v", elapsed)
 	}
-	if got := len(grids[0].Partial(1, false, 0, 0).Results); got == 0 || got >= s.Cells() {
+	if got := len(grids[0].Partial(0, 0).Results); got == 0 || got >= s.Cells() {
 		t.Fatalf("drained grid has %d of %d cells", got, s.Cells())
 	}
 }

@@ -52,7 +52,7 @@ func variantsSpec(o Options) *runner.Spec {
 	variants := onlineVariants()
 	return &runner.Spec{
 		Name: "variants",
-		Xs:   1, Variants: 1, Runs: runs,
+		Xs:   1, Variants: 1, Runs: runs, Width: 2 * len(variants),
 		Cell: func(_, _, run int) ([]float64, error) {
 			s := runSeed(seed, 0, run)
 			env, err := lineEnv(n, cost.DefaultParams(), s, o.Metric)

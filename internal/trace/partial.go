@@ -9,10 +9,10 @@ import (
 
 // CellResult is one evaluated grid cell of a sharded experiment run: the
 // cell's flat index, the values it produced, and the wall-clock the
-// evaluation took. Timings are provenance, not results — they feed
-// timing-balanced shard planning (PlanShards) and never reach the reduced
-// table, so two runs of the same shard may differ in Nanos while staying
-// bit-identical in Values.
+// evaluation took. Timings are diagnostics, not results — `figures` reports
+// them per shard on stderr and they never reach the reduced table, so two
+// runs of the same shard may differ in Nanos while staying bit-identical in
+// Values.
 type CellResult struct {
 	Idx    int       `json:"idx"`
 	Values []float64 `json:"values"`
@@ -28,10 +28,10 @@ type CellResult struct {
 type Partial struct {
 	// Figure names the spec the cells belong to.
 	Figure string `json:"figure"`
-	// Seed and Quick record the experiment options the cells were evaluated
-	// under; merging partials from mismatched options is an error.
-	Seed  int64 `json:"seed"`
-	Quick bool  `json:"quick,omitempty"`
+	// Options records the experiment options the cell values depend on
+	// (the spec's runner.Spec.Options, e.g. "seed=1 quick=true
+	// metric=dense"); merging partials from mismatched options is an error.
+	Options string `json:"options"`
 	// Cells is the total grid size; all shards of one run agree on it.
 	Cells int `json:"cells"`
 	// Shard/Shards record which slice of the grid this partial covers
@@ -94,8 +94,7 @@ func (p *Partial) MissingCells() []int {
 }
 
 // TotalNanos sums the recorded evaluation wall-clock of the partial's cells
-// — the per-shard cost `figures -merge` reports, and the quantity a timing
-// plan balances across machines.
+// — the per-shard cell time `figures` reports on stderr.
 func (p *Partial) TotalNanos() int64 {
 	var total int64
 	for _, r := range p.Results {
@@ -129,16 +128,15 @@ func ReadPartial(r io.Reader) (*Partial, error) {
 // MergePartials deterministically folds the shards of one experiment run
 // into a single partial: results are collected by cell index and sorted, so
 // the merge order of the inputs cannot affect the output. Partials must
-// agree on figure, options, and grid size; a cell present in several shards
-// must carry bit-identical values (a shard split is a partition, so an
-// overlap signals a misconfigured run — it is tolerated only when harmless).
+// agree on figure, options, and grid size, and no cell may appear in two of
+// them: every supported split (modulo shards, a drain and its resume) is a
+// partition, so a repeated cell means a misconfigured run.
 func MergePartials(parts ...*Partial) (*Partial, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("trace: no partials to merge")
 	}
 	first := parts[0]
-	merged := &Partial{Figure: first.Figure, Seed: first.Seed, Quick: first.Quick, Cells: first.Cells}
-	byIdx := make(map[int]CellResult, first.Cells)
+	merged := &Partial{Figure: first.Figure, Options: first.Options, Cells: first.Cells}
 	for _, p := range parts {
 		if err := p.Validate(); err != nil {
 			return nil, err
@@ -146,42 +144,21 @@ func MergePartials(parts ...*Partial) (*Partial, error) {
 		if p.Figure != first.Figure {
 			return nil, fmt.Errorf("trace: merging partials of %q and %q", first.Figure, p.Figure)
 		}
-		if p.Seed != first.Seed || p.Quick != first.Quick {
-			return nil, fmt.Errorf("trace: partials of %s disagree on options (seed %d/%d, quick %v/%v)",
-				first.Figure, first.Seed, p.Seed, first.Quick, p.Quick)
+		if p.Options != first.Options {
+			return nil, fmt.Errorf("trace: partials of %s disagree on options (%q vs %q)",
+				first.Figure, first.Options, p.Options)
 		}
 		if p.Cells != first.Cells {
 			return nil, fmt.Errorf("trace: partials of %s disagree on grid size (%d vs %d)",
 				first.Figure, first.Cells, p.Cells)
 		}
-		for _, r := range p.Results {
-			// Overlapping cells must agree bit-exactly on values; timings are
-			// provenance and may differ — the first occurrence wins.
-			if prev, ok := byIdx[r.Idx]; ok {
-				if !sameValues(prev.Values, r.Values) {
-					return nil, fmt.Errorf("trace: partials of %s conflict on cell %d", first.Figure, r.Idx)
-				}
-				continue
-			}
-			byIdx[r.Idx] = r
-		}
-	}
-	merged.Results = make([]CellResult, 0, len(byIdx))
-	for _, r := range byIdx {
-		merged.Results = append(merged.Results, r)
+		merged.Results = append(merged.Results, p.Results...)
 	}
 	sort.Slice(merged.Results, func(i, j int) bool { return merged.Results[i].Idx < merged.Results[j].Idx })
-	return merged, nil
-}
-
-func sameValues(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	for i := 1; i < len(merged.Results); i++ {
+		if idx := merged.Results[i].Idx; idx == merged.Results[i-1].Idx {
+			return nil, fmt.Errorf("trace: partials of %s both hold cell %d", first.Figure, idx)
 		}
 	}
-	return true
+	return merged, nil
 }
