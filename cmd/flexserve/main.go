@@ -315,11 +315,7 @@ func runServe(c cmdConfig, opts serveOptions) {
 	}
 	srv.Start()
 
-	httpSrv := &http.Server{
-		Addr:              opts.addr,
-		Handler:           serve.Handler(srv),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	httpSrv := serve.HTTPServer(srv, opts.addr)
 	// Catch SIGTERM before /readyz can answer: a drain requested the
 	// moment the server reports ready must not kill it outright.
 	sig := make(chan os.Signal, 1)

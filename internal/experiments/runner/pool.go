@@ -108,7 +108,9 @@ func sleepFor(d time.Duration, cancel <-chan struct{}) {
 //   - The grid only fails once a single cell has failed cellRetries+1
 //     times — a deterministic failure — and the error names that cell. A
 //     cell-level error reported by a healthy worker is retried on the same
-//     budget without recycling the worker.
+//     budget without recycling the worker. A worker that refuses the
+//     session (a Fatal line: another build's spec or grid) fails the run
+//     at once, naming the cell and the worker's reason.
 //   - Drain stops feeding new cells and collects in-flight results under a
 //     deadline, so a terminating coordinator can persist every completed
 //     cell as a resumable partial.
@@ -150,6 +152,7 @@ type poolDone struct {
 	values []float64
 	nanos  int64
 	err    error
+	fatal  bool // the worker refused the session: fail the run now
 }
 
 // NewPool starts a pool over a transport: PipeTransport for worker
@@ -351,7 +354,7 @@ func (p *Pool) RunAll(specs []*Spec, cells [][]int, emit func(i int, g *Grid) er
 				if draining {
 					continue // not feeding; the cell stays unevaluated
 				}
-				if d.attempt >= p.cfg.retries {
+				if d.fatal || d.attempt >= p.cfg.retries {
 					failure = fmt.Errorf("runner: spec %s cell %d failed after %d attempts: %w",
 						specs[d.specIdx].Name, d.idx, d.attempt+1, d.err)
 					continue
@@ -532,6 +535,11 @@ func (p *Pool) runTask(lc *liveConn, spec *string, t poolTask) (taskStatus, erro
 				continue // heartbeats may interleave with a slow cell
 			}
 			msg := r.msg
+			if msg.Fatal != "" {
+				err := fmt.Errorf("runner: %s ended the session: %s", lc.conn.Name(), msg.Fatal)
+				t.done <- poolDone{cellTry: t.cellTry, err: err, fatal: true}
+				return taskConnDead, err
+			}
 			if msg.Idx != t.idx {
 				return dead(fmt.Errorf("runner: %s answered cell %d for cell %d", lc.conn.Name(), msg.Idx, t.idx))
 			}

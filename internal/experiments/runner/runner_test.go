@@ -365,7 +365,8 @@ func TestServeWorkerReportsCellErrors(t *testing.T) {
 
 // TestServeWorkerRefusesForeignOptions pins that a worker serves no cell of
 // a spec it built under other options than the coordinator's SPEC line
-// names, and that the error names both option sets.
+// names, that the error names both option sets, and that the worker's only
+// line is the Fatal reply carrying that error.
 func TestServeWorkerRefusesForeignOptions(t *testing.T) {
 	s := testSpec(1, 1, 2)
 	s.Options = "seed=7 quick=true metric=dense"
@@ -374,8 +375,9 @@ func TestServeWorkerRefusesForeignOptions(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "seed=7 quick=true") || !strings.Contains(err.Error(), "seed=1 quick=false") {
 		t.Fatalf("got %v, want an error naming both option sets", err)
 	}
-	if got := buf.String(); got != "" {
-		t.Fatalf("worker answered %q under foreign options", got)
+	var msg cellMsg
+	if got := buf.String(); json.Unmarshal([]byte(got), &msg) != nil || msg.Fatal != err.Error() || msg.Values != nil {
+		t.Fatalf("worker answered %q under foreign options, want only the Fatal reply", got)
 	}
 	if err := serveSpec(s, "SPEC runner-test "+s.Options+"\n1\n", &buf); err != nil {
 		t.Fatalf("matching options refused: %v", err)

@@ -38,6 +38,10 @@ type cellMsg struct {
 	// Hb marks a heartbeat rather than a cell result; the coordinator uses
 	// it for dead-peer detection on networked transports.
 	Hb bool `json:"hb,omitempty"`
+	// Fatal is the worker's last line when it refuses a coordinator line
+	// (an unknown spec, options it cannot build, a malformed or
+	// out-of-grid assignment): the coordinator fails the run with it.
+	Fatal string `json:"fatal,omitempty"`
 }
 
 // ServeOptions tunes the worker half of the pool protocol.
@@ -73,13 +77,22 @@ func (w *lineWriter) writeLine(line string) error {
 	return w.bw.Flush()
 }
 
+// refuse writes the Fatal line for a protocol error that ends the session
+// and returns the error.
+func (w *lineWriter) refuse(err error) error {
+	out, _ := json.Marshal(cellMsg{Fatal: err.Error()})
+	w.writeLine(string(out))
+	return err
+}
+
 // ServePool runs the worker half of the pool protocol: lines on r are
 // either "SPEC <name> <options>" — switch to serving the named spec under
 // the coordinator's options (Spec.Options), built via build — a decimal
 // cell index for the current spec, or BYE (end of session). The worker's
 // own options never enter a grid: a spec that build returns under other
 // options than the coordinator's ends the session. One JSON result line
-// per cell goes to w, carrying the cell's wall-clock nanoseconds. It
+// per cell goes to w, carrying the cell's wall-clock nanoseconds; a line
+// the worker refuses gets a Fatal line before the session ends. It
 // returns nil on EOF, ErrBye when the coordinator sent BYE, and any other
 // error on a broken session.
 func ServePool(build func(name, options string) (*Spec, error), r io.Reader, w io.Writer, opts ServeOptions) error {
@@ -127,21 +140,21 @@ func servePool(build func(name, options string) (*Spec, error), r io.Reader, w i
 				continue
 			}
 			s, err := build(name, options)
-			if err != nil {
-				return served, err
+			if err == nil {
+				err = s.Validate()
 			}
-			if err := s.Validate(); err != nil {
-				return served, err
-			}
-			if s.Options != options {
-				return served, fmt.Errorf("runner: worker built spec %s under options %q, coordinator runs %q",
+			if err == nil && s.Options != options {
+				err = fmt.Errorf("runner: worker built spec %s under options %q, coordinator runs %q",
 					name, s.Options, options)
+			}
+			if err != nil {
+				return served, lw.refuse(err)
 			}
 			cur = s
 			continue
 		}
 		if cur == nil {
-			return served, fmt.Errorf("runner: cell assignment %q before any SPEC line", line)
+			return served, lw.refuse(fmt.Errorf("runner: cell assignment %q before any SPEC line", line))
 		}
 		if err := serveAssignment(cur, line, lw, opts.Fault); err != nil {
 			return served, err
@@ -159,7 +172,7 @@ func serveAssignment(s *Spec, line string, lw *lineWriter, fault *Fault) error {
 	}
 	msg, err := serveCell(s, line)
 	if err != nil {
-		return err
+		return lw.refuse(err)
 	}
 	out, err := json.Marshal(msg)
 	if err != nil {

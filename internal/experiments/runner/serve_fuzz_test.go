@@ -56,8 +56,9 @@ type assignment struct {
 
 // expectSession is the sequential reference for one worker session over
 // input: the cells it must answer, in order, and how the session ends
-// (clean EOF, BYE, or a protocol error at the first line it must refuse).
-func expectSession(input []byte) (want []assignment, bye, clean bool) {
+// (clean EOF, BYE, or a protocol error at the first line it must refuse,
+// which refused reports; a line too long to scan sets none of the three).
+func expectSession(input []byte) (want []assignment, bye, clean, refused bool) {
 	var cur *Spec
 	sc := bufio.NewScanner(bytes.NewReader(input))
 	for sc.Scan() {
@@ -65,23 +66,23 @@ func expectSession(input []byte) (want []assignment, bye, clean bool) {
 		switch {
 		case line == "":
 		case line == "BYE":
-			return want, true, false
+			return want, true, false, false
 		case strings.HasPrefix(line, "SPEC "):
 			name, options, _ := strings.Cut(strings.TrimSpace(line[len("SPEC "):]), " ")
 			s, err := buildFuzzSpec(name, "")
 			if err != nil || s.Options != strings.TrimSpace(options) {
-				return want, false, false
+				return want, false, false, true
 			}
 			cur = s
 		default:
 			idx, err := strconv.Atoi(line)
 			if cur == nil || err != nil || idx < 0 || idx >= cur.Cells() {
-				return want, false, false
+				return want, false, false, true
 			}
 			want = append(want, assignment{cur, idx})
 		}
 	}
-	return want, false, sc.Err() == nil
+	return want, false, sc.Err() == nil, false
 }
 
 // FuzzServePool feeds arbitrary coordinator lines — SPEC switches, cell
@@ -89,14 +90,15 @@ func expectSession(input []byte) (want []assignment, bye, clean bool) {
 // registry. The loop must never panic; it must end with nil on a clean
 // EOF, ErrBye on BYE and another error otherwise; and every line it writes
 // must be a cellMsg answering the next expected assignment, with the
-// cell's values bit for bit or the cell's own error.
+// cell's values bit for bit or the cell's own error, except that a refused
+// line is answered by one last line carrying only the Fatal reason.
 func FuzzServePool(f *testing.F) {
 	f.Add([]byte("SPEC grid-2x2x2\n0\n+3\n7\n"))
 	f.Add([]byte("SPEC frac  seed=3 metric=dense \n1\nSPEC frac seed=3\n2\n"))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		var out bytes.Buffer
 		err := ServePool(buildFuzzSpec, bytes.NewReader(input), &out, ServeOptions{})
-		want, bye, clean := expectSession(input)
+		want, bye, clean, refused := expectSession(input)
 		switch {
 		case bye && !errors.Is(err, ErrBye):
 			t.Fatalf("session ending in BYE returned %v", err)
@@ -112,6 +114,14 @@ func FuzzServePool(f *testing.F) {
 		lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
 		if text == "" {
 			lines = nil
+		}
+		if refused {
+			var msg cellMsg
+			if len(lines) == 0 || json.Unmarshal([]byte(lines[len(lines)-1]), &msg) != nil ||
+				msg.Fatal != err.Error() || msg.Idx != 0 || msg.Values != nil || msg.Err != "" || msg.Hb {
+				t.Fatalf("refused session (%v) did not end in its Fatal line:\n%s", err, text)
+			}
+			lines = lines[:len(lines)-1]
 		}
 		if len(lines) != len(want) {
 			t.Fatalf("worker answered %d cells, %d were assigned:\n%s", len(lines), len(want), text)

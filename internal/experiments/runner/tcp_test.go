@@ -168,6 +168,35 @@ func TestTCPZeroMembershipFails(t *testing.T) {
 	}
 }
 
+// TestTCPWorkerOfAnotherGridFailsRun: a worker whose build of the spec has
+// a smaller grid (another build of the figures, say) refuses the first
+// cell outside it with a Fatal reply, and the run fails at once naming the
+// mismatch, not after the rejoin grace as a dropped connection.
+func TestTCPWorkerOfAnotherGridFailsRun(t *testing.T) {
+	s := namedSpec(t, "grid-4x2x2") // 16 cells; the worker's build has 8
+	cfg := tcpTestCfg()
+	cfg.rejoinGrace = rejoinGrace
+	pool, addr := startTCPPool(t, cfg, tcpTestSilence)
+	opts := workerTestOpts()
+	opts.maxAttempts = 1
+	go ConnectWorker(addr, func(name, options string) (*Spec, error) {
+		small, err := buildTestSpec("grid-2x2x2", options)
+		if small != nil {
+			small.Name = name
+		}
+		return small, err
+	}, opts)
+	start := time.Now()
+	_, err := pool.Run(s)
+	if err == nil || !strings.Contains(err.Error(), "cell 8 failed") ||
+		!strings.Contains(err.Error(), "cell assignment 8 outside grid of 8 cells") {
+		t.Fatalf("run against a worker of another grid: %v; want it to name cell 8 and the grid mismatch", err)
+	}
+	if elapsed := time.Since(start); elapsed > rejoinGrace/2 {
+		t.Fatalf("run failed after %v, not well under the %v rejoin grace", elapsed, rejoinGrace)
+	}
+}
+
 // TestTCPWedgedWorkerConvertedByDeadline: a wedged remote worker (alive,
 // silent) is cut off by the response deadline; its reconnect serves the
 // requeued cell, and the output matches Local.

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"io"
+	"net/http"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -26,6 +29,40 @@ func BenchmarkServeIngest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := s.Ingest(Request{Node: i % n, Count: 1, Class: Critical}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHTTPIngest measures one POST /ingest end to end over loopback:
+// a keep-alive client, the real HTTPServer, decoding, admission and a WAL
+// append — the serve-single request. Client allocations are included.
+func BenchmarkHTTPIngest(b *testing.B) {
+	s, err := New(Config{
+		NewStream:   testFactory(b),
+		Fingerprint: "bench-http",
+		Window:      1 << 20,
+		QueueCap:    1 << 16,
+		Dir:         b.TempDir(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Start()
+	defer s.Drain()
+	url := startHTTP(b, s).URL + "/ingest"
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := client.Post(url, "application/json", strings.NewReader(`{"node": 3, "slo_class": "critical"}`))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			b.Fatalf("POST /ingest: %d", resp.StatusCode)
 		}
 	}
 }

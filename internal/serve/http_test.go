@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -30,10 +34,20 @@ func newHTTPServer(t *testing.T, queueCap int, shed float64, start bool) (*Serve
 	if start {
 		s.Start()
 	}
-	ts := httptest.NewServer(Handler(s))
-	t.Cleanup(ts.Close)
+	ts := startHTTP(t, s)
 	t.Cleanup(s.queue.Close)
 	return s, ts
+}
+
+// startHTTP serves s on a loopback listener through the real HTTPServer,
+// closed when the test ends.
+func startHTTP(t testing.TB, s *Server) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = HTTPServer(s, "")
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return ts
 }
 
 func post(t *testing.T, url, body string) (*http.Response, map[string]interface{}) {
@@ -157,8 +171,7 @@ func TestHTTPIngestAllOrNothing(t *testing.T) {
 	}
 	t.Cleanup(func() { s.wal.Close() })
 	t.Cleanup(s.queue.Close)
-	ts := httptest.NewServer(Handler(s))
-	t.Cleanup(ts.Close)
+	ts := startHTTP(t, s)
 	for _, bad := range []string{
 		`[{"node": 1}, {"node": 2, "count": 3}, {"node": 999}]`,
 		`[{"node": 1}, {"node": 2, "slo_class": "gold"}]`,
@@ -301,8 +314,7 @@ func TestHTTPLedgerMatchesReplayBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
-	ts := httptest.NewServer(Handler(s))
-	defer ts.Close()
+	ts := startHTTP(t, s)
 	feedPhase(t, s, 5, 0)
 	waitCursor(t, s, s.wal.Count())
 	s.Drain()
@@ -329,38 +341,212 @@ func TestHTTPLedgerMatchesReplayBytes(t *testing.T) {
 	}
 }
 
-// TestHTTPRequestDeadline checks the per-request timeout wrapper: a
-// handler stalled past RequestTimeout returns 503 to the client.
+// TestHTTPRequestDeadline runs the real HTTPServer under a 50 ms request
+// timeout. A client that sends its headers and half a body, then stalls,
+// has its connection closed unanswered within the deadline, and nothing is
+// admitted or WAL-logged; an idle keep-alive connection outlives the
+// deadline several times over.
 func TestHTTPRequestDeadline(t *testing.T) {
-	s, err := New(Config{
-		NewStream:      testFactory(t),
-		Fingerprint:    "deadline-test",
-		RequestTimeout: 50 * time.Millisecond,
-	})
+	const timeout = 50 * time.Millisecond
+	cfg := recoveryConfig(t, t.TempDir(), Fault{})
+	cfg.RequestTimeout = timeout
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.wal.Close() })
 	t.Cleanup(s.queue.Close)
-	slow := http.NewServeMux()
-	slow.Handle("/", Handler(s))
-	slow.HandleFunc("/stall", func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(time.Second)
-	})
-	ts := httptest.NewServer(http.TimeoutHandler(slow, s.cfg.RequestTimeout, "request deadline exceeded\n"))
-	defer ts.Close()
-	start := time.Now()
-	resp, err := http.Get(ts.URL + "/stall")
+	addr := startHTTP(t, s).Listener.Addr().String()
+	const body = `{"node": 1, "count": 2}`
+	// request sends a POST /ingest of body, stopping after its first sent bytes.
+	request := func(w io.Writer, sent int) {
+		fmt.Fprintf(w, "POST /ingest HTTP/1.1\r\nHost: flexserve\r\nContent-Length: %d\r\n\r\n%s", len(body), body[:sent])
+	}
+
+	stalled, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("stalled handler: %d", resp.StatusCode)
+	defer stalled.Close()
+	start := time.Now()
+	// The headers trickle in over half the deadline, so a 400 written when
+	// the body read times out would still be inside the write deadline
+	// (counted from the end of the headers) and reach the client.
+	request(&slowWriter{stalled, timeout / 2}, len(body)/2)
+	stalled.SetReadDeadline(start.Add(5 * time.Second))
+	got, err := io.ReadAll(stalled)
+	if elapsed := time.Since(start); len(got) != 0 || elapsed > timeout+time.Second {
+		t.Fatalf("stalled body: read %q (%v) after %v; want the connection closed unanswered within %v",
+			got, err, elapsed, timeout)
 	}
-	if time.Since(start) > 500*time.Millisecond {
-		t.Fatal("deadline did not cut the stalled request short")
+	if d, n := s.queue.Depth(), s.wal.Count(); d != 0 || n != 0 {
+		t.Fatalf("stalled body left %d queued and %d WAL entries", d, n)
+	}
+
+	idle, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	br := bufio.NewReader(idle)
+	for i := 0; i < 2; i++ {
+		if i > 0 {
+			time.Sleep(8 * timeout)
+		}
+		request(idle, len(body))
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("request %d on one keep-alive connection: %v", i, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("request %d on one keep-alive connection: %d", i, resp.StatusCode)
+		}
+	}
+	if n := s.wal.Count(); n != 2 {
+		t.Fatalf("keep-alive requests logged %d WAL entries, want 2", n)
 	}
 }
+
+// TestHTTPWireBytes pins every POST /ingest and /tick answer byte for
+// byte: status, Content-Type, Retry-After and body. The literals are what
+// the handler wrote through http.ServeMux, map replies and
+// http.TimeoutHandler, before those were replaced.
+func TestHTTPWireBytes(t *testing.T) {
+	fill := func(n int, class Class) func(*testing.T, *Server) {
+		return func(t *testing.T, s *Server) {
+			for i := 0; i < n; i++ {
+				if err := s.Ingest(Request{Node: 1, Count: 1, Class: class}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	drain := func(_ *testing.T, s *Server) { s.Start(); s.Drain() }
+	breakWAL := func(_ *testing.T, s *Server) { s.wal.active.w = bufio.NewWriter(failWriter{}) }
+	const (
+		jsonType = "application/json"
+		textType = "text/plain; charset=utf-8"
+	)
+	cases := []struct {
+		name, method, path, body string
+		prep                     func(*testing.T, *Server) // state before the request; server has 8 slots, shed at 4
+		status                   int
+		contentType, retryAfter  string
+		want                     string
+	}{
+		{"ingest 202", "POST", "/ingest", `{"node": 1}`, nil,
+			202, jsonType, "", "{\"admitted\":1}\n"},
+		{"ingest batch 202", "POST", "/ingest", `[{"node": 1}, {"node": 2, "count": 3, "slo_class": "batch"}]`, nil,
+			202, jsonType, "", "{\"admitted\":2}\n"},
+		{"ingest 400 bad JSON", "POST", "/ingest", `{"node": `, nil,
+			400, jsonType, "", "{\"error\":\"bad JSON: unexpected EOF\"}\n"},
+		{"ingest 400 unknown field", "POST", "/ingest", `{"node": 1, "bogus": true}`, nil,
+			400, jsonType, "", "{\"error\":\"bad JSON: json: unknown field \\\"bogus\\\"\"}\n"},
+		{"ingest 400 not an object", "POST", "/ingest", `"just a string"`, nil,
+			400, jsonType, "", "{\"error\":\"bad JSON: want an object or array\"}\n"},
+		{"ingest 400 bad element", "POST", "/ingest", `[{"node": 1}, {"node": 999}]`, nil,
+			400, jsonType, "", "{\"error\":\"element 1: serve: access point 999 outside network of 24 nodes\"}\n"},
+		{"ingest 400 bad class", "POST", "/ingest", `{"node": 1, "slo_class": "gold"}`, nil,
+			400, jsonType, "", "{\"error\":\"element 0: serve: unknown slo_class \\\"gold\\\" (want critical, standard, or batch)\"}\n"},
+		{"ingest 400 escaped", "POST", "/ingest", `{"node": <1>}`, nil,
+			400, jsonType, "", "{\"error\":\"bad JSON: invalid character '\\u003c' looking for beginning of value\"}\n"},
+		{"ingest 400 trailing data", "POST", "/ingest", `{"node": 1} x`, nil,
+			400, jsonType, "", "{\"error\":\"bad JSON: trailing data after the JSON value\"}\n"},
+		{"ingest 413", "POST", "/ingest", strings.Repeat(" ", maxIngestBytes) + `{"node": 1}`, nil,
+			413, jsonType, "", "{\"error\":\"body over 1048576 bytes\"}\n"},
+		{"ingest 429 shed", "POST", "/ingest", `{"node": 1, "slo_class": "standard"}`, fill(4, Standard),
+			429, jsonType, "1", "{\"admitted\":0,\"class\":\"standard\",\"error\":\"serve: over shed threshold, non-critical standard request shed\",\"full\":false}\n"},
+		{"ingest 429 shed mid-batch", "POST", "/ingest", `[{"node": 1, "slo_class": "batch"}, {"node": 2, "slo_class": "batch"}]`, fill(3, Standard),
+			429, jsonType, "1", "{\"admitted\":1,\"class\":\"batch\",\"error\":\"serve: over shed threshold, non-critical batch request shed\",\"full\":false}\n"},
+		{"ingest 429 full", "POST", "/ingest", `{"node": 1, "slo_class": "critical"}`, fill(8, Critical),
+			429, jsonType, "1", "{\"admitted\":0,\"class\":\"critical\",\"error\":\"serve: ingest queue full, critical request shed\",\"full\":true}\n"},
+		{"ingest 500", "POST", "/ingest", `{"node": 1}`, breakWAL,
+			500, jsonType, "", "{\"admitted\":0,\"error\":\"wal: disk full\"}\n"},
+		{"ingest 503", "POST", "/ingest", `{"node": 1}`, drain,
+			503, jsonType, "10", "{\"admitted\":0,\"error\":\"draining\"}\n"},
+		{"ingest 405", "GET", "/ingest", ``, nil,
+			405, textType, "", "POST only\n"},
+		{"tick 202", "POST", "/tick", ``, nil,
+			202, jsonType, "", "{\"tick\":true}\n"},
+		{"tick 503", "POST", "/tick", ``, drain,
+			503, jsonType, "", "{\"error\":\"draining\"}\n"},
+		{"tick 405", "GET", "/tick", ``, nil,
+			405, textType, "", "POST only\n"},
+		{"unknown 404", "GET", "/nope", ``, nil,
+			404, textType, "", "404 page not found\n"},
+		{"prefix 404", "POST", "/ingest/", `{"node": 1}`, nil,
+			404, textType, "", "404 page not found\n"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := New(Config{
+				NewStream:    testFactory(t),
+				Fingerprint:  "wire-test",
+				Window:       1 << 20,
+				QueueCap:     8,
+				ShedFraction: 0.5,
+				Dir:          t.TempDir(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				if !s.Draining() { // a drain closes the WAL itself
+					s.wal.Close()
+				}
+			})
+			t.Cleanup(s.queue.Close)
+			if c.prep != nil {
+				c.prep(t, s)
+			}
+			req, err := http.NewRequest(c.method, startHTTP(t, s).URL+c.path, strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != c.status || resp.Header.Get("Content-Type") != c.contentType ||
+				resp.Header.Get("Retry-After") != c.retryAfter || string(body) != c.want {
+				t.Fatalf("got %d %q Retry-After %q %q\nwant %d %q Retry-After %q %q",
+					resp.StatusCode, resp.Header.Get("Content-Type"), resp.Header.Get("Retry-After"), body,
+					c.status, c.contentType, c.retryAfter, c.want)
+			}
+		})
+	}
+}
+
+// slowWriter sends the first line of its first write, pauses, then the rest.
+type slowWriter struct {
+	net.Conn
+	pause time.Duration
+}
+
+func (w *slowWriter) Write(p []byte) (int, error) {
+	if i := bytes.IndexByte(p, '\n'); w.pause > 0 && i >= 0 {
+		if _, err := w.Conn.Write(p[:i+1]); err != nil {
+			return 0, err
+		}
+		time.Sleep(w.pause)
+		w.pause = 0
+		n, err := w.Conn.Write(p[i+1:])
+		return i + 1 + n, err
+	}
+	return w.Conn.Write(p)
+}
+
+// failWriter stands in for a full disk under the WAL.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("wal: disk full") }
 
 // TestMetricsSnapshotDeterministic pins the /metrics encoding contract:
 // marshaling the same Snapshot twice yields identical bytes. The only
